@@ -11,11 +11,12 @@ cells mark jointly unmeasurable observables.
 
 __version__ = "0.1.0"
 
-from .born import JointPmf2x2, Pmf2, chsh_expectation, correlation, joint_pmf, pmf_single
+from .born import JointPmf2x2, Pmf2, chsh_expectation, chsh_expectations, correlation, joint_pmf, pmf_single
 from .chsh_operator import (
     ChshSpectrum,
     atom_magnitude,
     chsh_operator,
+    chsh_spectra,
     chsh_spectrum,
     closed_form_expectation,
     sample_outcomes,
@@ -77,7 +78,9 @@ __all__ = [
     "atom_magnitude",
     "chsh_all_variants",
     "chsh_expectation",
+    "chsh_expectations",
     "chsh_operator",
+    "chsh_spectra",
     "chsh_spectrum",
     "closed_form_expectation",
     "commutator",

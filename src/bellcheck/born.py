@@ -108,9 +108,9 @@ def pmf_single(state: np.ndarray, observable: np.ndarray) -> Pmf2:
     return Pmf2(float(p[0]), float(p[1]))
 
 
-def _pair_probabilities(state: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    """Raw 2x2 Born-rule table |<x_k, alpha; y_l, beta | state>|^2."""
-    amps = basis_matrix(alpha).conj() @ state.reshape(2, 2) @ basis_matrix(beta).conj().T
+def _pair_probabilities(state: np.ndarray, alpha, beta) -> np.ndarray:
+    """Raw 2x2 Born-rule tables |<x_k, alpha; y_l, beta | state>|^2; angles broadcast."""
+    amps = basis_matrix(alpha).conj() @ state.reshape(2, 2) @ basis_matrix(beta).conj().swapaxes(-1, -2)
     return np.abs(amps) ** 2
 
 
@@ -120,21 +120,35 @@ def joint_pmf(state: np.ndarray, alpha: float, beta: float) -> JointPmf2x2:
     return JointPmf2x2(_pair_probabilities(state, alpha, beta))
 
 
-def correlation(alpha: float, beta: float) -> float:
-    """Singlet pair correlation E[xy]; analytically -cos 2(alpha - beta)."""
+def correlation(alpha: float | np.ndarray, beta: float | np.ndarray) -> float | np.ndarray:
+    """Singlet pair correlation E[xy]; analytically -cos 2(alpha - beta).
+
+    Angle arrays broadcast and give an array of correlations, one stacked
+    pair table each; two plain angles give a float.
+    """
     p = _pair_probabilities(singlet_state(), alpha, beta)
-    return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
+    c = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
+    return float(c) if c.ndim == 0 else c
+
+
+def chsh_expectations(alpha1, alpha2, beta1, beta2) -> float | np.ndarray:
+    """CHSH combination of four singlet correlations over broadcast angle arrays.
+
+    C(a1,b1) + C(a1,b2) + C(a2,b1) - C(a2,b2), a float when all four
+    angles are plain numbers; bounded by 2*sqrt(2) in magnitude.
+    """
+    return (
+        correlation(alpha1, beta1)
+        + correlation(alpha1, beta2)
+        + correlation(alpha2, beta1)
+        - correlation(alpha2, beta2)
+    )
 
 
 def chsh_expectation(cfg: AngleConfig) -> float:
-    """CHSH combination of the four singlet correlations.
+    """CHSH combination of the four singlet correlations at one configuration.
 
     C(a1,b1) + C(a1,b2) + C(a2,b1) - C(a2,b2); bounded by 2*sqrt(2) in
     magnitude over all configurations.
     """
-    return (
-        correlation(cfg.alpha1, cfg.beta1)
-        + correlation(cfg.alpha1, cfg.beta2)
-        + correlation(cfg.alpha2, cfg.beta1)
-        - correlation(cfg.alpha2, cfg.beta2)
-    )
+    return chsh_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)

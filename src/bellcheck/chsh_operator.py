@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import chsh_expectation
 from .errors import InternalCheckError
-from .linalg import eig_hermitian, hermiticity_defect
-from .polarization import AngleConfig, singlet_state, x_operator, y_operator
+from .linalg import eig_hermitian, hermiticity_defect, kron
+from .polarization import AngleConfig, same_setting, singlet_state, z_operator
 from .realworld import EstimatorResult, stream_uniforms
 
 # Stream id for outcome sampling; experiment streams use ids 1..4.
@@ -44,50 +43,110 @@ class ChshSpectrum:
     ``t1`` the magnitude of the remaining eigenvalue pair, which carries
     no weight in the singlet.  ``w_plus``/``w_minus`` are the outcome
     probabilities of +t0 and -t0.  ``eigenvalues`` holds the numeric
-    spectrum in descending order.
+    spectrum in descending order.  :func:`chsh_spectra` returns the same
+    record for a stack of configurations, each field an array along it.
     """
 
-    t0: float
-    t1: float
-    w_plus: float
-    w_minus: float
+    t0: float | np.ndarray
+    t1: float | np.ndarray
+    w_plus: float | np.ndarray
+    w_minus: float | np.ndarray
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        if abs(self.w_plus + self.w_minus - 1.0) > 1e-12:
+        if np.any(np.abs(self.w_plus + self.w_minus - 1.0) > 1e-12):
             raise ValueError("outcome weights must sum to 1")
-        if not (-1e-12 <= self.w_plus <= 1.0 + 1e-12):
+        if np.any((self.w_plus < -1e-12) | (self.w_plus > 1.0 + 1e-12)):
             raise ValueError(f"w_plus = {self.w_plus} outside [0, 1]")
 
 
-def chsh_operator(cfg: AngleConfig) -> np.ndarray:
-    """The 4x4 CHSH operator at the given angles."""
-    op = (
-        x_operator(cfg.alpha1) @ y_operator(cfg.beta1)
-        + x_operator(cfg.alpha1) @ y_operator(cfg.beta2)
-        + x_operator(cfg.alpha2) @ y_operator(cfg.beta1)
-        - x_operator(cfg.alpha2) @ y_operator(cfg.beta2)
-    )
+def _chsh_operators(alpha1, alpha2, beta1, beta2) -> np.ndarray:
+    """CHSH operators over broadcast angle arrays, shape (..., 4, 4).
+
+    Each product X(a) Y(b) equals the Kronecker product Z(a) (x) Z(b).
+    """
+    za1, za2, zb1, zb2 = (z_operator(angle) for angle in (alpha1, alpha2, beta1, beta2))
+    op = kron(za1, zb1) + kron(za1, zb2) + kron(za2, zb1) - kron(za2, zb2)
     defect = hermiticity_defect(op)
     if defect > 1e-13:
         raise InternalCheckError(f"CHSH operator hermiticity defect {defect}")
     return op
 
 
+def chsh_operator(cfg: AngleConfig) -> np.ndarray:
+    """The 4x4 CHSH operator at the given angles."""
+    return _chsh_operators(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
+
+
+def _atom_magnitudes(alpha1, alpha2, beta1, beta2) -> np.ndarray:
+    product = np.sin(2.0 * (alpha1 - alpha2)) * np.sin(2.0 * (beta1 - beta2))
+    return 2.0 * np.sqrt(np.maximum(1.0 - product, 0.0))
+
+
+def _closed_form_expectations(alpha1, alpha2, beta1, beta2) -> np.ndarray:
+    return (
+        -np.cos(2.0 * (alpha1 - beta1))
+        - np.cos(2.0 * (alpha1 - beta2))
+        - np.cos(2.0 * (alpha2 - beta1))
+        + np.cos(2.0 * (alpha2 - beta2))
+    )
+
+
 def atom_magnitude(cfg: AngleConfig) -> float:
     """Closed form t0 = 2 sqrt(1 - sin 2(a1-a2) sin 2(b1-b2))."""
-    product = math.sin(2.0 * (cfg.alpha1 - cfg.alpha2)) * math.sin(2.0 * (cfg.beta1 - cfg.beta2))
-    return 2.0 * math.sqrt(max(1.0 - product, 0.0))
+    return float(_atom_magnitudes(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
 
 
 def closed_form_expectation(cfg: AngleConfig) -> float:
     """Four-cosine closed form of the CHSH expectation in the singlet."""
-    return (
-        -math.cos(2.0 * (cfg.alpha1 - cfg.beta1))
-        - math.cos(2.0 * (cfg.alpha1 - cfg.beta2))
-        - math.cos(2.0 * (cfg.alpha2 - cfg.beta1))
-        + math.cos(2.0 * (cfg.alpha2 - cfg.beta2))
-    )
+    return float(_closed_form_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
+
+
+def chsh_spectra(alpha1, alpha2, beta1, beta2) -> ChshSpectrum:
+    """Spectrum and singlet outcome weights of the CHSH operator over a stack.
+
+    The four angles (radians) broadcast against each other, and every
+    field of the result has their broadcast shape, plus a trailing axis
+    of four for ``eigenvalues``.  Each configuration obeys the rules of
+    :class:`~bellcheck.polarization.AngleConfig`.  All operators are
+    diagonalized by one stacked Jacobi call, and every check of
+    :func:`chsh_spectrum` runs on the whole stack.
+    """
+    a1, a2, b1, b2 = np.broadcast_arrays(alpha1, alpha2, beta1, beta2)
+    if np.any(same_setting(a1, a2)) or np.any(same_setting(b1, b2)):
+        raise ValueError("the two settings on one side coincide mod pi")
+
+    evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
+    t0 = _atom_magnitudes(a1, a2, b1, b2)
+    expectation = _closed_form_expectations(a1, a2, b1, b2)
+
+    # Group eigenvalues into the +-t0 pair and the +-t1 pair by magnitude.
+    distance = np.abs(np.abs(evals) - t0[..., None])
+    order = np.argsort(distance, axis=-1, kind="stable")
+    atom_idx, dark_idx = order[..., :2], order[..., 2:]
+    worst_atom = float(np.max(np.take_along_axis(distance, atom_idx, axis=-1), initial=0.0))
+    if worst_atom > 1e-9:
+        raise InternalCheckError(f"numeric spectrum misses the closed-form t0 by {worst_atom}")
+    t1 = np.mean(np.abs(np.take_along_axis(evals, dark_idx, axis=-1)), axis=-1)
+
+    overlaps = np.abs(evecs.conj().swapaxes(-1, -2) @ singlet_state()) ** 2
+    degenerate = np.abs(t0 - t1) <= 1e-9
+    dark_weight = np.where(degenerate, 0.0, np.take_along_axis(overlaps, dark_idx, axis=-1).sum(axis=-1))
+    if np.any(dark_weight > 1e-12):
+        raise InternalCheckError(f"singlet carries weight {np.max(dark_weight)} outside the outcome atoms")
+
+    if np.any(np.abs(expectation) > t0 + 1e-9):
+        raise InternalCheckError(f"|E| exceeds t0 by up to {np.max(np.abs(expectation) - t0)}")
+    live = t0 >= _T0_FLOOR
+    ratio = expectation / np.where(live, t0, 1.0)
+    w_plus = np.where(live, np.clip((1.0 + ratio) / 2.0, 0.0, 1.0), 0.5)
+    # Independent check of the weight through the +t0 eigenspace
+    # projector, which stays well-defined even when t0 = t1.
+    plus_space = np.abs(evals - t0[..., None]) <= 1e-8
+    gap = np.where(live, np.abs(np.sum(overlaps * plus_space, axis=-1) - w_plus), 0.0)
+    if np.any(gap > 1e-9):
+        raise InternalCheckError(f"projector weight disagrees with the closed form by {np.max(gap)}")
+    return ChshSpectrum(t0, t1, w_plus, 1.0 - w_plus, evals)
 
 
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
@@ -97,44 +156,8 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     (to 1e-9), and the singlet's Born weight is verified to sit entirely
     on the +-t0 eigenspaces.  Disagreement raises InternalCheckError.
     """
-    evals, evecs = eig_hermitian(chsh_operator(cfg), tol=1e-10)
-    t0 = atom_magnitude(cfg)
-    expectation = closed_form_expectation(cfg)
-
-    # Group eigenvalues into the +-t0 pair and the +-t1 pair by magnitude.
-    distance = np.abs(np.abs(evals) - t0)
-    order = np.argsort(distance, kind="stable")
-    atom_idx, dark_idx = order[:2], order[2:]
-    worst_atom = float(distance[atom_idx].max())
-    if worst_atom > 1e-9:
-        raise InternalCheckError(f"numeric spectrum misses the closed-form t0 by {worst_atom}")
-    t1 = float(np.mean(np.abs(evals[dark_idx])))
-
-    psi = singlet_state()
-    overlaps = np.abs(evecs.conj().T @ psi) ** 2
-    degenerate = abs(t0 - t1) <= 1e-9
-    if not degenerate:
-        dark_weight = float(overlaps[dark_idx].sum())
-        if dark_weight > 1e-12:
-            raise InternalCheckError(f"singlet carries weight {dark_weight} outside the outcome atoms")
-
-    if t0 < _T0_FLOOR:
-        if abs(expectation) > t0 + 1e-9:
-            raise InternalCheckError("expectation magnitude exceeds a vanishing t0")
-        w_plus = 0.5
-    else:
-        if abs(expectation) > t0 + 1e-9:
-            raise InternalCheckError(f"|E| = {abs(expectation)} exceeds t0 = {t0}")
-        w_plus = min(max((1.0 + expectation / t0) / 2.0, 0.0), 1.0)
-        # Independent check of the weight through the +t0 eigenspace
-        # projector, which stays well-defined even when t0 = t1.
-        plus_space = np.abs(evals - t0) <= 1e-8
-        w_plus_projector = float(overlaps[plus_space].sum())
-        if abs(w_plus_projector - w_plus) > 1e-9:
-            raise InternalCheckError(
-                f"projector weight {w_plus_projector} disagrees with closed form {w_plus}"
-            )
-    return ChshSpectrum(t0, t1, w_plus, 1.0 - w_plus, evals.copy())
+    s = chsh_spectra(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
+    return ChshSpectrum(float(s.t0), float(s.t1), float(s.w_plus), float(s.w_minus), s.eigenvalues)
 
 
 def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:

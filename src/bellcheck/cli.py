@@ -24,14 +24,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .born import chsh_expectation, correlation, joint_pmf
-from .chsh_operator import chsh_spectrum
+from .born import chsh_expectations, correlation, joint_pmf
+from .chsh_operator import chsh_spectra
 from .counterfactual import fine_feasibility, outcome_statistic, outcome_values, quantum_pair_marginals, sample_space
 from .errors import InternalCheckError
 from .polarization import AngleConfig, same_setting, singlet_state
@@ -45,23 +44,19 @@ EXIT_INTERNAL = 3
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
 
-def _worker_count() -> int:
+def _check_workers_env() -> None:
+    """Validate BELLCHECK_WORKERS, which no longer affects anything.
+
+    A sweep is a single batched call, so there is no pool to size; the
+    variable is documented, so a junk value is still a usage error.
+    """
     raw = os.environ.get("BELLCHECK_WORKERS")
     if raw is None:
-        return 1
+        return
     try:
-        return max(1, int(raw))
+        int(raw)
     except ValueError as exc:
         raise ValueError(f"BELLCHECK_WORKERS must be an integer, got {raw!r}") from exc
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, fanning out to the worker pool; output keeps input order."""
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -220,42 +215,33 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _spectrum_row(cfg: AngleConfig) -> tuple[float, float, float, float, float]:
-    spectrum = chsh_spectrum(cfg)
-    return (
-        chsh_expectation(cfg),
-        spectrum.t0,
-        spectrum.t1,
-        spectrum.w_plus,
-        spectrum.w_minus,
-    )
+def _spectrum_rows(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: list[float]) -> list[tuple]:
+    """One row per beta2 value (degrees, replacing cfg's): echoed angles, e_qm and spectrum."""
+    beta2 = np.radians(beta2_deg)
+    e_qm = chsh_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
+    spectra = chsh_spectra(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
+    columns = (e_qm, spectra.t0, spectra.t1, spectra.w_plus, spectra.w_minus)
+    return [
+        (args.alpha1_deg, args.alpha2_deg, args.beta1_deg, b2, *values)
+        for b2, *values in zip(beta2_deg, *(column.tolist() for column in columns))
+    ]
 
 
 def _chsh_like(args: argparse.Namespace, command: str) -> int:
     cfg = _config_from_args(args)
     header = ["alpha1", "alpha2", "beta1", "beta2", "e_qm", "t0", "t1", "w_plus", "w_minus"]
-    sweep = getattr(args, "sweep_deg", None)
-    if sweep is not None:
-        if sweep <= 0.0:
-            raise ValueError("--sweep step must be positive")
+    if args.sweep_deg is not None:
+        _check_workers_env()
         # Sweep iterates beta2 over [0, 180); points colliding with beta1
         # (mod 180) are skipped because the configuration is degenerate there.
-        beta2_grid = [
-            b2 for b2 in np.arange(0.0, 180.0, sweep)
-            if not same_setting(math.radians(b2), cfg.beta1)
-        ]
-
-        def one_row(b2_deg: float):
-            swept = AngleConfig(cfg.alpha1, cfg.alpha2, cfg.beta1, math.radians(b2_deg))
-            return (args.alpha1_deg, args.alpha2_deg, args.beta1_deg, b2_deg, *_spectrum_row(swept))
-
-        rows = _map_ordered(one_row, beta2_grid)
+        grid = np.arange(0.0, 180.0, args.sweep_deg)
+        rows = _spectrum_rows(args, cfg, grid[~same_setting(np.radians(grid), cfg.beta1)].tolist())
         if (args.format or "csv") == "csv":
             text = canonical_csv(header, rows)
         else:
             text = canonical_json({"rows": [dict(zip(header, row)) for row in rows]})
     else:
-        row = (args.alpha1_deg, args.alpha2_deg, args.beta1_deg, args.beta2_deg, *_spectrum_row(cfg))
+        (row,) = _spectrum_rows(args, cfg, [args.beta2_deg])
         if (args.format or "json") == "json":
             text = canonical_json(dict(zip(header, row)))
         else:
@@ -386,8 +372,6 @@ def cmd_quasiprob(args: argparse.Namespace) -> int:
             ],
         }
     else:
-        if args.scan_deg <= 0.0:
-            raise ValueError("--scan step must be positive")
         witnesses = find_negativity(math.radians(args.scan_deg))
         payload = {
             "scan_step_deg": args.scan_deg,
@@ -415,6 +399,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _grid_step(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"step must be a positive finite number of degrees, got {text!r}")
     return value
 
 
@@ -455,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         add_angles4(sp)
         sp.add_argument(
-            "--sweep", dest="sweep_deg", type=float, default=None,
+            "--sweep", dest="sweep_deg", type=_grid_step, default=None,
             help="sweep beta2 over [0, 180) with this step in degrees",
         )
         add_output(sp)
@@ -483,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("alpha_deg", type=float, nargs="?", default=None)
     sp.add_argument("alpha_prime_deg", type=float, nargs="?", default=None)
     sp.add_argument("beta_deg", type=float, nargs="?", default=None)
-    sp.add_argument("--scan", dest="scan_deg", type=float, default=None, help="grid step in degrees")
+    sp.add_argument("--scan", dest="scan_deg", type=_grid_step, default=None, help="grid step in degrees")
     add_output(sp)
     sp.set_defaults(func=cmd_quasiprob)
 

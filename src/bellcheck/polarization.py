@@ -18,17 +18,19 @@ from .linalg import kron
 ANGLE_EQUALITY_TOL = 1e-12
 
 
-def reduce_mod_pi(angle: float) -> float:
-    """Canonical representative of a polarizer setting in [0, pi)."""
-    if not math.isfinite(angle):
+def reduce_mod_pi(angle: float | np.ndarray) -> float | np.ndarray:
+    """Canonical representative of a polarizer setting in [0, pi), elementwise for arrays."""
+    if not np.all(np.isfinite(angle)):
         raise ValueError("angle must be finite")
     return angle % math.pi
 
 
-def same_setting(a: float, b: float, tol: float = ANGLE_EQUALITY_TOL) -> bool:
-    """True when two angles describe the same polarizer setting mod pi."""
+def same_setting(
+    a: float | np.ndarray, b: float | np.ndarray, tol: float = ANGLE_EQUALITY_TOL
+) -> bool | np.ndarray:
+    """True when two angles describe the same polarizer setting mod pi, elementwise for arrays."""
     d = abs(reduce_mod_pi(a) - reduce_mod_pi(b))
-    return min(d, math.pi - d) <= tol
+    return np.minimum(d, math.pi - d) <= tol
 
 
 @dataclass(frozen=True)
@@ -72,14 +74,20 @@ def singlet_state() -> np.ndarray:
     return np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def basis_matrix(phi: float) -> np.ndarray:
+def basis_matrix(phi: float | np.ndarray) -> np.ndarray:
     """2x2 matrix whose rows are the rotated polarizer eigenvectors.
 
     Row 0 is the +1 port direction (cos phi, sin phi), row 1 the
-    orthogonal -1 port direction (-sin phi, cos phi).
+    orthogonal -1 port direction (-sin phi, cos phi).  An array of angles
+    gives a stack of shape ``phi.shape + (2, 2)``.
     """
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, s], [-s, c]], dtype=np.complex128)
+    c, s = np.cos(phi), np.sin(phi)
+    b = np.empty(np.shape(phi) + (2, 2), dtype=np.complex128)
+    b[..., 0, 0] = c
+    b[..., 0, 1] = s
+    b[..., 1, 0] = -s
+    b[..., 1, 1] = c
+    return b
 
 
 def rotated_basis(phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -88,21 +96,23 @@ def rotated_basis(phi: float) -> tuple[np.ndarray, np.ndarray]:
     return b[0].copy(), b[1].copy()
 
 
-def z_operator(phi: float) -> np.ndarray:
+def z_operator(phi: float | np.ndarray) -> np.ndarray:
     """Dichotomic polarizer observable at angle phi, built spectrally.
 
     Returns sum_k z_k |z_k><z_k| with z_1 = +1 on the transmitted port
-    and z_2 = -1 on the orthogonal port; Hermitian and involutory.
+    and z_2 = -1 on the orthogonal port; Hermitian and involutory.  Like
+    the observables below, it stacks over an array of angles.
     """
-    plus, minus = rotated_basis(phi)
-    return np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
+    b = basis_matrix(phi)
+    plus, minus = b[..., 0, :], b[..., 1, :]
+    return plus[..., :, None] * plus[..., None, :].conj() - minus[..., :, None] * minus[..., None, :].conj()
 
 
-def x_operator(alpha: float) -> np.ndarray:
+def x_operator(alpha: float | np.ndarray) -> np.ndarray:
     """Alice's polarizer observable embedded in the pair space."""
     return kron(z_operator(alpha), np.eye(2, dtype=np.complex128))
 
 
-def y_operator(beta: float) -> np.ndarray:
+def y_operator(beta: float | np.ndarray) -> np.ndarray:
     """Bob's polarizer observable embedded in the pair space."""
     return kron(np.eye(2, dtype=np.complex128), z_operator(beta))

@@ -9,11 +9,14 @@ sums to one and returns both measured pair tables as marginals, exactly
 as a joint distribution of (X, X', Y) would -- but some of its cells go
 negative, which is how quantum mechanics vetoes the joint distribution.
 This module computes F, its marginal identities, the two-index setting
-overlap table, and scans angle grids for negative cells.
+overlap table, and scans angle grids for negative cells.  Every table
+comes from one broadcast kernel, whether it is a single point, Bob's
+probe angles or a whole scan grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +27,18 @@ from .polarization import basis_matrix, singlet_state, x_operator, y_operator
 
 _IMAG_TOL = 1e-12
 
-# Fixed probe angles for the "beta drops out" consistency check.
-_BETA_PROBES = np.random.default_rng(1278).uniform(0.0, np.pi, 10)
+# Fixed probe angles for the "beta drops out" consistency check: the
+# draws of np.random.default_rng(1278).uniform(0.0, np.pi, 10), written
+# out so that importing the package does not load numpy.random.
+_BETA_PROBES = np.array([
+    1.7879718653234664, 0.04791899826746086, 1.036081980405563, 3.131370531974885, 0.2807469198186977,
+    2.507374700762346, 2.168853884759242, 2.7306447923580985, 2.1556043352100724, 0.5463770822692816,
+])
+
+# A negativity scan builds its tables one block of alpha values at a
+# time, sized to about this many cells (16 MB per complex array).  A
+# block holds at least one alpha value, 8 n^2 cells on an n-point grid.
+_CHUNK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +83,29 @@ class QuasiPmf2:
         object.__setattr__(self, "values", v)
 
 
-def _pair_amplitudes(alpha: float, beta: float) -> np.ndarray:
-    """amps[j, l] = <x_j, alpha; y_l, beta | psi> for the singlet."""
+def _pair_amplitudes(alpha, beta) -> np.ndarray:
+    """amps[..., j, l] = <x_j, alpha; y_l, beta | psi> for the singlet; angles broadcast."""
     psi_block = singlet_state().reshape(2, 2)
-    return basis_matrix(alpha).conj() @ psi_block @ basis_matrix(beta).conj().T
+    return basis_matrix(alpha).conj() @ psi_block @ basis_matrix(beta).conj().swapaxes(-1, -2)
+
+
+def _overlaps(alpha, alpha_prime) -> np.ndarray:
+    """overlap[..., j, k] = <x_j, alpha | x_k, alpha'>; angles broadcast."""
+    return basis_matrix(alpha).conj() @ basis_matrix(alpha_prime).swapaxes(-1, -2)
+
+
+def _cells(amps: np.ndarray, overlap: np.ndarray, amps_prime: np.ndarray) -> np.ndarray:
+    """F[..., j, k, l] from broadcast stacks of the three brackets.
+
+    Each cell is a product of three complex brackets; with the real
+    singlet and real rotated bases the product is exactly real, and the
+    imaginary residue is asserted below 1e-12 to catch ordering bugs.
+    """
+    table = (amps.conj()[..., :, None, :] * overlap[..., :, :, None]) * amps_prime[..., None, :, :]
+    worst_imag = float(np.max(np.abs(table.imag)))
+    if worst_imag > _IMAG_TOL:
+        raise InternalCheckError(f"quasi-probability cells have imaginary part {worst_imag}")
+    return table.real
 
 
 def q_value(alpha: float, alpha_prime: float, beta: float) -> float:
@@ -97,20 +129,11 @@ def q_value(alpha: float, alpha_prime: float, beta: float) -> float:
 
 
 def f_jkl(alpha: float, alpha_prime: float, beta: float) -> QuasiPmf3:
-    """The eight-cell quasi-probability table at the given angles.
-
-    Each cell is a product of three complex brackets; with the real
-    singlet and real rotated bases the product is exactly real, and the
-    imaginary residue is asserted below 1e-12 to catch ordering bugs.
-    """
-    amps = _pair_amplitudes(alpha, beta)
-    amps_prime = _pair_amplitudes(alpha_prime, beta)
-    overlap = basis_matrix(alpha).conj() @ basis_matrix(alpha_prime).T
-    table = np.einsum("jl,jk,kl->jkl", amps.conj(), overlap, amps_prime)
-    worst_imag = float(np.max(np.abs(table.imag)))
-    if worst_imag > _IMAG_TOL:
-        raise InternalCheckError(f"quasi-probability cells have imaginary part {worst_imag}")
-    return QuasiPmf3(table.real, alpha, alpha_prime, beta)
+    """The eight-cell quasi-probability table at the given angles."""
+    table = _cells(
+        _pair_amplitudes(alpha, beta), _overlaps(alpha, alpha_prime), _pair_amplitudes(alpha_prime, beta)
+    )
+    return QuasiPmf3(table, alpha, alpha_prime, beta)
 
 
 def q_reconstruct(alpha: float, alpha_prime: float, beta: float) -> float:
@@ -133,13 +156,16 @@ def f_jk(alpha: float, alpha_prime: float) -> QuasiPmf2:
     construction is broken.  The surviving table equals half the squared
     overlap of the two Alice bases, so every cell here is non-negative.
     """
-    reference = f_jkl(alpha, alpha_prime, _BETA_PROBES[0]).values.sum(axis=2)
-    for beta in _BETA_PROBES[1:]:
-        other = f_jkl(alpha, alpha_prime, beta).values.sum(axis=2)
-        spread = float(np.max(np.abs(other - reference)))
-        if spread > _IMAG_TOL:
-            raise InternalCheckError(f"summed table varies with Bob's angle by {spread}")
-    return QuasiPmf2(reference, alpha, alpha_prime)
+    tables = _cells(
+        _pair_amplitudes(alpha, _BETA_PROBES),
+        _overlaps(alpha, alpha_prime),
+        _pair_amplitudes(alpha_prime, _BETA_PROBES),
+    )
+    summed = tables.sum(axis=-1)
+    spread = float(np.max(np.abs(summed[1:] - summed[0])))
+    if spread > _IMAG_TOL:
+        raise InternalCheckError(f"summed table varies with Bob's angle by {spread}")
+    return QuasiPmf2(summed[0], alpha, alpha_prime)
 
 
 @dataclass(frozen=True)
@@ -161,23 +187,29 @@ def find_negativity(grid_step: float, threshold: float = -1e-12) -> list[Negativ
     All three angles run over [0, pi) in steps of ``grid_step`` radians.
     Returns every cell below ``threshold``, sorted by value ascending
     with ties broken lexicographically by (alpha, alpha', beta, j, k, l).
-    Any grid with step <= 15 degrees contains negative cells.
+    Any grid with step <= 15 degrees contains negative cells.  Tables are
+    built a block of alpha values at a time, about a million cells per
+    block, so memory beyond the returned witnesses stays bounded however
+    fine the grid.
     """
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError("grid_step must be positive and finite")
     grid = np.arange(0.0, np.pi, grid_step)
-    witnesses = []
-    for alpha in grid:
-        for alpha_prime in grid:
-            for beta in grid:
-                table = f_jkl(alpha, alpha_prime, beta).values
-                for j, k, l in np.argwhere(table < threshold):
-                    witnesses.append(
-                        NegativityWitness(
-                            alpha, alpha_prime, beta,
-                            int(j) + 1, int(k) + 1, int(l) + 1,
-                            float(table[j, k, l]),
-                        )
-                    )
-    witnesses.sort(key=lambda w: (w.value, w.alpha, w.alpha_prime, w.beta, w.j, w.k, w.l))
-    return witnesses
+    size = grid.size
+    amps = _pair_amplitudes(grid[:, None], grid)  # [alpha, beta, j, l]
+    overlap = _overlaps(grid[:, None], grid)  # [alpha, alpha', j, k]
+    block = max(1, _CHUNK_CELLS // (8 * size * size))
+    found = []
+    for start in range(0, size, block):
+        rows = slice(start, start + block)
+        table = _cells(amps[rows, None], overlap[rows, :, None], amps[None])  # [alpha, alpha', beta, j, k, l]
+        negative = table < threshold
+        alpha_idx, *rest = np.nonzero(negative)
+        found.append((table[negative], alpha_idx + start, *rest))
+    values, *index = (np.concatenate(column) for column in zip(*found))
+    order = np.lexsort((*index[::-1], values))
+    angles = grid.tolist()
+    return [
+        NegativityWitness(angles[a], angles[ap], angles[b], j + 1, k + 1, l + 1, value)
+        for value, a, ap, b, j, k, l in zip(*(column[order].tolist() for column in (values, *index)))
+    ]

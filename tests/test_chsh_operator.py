@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bellcheck.born import chsh_expectation
+from bellcheck.born import chsh_expectation, chsh_expectations
 from bellcheck.chsh_operator import (
+    _chsh_operators,
     atom_magnitude,
     chsh_operator,
+    chsh_spectra,
     chsh_spectrum,
     closed_form_expectation,
     sample_outcomes,
@@ -128,3 +130,37 @@ def test_sampling_statistical_case():
 def test_sampling_rejects_zero_draws():
     with pytest.raises(ValueError):
         sample_outcomes(OPTIMAL, 0, seed=1)
+
+
+def angle_columns(configs):
+    return [np.array([getattr(cfg, name) for cfg in configs]) for name in ("alpha1", "alpha2", "beta1", "beta2")]
+
+
+def test_stacked_spectra_equal_single_spectra_bitwise():
+    configs = random_configs(41, 40) + [OPTIMAL, AngleConfig.from_degrees(0, 45, 22.5, 67.5)]
+    columns = angle_columns(configs)
+    stacked = chsh_spectra(*columns)
+    expectations = chsh_expectations(*columns)
+    for i, cfg in enumerate(configs):
+        single = chsh_spectrum(cfg)
+        for name in ("t0", "t1", "w_plus", "w_minus"):
+            assert getattr(stacked, name)[i] == getattr(single, name), name
+        assert np.array_equal(stacked.eigenvalues[i], single.eigenvalues)
+        assert expectations[i] == chsh_expectation(cfg)
+
+
+def test_stacked_operators_equal_single_operators():
+    configs = random_configs(43, 10)
+    stack = _chsh_operators(*angle_columns(configs))
+    for op, cfg in zip(stack, configs):
+        assert np.array_equal(op, chsh_operator(cfg))
+
+
+def test_spectra_validate_every_point():
+    beta2 = np.radians([10.0, 30.0, 190.0])  # 190 coincides with beta1 = 10 mod 180
+    with pytest.raises(ValueError, match="coincide"):
+        chsh_spectra(0.0, math.radians(45.0), math.radians(10.0), beta2)
+    with pytest.raises(ValueError, match="finite"):
+        chsh_spectra(0.0, math.radians(45.0), math.radians(10.0), np.array([0.3, np.nan]))
+    empty = chsh_spectra(0.0, 1.0, 0.5, np.array([]))
+    assert empty.t0.shape == (0,) and empty.eigenvalues.shape == (0, 4)

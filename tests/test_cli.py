@@ -254,3 +254,27 @@ def test_workers_env_does_not_change_output(capsys, monkeypatch):
 def test_canonical_json_formatting():
     text = canonical_json({"b": 0.1234567891234, "a": [1, True, None]})
     assert text == '{"a": [1, true, null], "b": 0.123456789}\n'
+
+
+@pytest.mark.parametrize("step", ["inf", "-inf", "nan", "0", "-3"])
+@pytest.mark.parametrize("command", [
+    ("quasiprob", "--scan"),
+    ("chsh", "0", "45", "22.5", "-22.5", "--sweep"),
+    ("t-spectrum", "0", "45", "22.5", "-22.5", "--sweep"),
+])
+def test_grid_steps_must_be_positive_and_finite(tmp_path, capsys, command, step):
+    out = tmp_path / "grid.txt"
+    # "--flag=value" so that argparse hands "-inf" to the type check
+    code = main([*command[:-1], f"{command[-1]}={step}", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "positive finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "grid.txt.manifest.json").exists()
+
+
+def test_sweep_with_every_point_degenerate_prints_header_only(capsys):
+    # the one grid point, beta2 = 0, coincides with beta1 = 0
+    code, out = run_cli(capsys, "chsh", "0", "45", "0", "10", "--sweep", "180")
+    assert code == 0
+    assert out == "alpha1,alpha2,beta1,beta2,e_qm,t0,t1,w_plus,w_minus\n"

@@ -4,13 +4,19 @@ Each hash is the sha256 of the stdout of one CLI invocation, recorded
 from the per-point implementation that preceded the batched kernels.
 The batched sweep and scan must reproduce those bytes exactly,
 including the witness sort order and the skipped degenerate point.
+The batched kernels must also agree bit for bit with the single-point
+functions they share code with.
 """
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
+from bellcheck import quasiprob
 from bellcheck.cli import main
+from bellcheck.quasiprob import NegativityWitness, f_jkl, find_negativity
 
 GOLDEN = {
     ("chsh", "0", "45", "22.5", "-22.5", "--sweep", "5"):
@@ -31,3 +37,52 @@ def test_golden_stdout_bytes(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[argv]
+
+
+def _cli_stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_scan_kernel_matches_scalar_f_jkl_bitwise():
+    # threshold=inf turns every cell of the 20-degree grid into a witness
+    witnesses = find_negativity(math.radians(20.0), threshold=math.inf)
+    assert len(witnesses) == 9**3 * 8
+    got = np.array([w.value for w in witnesses])
+    want = np.array([
+        f_jkl(w.alpha, w.alpha_prime, w.beta).values[w.j - 1, w.k - 1, w.l - 1] for w in witnesses
+    ])
+    assert np.array_equal(got, want)
+
+
+def test_scan_matches_per_point_reference():
+    step = math.radians(15.0)
+    reference = []
+    for alpha in np.arange(0.0, math.pi, step).tolist():
+        for alpha_prime in np.arange(0.0, math.pi, step).tolist():
+            for beta in np.arange(0.0, math.pi, step).tolist():
+                table = f_jkl(alpha, alpha_prime, beta).values
+                for j, k, l in np.argwhere(table < -1e-12):
+                    reference.append(NegativityWitness(
+                        alpha, alpha_prime, beta, int(j) + 1, int(k) + 1, int(l) + 1, float(table[j, k, l])
+                    ))
+    reference.sort(key=lambda w: (w.value, w.alpha, w.alpha_prime, w.beta, w.j, w.k, w.l))
+    assert find_negativity(step) == reference
+
+
+def test_scan_blocks_do_not_change_witnesses(monkeypatch):
+    whole = find_negativity(math.radians(15.0))
+    monkeypatch.setattr(quasiprob, "_CHUNK_CELLS", 8 * 12 * 12 * 5)  # five alphas per block, ragged end
+    assert find_negativity(math.radians(15.0)) == whole
+    monkeypatch.setattr(quasiprob, "_CHUNK_CELLS", 1)  # one alpha per block
+    assert find_negativity(math.radians(15.0)) == whole
+
+
+@pytest.mark.parametrize("angles", [("10.5", "50.25", "20.125", "30"), ("0", "45", "20", "-22.5")])
+def test_sweep_rows_match_single_config_rows(capsys, angles):
+    header, *rows = _cli_stdout(capsys, "chsh", *angles, "--sweep", "7.5").splitlines()
+    assert len(rows) >= 23
+    for row in rows:
+        beta2 = row.split(",")[3]
+        single = _cli_stdout(capsys, "chsh", *angles[:3], beta2, "--format", "csv").splitlines()
+        assert single == [header, row]

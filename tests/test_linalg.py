@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,3 +142,66 @@ def test_eig_rejects_bad_input():
         eig_hermitian(np.ones((2, 3)))
     with pytest.raises(ValueError):
         eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def random_hermitian_stack(rng, count, n):
+    a = random_complex(rng, (count, n, n))
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
+def test_eig_converges_at_large_scale(scale):
+    rng = np.random.default_rng(17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            a = random_hermitian(rng, 4) * scale
+            vals, _ = eig_hermitian(a)
+            assert np.allclose(np.sort(vals), np.linalg.eigvalsh(a), rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    count=st.integers(min_value=1, max_value=5),
+    log_scale=st.floats(min_value=-8.0, max_value=8.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_eig_stack_scale_invariant_against_numpy(n, count, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    stack = random_hermitian_stack(rng, count, n) * 10.0**log_scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = eig_hermitian(stack)
+    assert vals.shape == (count, n) and vecs.shape == (count, n, n)
+    norm = np.linalg.norm(stack, axis=(-2, -1))[:, None]
+    # numpy serves only as the test oracle; eigvalsh sorts ascending
+    assert np.all(np.abs(vals - np.linalg.eigvalsh(stack)[:, ::-1]) <= 1e-12 * norm)
+    rebuilt = vecs @ (vals[:, :, None] * vecs.conj().swapaxes(-1, -2))
+    assert np.all(np.abs(rebuilt - stack) <= 1e-12 * norm[:, :, None])
+    assert np.allclose(vecs.conj().swapaxes(-1, -2) @ vecs, np.eye(n), atol=1e-12)
+    for i in range(count):
+        alone_vals, alone_vecs = eig_hermitian(stack[i])
+        assert np.array_equal(alone_vals, vals[i]) and np.array_equal(alone_vecs, vecs[i])
+
+
+def test_eig_stack_keeps_leading_shape_and_matches_chsh_operators():
+    rng = np.random.default_rng(23)
+    ops = np.array([
+        chsh_operator(AngleConfig(*angles)) for angles in rng.uniform(0.2, 1.4, (6, 4)) * [1, 2, 1, 2]
+    ]).reshape(2, 3, 4, 4)
+    vals, vecs = eig_hermitian(ops)
+    assert vals.shape == (2, 3, 4) and vecs.shape == (2, 3, 4, 4)
+    for idx in np.ndindex(2, 3):
+        alone_vals, alone_vecs = eig_hermitian(ops[idx])
+        assert np.array_equal(alone_vals, vals[idx]) and np.array_equal(alone_vecs, vecs[idx])
+
+
+def test_eig_leaves_exact_zero_couplings_alone():
+    block = np.zeros((4, 4), dtype=complex)
+    block[:2, :2] = [[1.0, 2.0], [2.0, -1.0]]
+    block[2:, 2:] = [[3.0, 0.0], [0.0, 5.0]]
+    vals, vecs = eig_hermitian(block)
+    assert np.allclose(vals, [5.0, 3.0, np.sqrt(5.0), -np.sqrt(5.0)], atol=1e-14)
+    assert np.allclose(vecs.conj().T @ block @ vecs, np.diag(vals), atol=1e-14)
+    assert np.array_equal(eig_hermitian(np.zeros((3, 3)))[0], np.zeros(3))

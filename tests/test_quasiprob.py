@@ -102,3 +102,22 @@ def test_find_negativity_includes_22_5_case():
 def test_find_negativity_rejects_bad_step():
     with pytest.raises(ValueError):
         find_negativity(0.0)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, -0.1])
+def test_find_negativity_rejects_non_finite_step(step):
+    with pytest.raises(ValueError, match="positive and finite"):
+        find_negativity(step)
+
+
+def test_f_jk_matches_summed_f_jkl_at_every_probe():
+    alpha, alpha_prime = 0.4, 1.9
+    summed = f_jk(alpha, alpha_prime).values
+    for beta in np.linspace(0.0, math.pi, 7):
+        assert np.max(np.abs(f_jkl(alpha, alpha_prime, beta).values.sum(axis=2) - summed)) < 1e-12
+
+
+def test_beta_probes_are_the_seeded_draws():
+    from bellcheck.quasiprob import _BETA_PROBES
+
+    assert np.array_equal(_BETA_PROBES, np.random.default_rng(1278).uniform(0.0, np.pi, 10))
