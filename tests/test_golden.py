@@ -1,11 +1,15 @@
-"""Byte-level regression pins for the angle-grid commands.
+"""Byte-level regression pins for the angle-grid and Fine commands.
 
-Each hash is the sha256 of the stdout of one CLI invocation, recorded
-from the per-point implementation that preceded the batched kernels.
-The batched sweep and scan must reproduce those bytes exactly,
-including the witness sort order and the skipped degenerate point.
-The batched kernels must also agree bit for bit with the single-point
-functions they share code with.
+Each hash is the sha256 of the stdout of one CLI invocation.  The sweep
+and scan hashes were recorded from the per-point implementation that
+preceded the batched kernels; the batched sweep and scan must reproduce
+those bytes exactly, including the witness sort order and the skipped
+degenerate point.  The batched kernels must also agree bit for bit with
+the single-point functions they share code with.  The ``fine`` hashes
+were recorded from the simplex that rebuilt its constraint system and
+re-selected independent rows on every call: an infeasible verdict, a
+printed witness (including its rounding-noise digits) and a degenerate
+configuration with zero cells.
 """
 
 import hashlib
@@ -29,6 +33,12 @@ GOLDEN = {
         "552d6bad3d9c84474e97f1377e80ffe427b707e1747742e10dfcd11e224a69f8",
     ("quasiprob", "--scan", "10"):
         "b3aea6c16249f67e0ad95556428c1b3fd27f893858e2e3725e21675b7bbcfebe",
+    ("fine", "0", "45", "22.5", "-22.5"):
+        "d9cc5ca0fb52c016f51ff620da3833546c221e45fd29053538086b10e4e0bb0e",
+    ("fine", "0", "45", "22.5", "112.5"):
+        "ad4d01f550da38f6351df13bb3acb05a6b414956d5a495789becb59d65d81b89",
+    ("fine", "0", "90", "0", "90"):
+        "b6a5f47ee064cfb5e813049d0609b76108ac8814a3dfa6c5de19afccd5ca21c7",
 }
 
 
