@@ -41,10 +41,11 @@ class Pmf2:
     p_minus: float
 
     def __post_init__(self) -> None:
+        # Sums of table cells may round a certain outcome to 1 + 2^-52.
         for v in (self.p_plus, self.p_minus):
-            if not 0.0 <= v <= 1.0:
+            if not -CLAMP_TOL <= v <= 1.0 + CLAMP_TOL:
                 raise ValueError(f"probability {v} outside [0, 1]")
-        if abs(self.p_plus + self.p_minus - 1.0) > 1e-12:
+        if abs(self.p_plus + self.p_minus - 1.0) > CLAMP_TOL:
             raise ValueError("probabilities do not sum to 1")
 
     @property
@@ -108,10 +109,14 @@ def pmf_single(state: np.ndarray, observable: np.ndarray) -> Pmf2:
     return Pmf2(float(p[0]), float(p[1]))
 
 
+def _pair_amplitudes(state: np.ndarray, alpha, beta) -> np.ndarray:
+    """amps[..., k, l] = <x_k, alpha; y_l, beta | state>; angles broadcast."""
+    return basis_matrix(alpha).conj() @ state.reshape(2, 2) @ basis_matrix(beta).conj().swapaxes(-1, -2)
+
+
 def _pair_probabilities(state: np.ndarray, alpha, beta) -> np.ndarray:
     """Raw 2x2 Born-rule tables |<x_k, alpha; y_l, beta | state>|^2; angles broadcast."""
-    amps = basis_matrix(alpha).conj() @ state.reshape(2, 2) @ basis_matrix(beta).conj().swapaxes(-1, -2)
-    return np.abs(amps) ** 2
+    return np.abs(_pair_amplitudes(state, alpha, beta)) ** 2
 
 
 def joint_pmf(state: np.ndarray, alpha: float, beta: float) -> JointPmf2x2:

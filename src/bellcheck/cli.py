@@ -44,21 +44,6 @@ EXIT_INTERNAL = 3
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 
 
-def _check_workers_env() -> None:
-    """Validate BELLCHECK_WORKERS, which no longer affects anything.
-
-    A sweep is a single batched call, so there is no pool to size; the
-    variable is documented, so a junk value is still a usage error.
-    """
-    raw = os.environ.get("BELLCHECK_WORKERS")
-    if raw is None:
-        return
-    try:
-        int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BELLCHECK_WORKERS must be an integer, got {raw!r}") from exc
-
-
 # ---------------------------------------------------------------------------
 # canonical serialization
 
@@ -231,7 +216,6 @@ def _chsh_like(args: argparse.Namespace, command: str) -> int:
     cfg = _config_from_args(args)
     header = ["alpha1", "alpha2", "beta1", "beta2", "e_qm", "t0", "t1", "w_plus", "w_minus"]
     if args.sweep_deg is not None:
-        _check_workers_env()
         # Sweep iterates beta2 over [0, 180); points colliding with beta1
         # (mod 180) are skipped because the configuration is degenerate there.
         grid = np.arange(0.0, 180.0, args.sweep_deg)
@@ -481,10 +465,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

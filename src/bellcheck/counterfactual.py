@@ -93,14 +93,7 @@ class CfPmf:
         return cls(np.full((2, 2, 2, 2), 1.0 / 16.0))
 
 
-def _statistic_table() -> np.ndarray:
-    table = np.empty((2, 2, 2, 2))
-    for omega in sample_space():
-        table[omega.k - 1, omega.l - 1, omega.m - 1, omega.n - 1] = outcome_statistic(omega)
-    return table
-
-
-_STATISTIC_TABLE = _statistic_table()
+_STATISTIC_TABLE = np.array([outcome_statistic(omega) for omega in sample_space()], dtype=float).reshape(2, 2, 2, 2)
 
 
 def chsh_expectation(pmf: CfPmf) -> float:
@@ -170,15 +163,14 @@ class PairMarginals:
         return tuple(t.product_expectation() for t in self.tables())
 
 
+# Axes of the (a1, a2, b1, b2) joint array summed away to read each pair
+# table, in the order (A1B1), (A1B2), (A2B1), (A2B2).
+_PAIR_AXES = ((1, 3), (1, 2), (0, 3), (0, 2))
+
+
 def pair_marginals(pmf: CfPmf) -> PairMarginals:
     """Push a joint distribution forward to its four measured pair tables."""
-    p = pmf.probabilities
-    return PairMarginals(
-        a1b1=JointPmf2x2(p.sum(axis=(1, 3))),
-        a1b2=JointPmf2x2(p.sum(axis=(1, 2))),
-        a2b1=JointPmf2x2(p.sum(axis=(0, 3))),
-        a2b2=JointPmf2x2(p.sum(axis=(0, 2))),
-    )
+    return PairMarginals(*(JointPmf2x2(pmf.probabilities.sum(axis=axes)) for axes in _PAIR_AXES))
 
 
 def quantum_pair_marginals(cfg: AngleConfig) -> PairMarginals:
@@ -200,53 +192,22 @@ class FeasibilityResult:
             raise ValueError("feasible verdict requires a witness")
 
 
-# Pair tables read from a joint distribution: constraint row order is
-# (pair, cell) with pairs (A1B1), (A1B2), (A2B1), (A2B2) and cells row-major.
-_PAIR_AXES = ((1, 3), (1, 2), (0, 3), (0, 2))
-
-
-def _constraint_system(marginals: PairMarginals) -> tuple[np.ndarray, np.ndarray]:
-    a = np.zeros((16, 16))
-    b = np.zeros(16)
-    tables = marginals.tables()
-    for pair_idx, (sum_axes, table) in enumerate(zip(_PAIR_AXES, tables)):
-        keep_axes = tuple(ax for ax in range(4) if ax not in sum_axes)
-        for cell_idx, (u, v) in enumerate(itertools.product(range(2), range(2))):
-            row = pair_idx * 4 + cell_idx
-            mask = np.zeros((2, 2, 2, 2))
-            index = [slice(None)] * 4
-            index[keep_axes[0]] = u
-            index[keep_axes[1]] = v
-            mask[tuple(index)] = 1.0
-            a[row] = mask.reshape(-1)
-            b[row] = table.p[u, v]
-    return a, b
-
-
-def _independent_rows(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> list[int]:
-    """Greedy selection of independent constraint rows.
-
-    Works on the augmented rows [a_i | b_i] so that a dependent
-    coefficient row with an inconsistent right-hand side is detected
-    rather than silently dropped.
-    """
-    kept: list[int] = []
-    basis: list[np.ndarray] = []
-    for i in range(a.shape[0]):
-        row = np.concatenate([a[i], [b[i]]])
-        residual = row.copy()
-        for e in basis:
-            residual -= np.dot(residual, e) * e
-        if np.linalg.norm(residual[:-1]) > tol:
-            kept.append(i)
-            basis.append(residual / np.linalg.norm(residual))
-        elif abs(residual[-1]) > tol:
-            raise ValueError("marginals define an inconsistent linear system")
-    return kept
+# Fine's linear system: row (pair, cell) of the 16 marginal equations,
+# pairs as in _PAIR_AXES and cells row-major, marks the outcomes that land
+# in that cell; it is every point mass pushed through the pair sums.  The
+# system has rank 9 whatever the marginals: all of A1B1 (which carries the
+# normalisation), two cells each of A1B2 and A2B1 (their other two follow
+# from the shared A1 and B1 marginals) and one cell of A2B2.  PairMarginals
+# already holds the shared marginals to 1e-10, so the other 7 equations
+# add nothing, and the witness check re-reads all 16 cells.
+_INDEPENDENT_ROWS = [0, 1, 2, 3, 4, 6, 8, 9, 12]
+_FINE_MATRIX = np.concatenate(
+    [np.eye(16).reshape(16, 2, 2, 2, 2).sum(axis=(1 + i, 1 + j)).reshape(16, 4) for i, j in _PAIR_AXES], axis=1
+).T[_INDEPENDENT_ROWS]
 
 
 def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Minimize the artificial-variable total for a x = b, x >= 0.
+    """Minimize the artificial-variable total for a x = b, x >= 0, with b >= 0.
 
     Bland's smallest-index rule on both the entering and leaving choices
     guarantees termination despite the degenerate bases these marginal
@@ -254,12 +215,6 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> tuple[f
     solution); the system is solvable iff the objective is ~0.
     """
     m, n = a.shape
-    a = a.copy()
-    b = b.copy()
-    flip = b < 0.0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = a
     tableau[:m, n : n + m] = np.eye(m)
@@ -269,13 +224,10 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> tuple[f
     basis = list(range(n, n + m))
 
     while True:
-        entering = -1
-        for j in range(n + m):
-            if tableau[m, j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        candidates = np.flatnonzero(tableau[m, :-1] < -tol)
+        if candidates.size == 0:
             break
+        entering = candidates[0]
         leaving = -1
         best = np.inf
         for i in range(m):
@@ -308,9 +260,8 @@ def fine_feasibility(marginals: PairMarginals) -> FeasibilityResult:
     cross-checked against the analytic criterion (max CHSH variant <= 2);
     a clear disagreement raises :class:`InternalCheckError`.
     """
-    a, b = _constraint_system(marginals)
-    rows = _independent_rows(a, b)
-    objective, x = _phase1_simplex(a[rows], b[rows])
+    cells = np.concatenate([table.p.reshape(-1) for table in marginals.tables()])
+    objective, x = _phase1_simplex(_FINE_MATRIX, cells[_INDEPENDENT_ROWS])
     feasible = objective <= 1e-9
 
     chsh = chsh_all_variants(*marginals.correlations())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import OUTCOME_VALUES, joint_pmf
+from .born import OUTCOME_VALUES, _pair_amplitudes, joint_pmf
 from .errors import InternalCheckError
 from .polarization import basis_matrix, singlet_state, x_operator, y_operator
 
@@ -83,12 +83,6 @@ class QuasiPmf2:
         object.__setattr__(self, "values", v)
 
 
-def _pair_amplitudes(alpha, beta) -> np.ndarray:
-    """amps[..., j, l] = <x_j, alpha; y_l, beta | psi> for the singlet; angles broadcast."""
-    psi_block = singlet_state().reshape(2, 2)
-    return basis_matrix(alpha).conj() @ psi_block @ basis_matrix(beta).conj().swapaxes(-1, -2)
-
-
 def _overlaps(alpha, alpha_prime) -> np.ndarray:
     """overlap[..., j, k] = <x_j, alpha | x_k, alpha'>; angles broadcast."""
     return basis_matrix(alpha).conj() @ basis_matrix(alpha_prime).swapaxes(-1, -2)
@@ -130,8 +124,9 @@ def q_value(alpha: float, alpha_prime: float, beta: float) -> float:
 
 def f_jkl(alpha: float, alpha_prime: float, beta: float) -> QuasiPmf3:
     """The eight-cell quasi-probability table at the given angles."""
+    psi = singlet_state()
     table = _cells(
-        _pair_amplitudes(alpha, beta), _overlaps(alpha, alpha_prime), _pair_amplitudes(alpha_prime, beta)
+        _pair_amplitudes(psi, alpha, beta), _overlaps(alpha, alpha_prime), _pair_amplitudes(psi, alpha_prime, beta)
     )
     return QuasiPmf3(table, alpha, alpha_prime, beta)
 
@@ -156,10 +151,11 @@ def f_jk(alpha: float, alpha_prime: float) -> QuasiPmf2:
     construction is broken.  The surviving table equals half the squared
     overlap of the two Alice bases, so every cell here is non-negative.
     """
+    psi = singlet_state()
     tables = _cells(
-        _pair_amplitudes(alpha, _BETA_PROBES),
+        _pair_amplitudes(psi, alpha, _BETA_PROBES),
         _overlaps(alpha, alpha_prime),
-        _pair_amplitudes(alpha_prime, _BETA_PROBES),
+        _pair_amplitudes(psi, alpha_prime, _BETA_PROBES),
     )
     summed = tables.sum(axis=-1)
     spread = float(np.max(np.abs(summed[1:] - summed[0])))
@@ -196,7 +192,7 @@ def find_negativity(grid_step: float, threshold: float = -1e-12) -> list[Negativ
         raise ValueError("grid_step must be positive and finite")
     grid = np.arange(0.0, np.pi, grid_step)
     size = grid.size
-    amps = _pair_amplitudes(grid[:, None], grid)  # [alpha, beta, j, l]
+    amps = _pair_amplitudes(singlet_state(), grid[:, None], grid)  # [alpha, beta, j, l]
     overlap = _overlaps(grid[:, None], grid)  # [alpha, alpha', j, k]
     block = max(1, _CHUNK_CELLS // (8 * size * size))
     found = []

@@ -161,3 +161,11 @@ def test_pmf2_and_joint_validation():
         JointPmf2x2(np.array([[0.5, 0.5], [1e-9, -1e-9]]))
     with pytest.raises(ValueError, match="sums"):
         JointPmf2x2(np.full((2, 2), 0.3))
+
+
+def test_pmf2_admits_a_certain_outcome_rounded_above_one():
+    # the two cells of the first row sum to 1 + 2^-52 in floating point
+    marginal = JointPmf2x2([[0.40789537088361, 0.5921046291163902], [0, 0]]).x_marginal()
+    assert marginal.p_plus == 1.0000000000000002 and marginal.p_minus == 0.0
+    with pytest.raises(ValueError, match="outside"):
+        Pmf2(1.0 + 1e-9, 0.0)

@@ -246,9 +246,6 @@ def test_workers_env_does_not_change_output(capsys, monkeypatch):
     monkeypatch.setenv("BELLCHECK_WORKERS", "4")
     _, pooled = run_cli(capsys, *argv)
     assert solo == pooled
-    monkeypatch.setenv("BELLCHECK_WORKERS", "zebra")
-    code, _ = run_cli(capsys, *argv)
-    assert code == 2
 
 
 def test_canonical_json_formatting():

@@ -196,3 +196,83 @@ def test_fine_deterministic_correlation_boxes():
     boundary = fine_feasibility(correlation_box(1.0, 1.0, 0.0, 0.0))
     assert boundary.feasible
     assert boundary.chsh_value == pytest.approx(2.0)
+
+
+def _pair_cells(pmf):
+    return np.concatenate([t.p.reshape(-1) for t in pair_marginals(pmf).tables()])
+
+
+# Fine's 16 marginal equations, one column per outcome pushed through the pair sums.
+MARGINAL_SYSTEM = np.column_stack([_pair_cells(CfPmf.point_mass(omega)) for omega in sample_space()])
+KEPT_ROWS = [0, 1, 2, 3, 4, 6, 8, 9, 12]
+
+
+def test_fine_system_has_rank_nine_on_the_kept_rows():
+    assert np.linalg.matrix_rank(MARGINAL_SYSTEM) == 9
+    assert np.linalg.matrix_rank(MARGINAL_SYSTEM[KEPT_ROWS]) == 9
+
+
+def test_fine_matrix_is_the_kept_rows_of_the_marginal_system():
+    from bellcheck.counterfactual import _FINE_MATRIX, _INDEPENDENT_ROWS
+
+    assert _INDEPENDENT_ROWS == KEPT_ROWS
+    assert np.array_equal(_FINE_MATRIX, MARGINAL_SYSTEM[KEPT_ROWS])
+
+
+def test_fine_sparse_pushforward_with_rounded_certain_marginal():
+    p = np.zeros(16)
+    p[[9, 12, 13]] = [0.40273377526777426, 0.17794043512222393, 0.4193257896100018]
+    result = fine_feasibility(pair_marginals(CfPmf(p.reshape(2, 2, 2, 2))))
+    assert result.feasible and result.marginal_residual <= 1e-9
+
+
+def _linprog_feasible(marginals):
+    optimize = pytest.importorskip("scipy.optimize")
+    cells = np.concatenate([t.p.reshape(-1) for t in marginals.tables()])
+    result = optimize.linprog(np.zeros(16), A_eq=MARGINAL_SYSTEM, b_eq=cells, bounds=(0, None), method="highs")
+    assert result.status in (0, 2)  # 0 solved, 2 infeasible
+    return result.status == 0
+
+
+def _consistent_tables(rng):
+    """Pair tables with random one-party marginals shared across pairs."""
+    a1, a2, b1, b2 = rng.uniform(0.0, 1.0, 4)
+
+    def table(pa, pb):
+        p00 = rng.uniform(max(0.0, pa + pb - 1.0), min(pa, pb))
+        return JointPmf2x2(np.array([[p00, pa - p00], [pb - p00, 1.0 - pa - pb + p00]]))
+
+    return PairMarginals(table(a1, b1), table(a1, b2), table(a2, b1), table(a2, b2))
+
+
+def test_fine_verdict_matches_linprog_oracle():
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(29)
+    cases = [pair_marginals(CfPmf.point_mass(omega)) for omega in sample_space()]
+    for _ in range(40):
+        cases.append(pair_marginals(CfPmf(rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2))))
+        p = np.zeros(16)
+        k = int(rng.integers(1, 5))
+        p[rng.choice(16, k, replace=False)] = rng.dirichlet(np.ones(k))
+        cases.append(pair_marginals(CfPmf(p.reshape(2, 2, 2, 2))))
+        cases.append(_consistent_tables(rng))
+        cases.append(correlation_box(*rng.uniform(-1.0, 1.0, 4)))
+    verdicts = {True: 0, False: 0}
+    for marginals in cases:
+        result = fine_feasibility(marginals)
+        assert result.feasible == _linprog_feasible(marginals)
+        verdicts[result.feasible] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("odd", range(4))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fine_boundary_behaviour_near_chsh_two(eps, odd, sign):
+    # the simplex flips between 3e-9 and 1e-8, inside the 1e-7 cross-check band
+    c = np.full(4, sign * (2.0 + eps) / 4.0)
+    c[odd] = -c[odd]
+    above = fine_feasibility(correlation_box(*c))
+    assert above.feasible == (eps <= 3e-9)
+    below = fine_feasibility(correlation_box(*(c * (2.0 - eps) / (2.0 + eps))))
+    assert below.feasible and below.marginal_residual <= 1e-9
