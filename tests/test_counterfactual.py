@@ -198,12 +198,12 @@ def test_fine_deterministic_correlation_boxes():
     assert boundary.chsh_value == pytest.approx(2.0)
 
 
-def _pair_cells(pmf):
-    return np.concatenate([t.p.reshape(-1) for t in pair_marginals(pmf).tables()])
+def _pair_cells(marginals):
+    return np.concatenate([t.p.reshape(-1) for t in marginals.tables()])
 
 
 # Fine's 16 marginal equations, one column per outcome pushed through the pair sums.
-MARGINAL_SYSTEM = np.column_stack([_pair_cells(CfPmf.point_mass(omega)) for omega in sample_space()])
+MARGINAL_SYSTEM = np.column_stack([_pair_cells(pair_marginals(CfPmf.point_mass(omega))) for omega in sample_space()])
 KEPT_ROWS = [0, 1, 2, 3, 4, 6, 8, 9, 12]
 
 
@@ -226,14 +226,6 @@ def test_fine_sparse_pushforward_with_rounded_certain_marginal():
     assert result.feasible and result.marginal_residual <= 1e-9
 
 
-def _linprog_feasible(marginals):
-    optimize = pytest.importorskip("scipy.optimize")
-    cells = np.concatenate([t.p.reshape(-1) for t in marginals.tables()])
-    result = optimize.linprog(np.zeros(16), A_eq=MARGINAL_SYSTEM, b_eq=cells, bounds=(0, None), method="highs")
-    assert result.status in (0, 2)  # 0 solved, 2 infeasible
-    return result.status == 0
-
-
 def _consistent_tables(rng):
     """Pair tables with random one-party marginals shared across pairs."""
     a1, a2, b1, b2 = rng.uniform(0.0, 1.0, 4)
@@ -246,7 +238,7 @@ def _consistent_tables(rng):
 
 
 def test_fine_verdict_matches_linprog_oracle():
-    pytest.importorskip("scipy.optimize")
+    optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(29)
     cases = [pair_marginals(CfPmf.point_mass(omega)) for omega in sample_space()]
     for _ in range(40):
@@ -259,20 +251,23 @@ def test_fine_verdict_matches_linprog_oracle():
         cases.append(correlation_box(*rng.uniform(-1.0, 1.0, 4)))
     verdicts = {True: 0, False: 0}
     for marginals in cases:
+        oracle = optimize.linprog(
+            np.zeros(16), A_eq=MARGINAL_SYSTEM, b_eq=_pair_cells(marginals), bounds=(0, None), method="highs"
+        )
+        assert oracle.status in (0, 2)  # 0 solved, 2 infeasible
         result = fine_feasibility(marginals)
-        assert result.feasible == _linprog_feasible(marginals)
+        assert result.feasible == (oracle.status == 0)
         verdicts[result.feasible] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6])
-@pytest.mark.parametrize("odd", range(4))
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_fine_boundary_behaviour_near_chsh_two(eps, odd, sign):
+def test_fine_boundary_behaviour_near_chsh_two(eps):
     # the simplex flips between 3e-9 and 1e-8, inside the 1e-7 cross-check band
-    c = np.full(4, sign * (2.0 + eps) / 4.0)
-    c[odd] = -c[odd]
-    above = fine_feasibility(correlation_box(*c))
-    assert above.feasible == (eps <= 3e-9)
-    below = fine_feasibility(correlation_box(*(c * (2.0 - eps) / (2.0 + eps))))
-    assert below.feasible and below.marginal_residual <= 1e-9
+    for odd, sign in product(range(4), (1.0, -1.0)):
+        c = np.full(4, sign * (2.0 + eps) / 4.0)
+        c[odd] = -c[odd]
+        above = fine_feasibility(correlation_box(*c))
+        assert above.feasible == (eps <= 3e-9)
+        below = fine_feasibility(correlation_box(*(c * (2.0 - eps) / (2.0 + eps))))
+        assert below.feasible and below.marginal_residual <= 1e-9
