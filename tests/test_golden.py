@@ -1,4 +1,4 @@
-"""Byte-level regression pins for the angle-grid and Fine commands.
+"""Byte-level regression pins for the angle-grid, Fine and simulate commands.
 
 Each hash is the sha256 of the stdout of one CLI invocation.  The sweep
 and scan hashes were recorded from the per-point implementation that
@@ -9,7 +9,10 @@ the single-point functions they share code with.  The ``fine`` hashes
 were recorded from the simplex that rebuilt its constraint system and
 re-selected independent rows on every call: an infeasible verdict, a
 printed witness (including its rounding-noise digits) and a degenerate
-configuration with zero cells.
+configuration with zero cells.  The ``simulate`` hashes were recorded
+from the sampler that built n-long uniform and cell-index arrays per
+experiment: a run over several draw blocks, a run one draw past a block
+boundary with certain (zero-probability) cells, and a single draw.
 """
 
 import hashlib
@@ -39,6 +42,12 @@ GOLDEN = {
         "ad4d01f550da38f6351df13bb3acb05a6b414956d5a495789becb59d65d81b89",
     ("fine", "0", "90", "0", "90"):
         "b6a5f47ee064cfb5e813049d0609b76108ac8814a3dfa6c5de19afccd5ca21c7",
+    ("simulate", "0", "45", "22.5", "-22.5", "--n", "200000", "--seed", "7"):
+        "64fe1ab23c61db2a7bc98e7506a2488219e4419d30b8d7cb99ac68637e7ddc9d",
+    ("simulate", "0", "45", "0.001", "90", "--n", "65537", "--seed", "3"):
+        "fcadd6da66b15d8f7ab1cc1160615f66425452a1e4f3989315f20305414a1cf4",
+    ("simulate", "0", "45", "22.5", "-22.5", "--n", "1", "--seed", "7"):
+        "7d51da9972e1d3a2e08fc662c62dc7a27da237ec67785f57ae3cd125a4605a98",
 }
 
 
