@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InternalCheckError
 from .linalg import eig_hermitian, hermiticity_defect, kron
 from .polarization import AngleConfig, same_setting, singlet_state, z_operator
-from .realworld import EstimatorResult, stream_uniforms
+from .realworld import EstimatorResult, _check_draw_count, _uniform_blocks
 
 # Stream id for outcome sampling; experiment streams use ids 1..4.
 _SAMPLER_STREAM = 0
@@ -167,15 +167,13 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     samplers, so results are reproducible for a fixed seed regardless of
     sharding.  The mean converges on the CHSH expectation.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_draw_count(n)
     spectrum = chsh_spectrum(cfg)
     if spectrum.t0 < _T0_FLOOR:
         return EstimatorResult(0.0, 0.0, n)
-    u = stream_uniforms(seed, _SAMPLER_STREAM, n)
     # Outcomes take only the two values +-t0, so counts give the exact
     # sample moments: v^2 = t0^2 identically.
-    k_plus = int(np.count_nonzero(u < spectrum.w_plus))
+    k_plus = sum(int(np.count_nonzero(u < spectrum.w_plus)) for u in _uniform_blocks(seed, _SAMPLER_STREAM, n))
     mean = spectrum.t0 * ((2 * k_plus - n) / n)
     if n < 2:
         return EstimatorResult(mean, 0.0, n)

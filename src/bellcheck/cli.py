@@ -244,8 +244,6 @@ def cmd_t_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    if args.shards < 1:
-        raise ValueError("--shards must be at least 1")
     # Draw streams are counter-indexed, so the shard count cannot change
     # any sampled value; it is recorded for the manifest only.
     per_experiment, combined = run_experiments(cfg, args.n, args.seed)

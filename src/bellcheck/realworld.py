@@ -13,13 +13,16 @@ its own photon pair.  This module provides
 Random streams are counter-indexed: draw ``i`` of experiment ``n`` lives
 in block ``i // BLOCK_SIZE`` whose generator is seeded from
 ``SeedSequence([seed, n, block])``.  Results are therefore bit-identical
-no matter how draws are sharded across workers.
+no matter how draws are sharded across workers.  Samplers count outcomes
+block by block instead of keeping the draws, so their memory does not
+grow with the number of draws.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,10 @@ from .linalg import kron
 from .polarization import AngleConfig, basis_matrix, singlet_state
 
 BLOCK_SIZE = 1 << 16
+
+# Largest draw count a sampler accepts: above it, float64 sums of counts
+# are no longer exact.
+MAX_DRAWS = 1 << 53
 
 # Per-experiment elementary outcomes in fixed order: the cell (k, l) of the
 # pair table, flattened row-major, so cell index 0 -> (+1, +1), 1 -> (+1, -1),
@@ -100,19 +107,39 @@ def _pair_cdf(alpha: float, beta: float) -> np.ndarray:
     return np.cumsum(p.reshape(-1))
 
 
+def _cell_of(u, cdf: np.ndarray):
+    """Cell index of uniform draw(s) ``u``: the number of ``cdf[:3]`` entries <= u.
+
+    Equal to ``min(searchsorted(cdf, u, side="right"), 3)`` for a
+    non-decreasing ``cdf``; broadcasts over an array of draws.
+    """
+    return (np.asarray(u)[..., None] >= cdf[:3]).sum(axis=-1)
+
+
 def sample_pair(alpha: float, beta: float, rng: np.random.Generator) -> tuple[int, int]:
     """Draw one (x, y) outcome from the singlet pair distribution.
 
     Inverse-CDF over the four cells using a single uniform, so exactly
     one draw of ``rng`` is consumed per call.
     """
-    cdf = _pair_cdf(alpha, beta)
-    cell = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return CELL_VALUES[min(cell, 3)]
+    return CELL_VALUES[int(_cell_of(rng.random(), _pair_cdf(alpha, beta)))]
 
 
 def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, block]))
+
+
+def _uniform_blocks(seed: int, stream: int, n: int) -> Iterator[np.ndarray]:
+    """The first ``n`` uniforms of a counter-indexed stream, one block at a time.
+
+    Every block is written into the same buffer, so a caller must be done
+    with one block before it asks for the next.
+    """
+    buf = np.empty(min(n, BLOCK_SIZE))
+    for block, lo in enumerate(range(0, n, BLOCK_SIZE)):
+        u = buf[: min(BLOCK_SIZE, n - lo)]
+        _block_rng(seed, stream, block).random(out=u)
+        yield u
 
 
 def stream_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
@@ -122,17 +149,24 @@ def stream_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     value of draw ``i`` independent of how [0, n) is split over workers.
     """
     out = np.empty(n)
-    for block in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        lo = block * BLOCK_SIZE
-        hi = min(lo + BLOCK_SIZE, n)
-        out[lo:hi] = _block_rng(seed, stream, block).random(hi - lo)
+    for lo, u in zip(range(0, n, BLOCK_SIZE), _uniform_blocks(seed, stream, n)):
+        out[lo : lo + len(u)] = u
     return out
 
 
-def _sample_cells(alpha: float, beta: float, n: int, seed: int, stream: int) -> np.ndarray:
-    cdf = _pair_cdf(alpha, beta)
-    u = stream_uniforms(seed, stream, n)
-    return np.minimum(np.searchsorted(cdf, u, side="right"), 3)
+def _check_draw_count(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > MAX_DRAWS:
+        raise ValueError(f"n must be at most 2**53 = {MAX_DRAWS}: larger draw counts are not exact in float64")
+
+
+def _cell_counts(cdf: np.ndarray, seed: int, stream: int, n: int) -> np.ndarray:
+    """How many of the first ``n`` draws of a stream land in each cell (``_cell_of`` rule)."""
+    at_least = np.zeros(3, dtype=np.int64)  # draws with u >= cdf[j]
+    for u in _uniform_blocks(seed, stream, n):
+        at_least += [np.count_nonzero(u >= t) for t in cdf[:3]]
+    return -np.diff(np.concatenate(([n], at_least, [0])))
 
 
 def run_experiments(
@@ -140,19 +174,20 @@ def run_experiments(
 ) -> tuple[tuple[EstimatorResult, ...], EstimatorResult]:
     """Estimate the four pair correlations and their CHSH combination.
 
-    Each experiment draws ``n`` pairs from its own independent stream
-    (stream id = experiment index).  Returns the per-experiment product
-    estimates C1..C4 and the combination C1 + C2 + C3 - C4 with standard
-    errors combined in quadrature.
+    Each experiment draws ``n`` pairs (1 <= n <= 2**53) from its own
+    independent stream (stream id = experiment index), counted block by
+    block, so memory does not grow with ``n``.  Returns the
+    per-experiment product estimates C1..C4 and the combination
+    C1 + C2 + C3 - C4 with standard errors combined in quadrature.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    products = np.array([1.0, -1.0, -1.0, 1.0])  # x*y per cell index
+    _check_draw_count(n)
     estimates = []
     for idx, (a, b) in enumerate(cfg.experiment_angles(), start=1):
-        cells = _sample_cells(a, b, n, seed, idx)
-        vals = products[cells]
-        estimates.append(_estimate(float(vals.sum()), float((vals**2).sum()), n))
+        counts = _cell_counts(_pair_cdf(a, b), seed, idx, n)
+        # x*y is +1 on cells 0 and 3 and -1 on cells 1 and 2, and (x*y)^2 = 1:
+        # both sums are integers of magnitude <= n <= 2**53, hence exact.
+        total = int(counts[0] - counts[1] - counts[2] + counts[3])
+        estimates.append(_estimate(float(total), float(n), n))
     signs = (1.0, 1.0, 1.0, -1.0)
     mean = sum(s * e.mean for s, e in zip(signs, estimates))
     stderr = math.sqrt(sum(e.stderr**2 for e in estimates))

@@ -93,6 +93,17 @@ def test_simulate_deterministic_across_shards(capsys):
     assert abs(payload["e_rw"]["mean"] + 2 * math.sqrt(2)) < 5 * payload["e_rw"]["stderr"]
 
 
+def test_simulate_rejects_n_beyond_exact_counting(capsys, tmp_path):
+    out = tmp_path / "sim.json"
+    argv = ["simulate", "0", "45", "22.5", "-22.5", "--n", "9007199254740993", "--seed", "1", "--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: n must be at most 2**53")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_simulate_requires_seed_and_positive_n(capsys):
     code, _ = run_cli(capsys, "simulate", "0", "45", "22.5", "-22.5", "--n", "100")
     assert code == 2

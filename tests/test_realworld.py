@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
 from bellcheck.born import chsh_expectation, joint_pmf
+from bellcheck.chsh_operator import chsh_spectrum, sample_outcomes
 from bellcheck.polarization import AngleConfig, singlet_state
 from bellcheck.realworld import (
     BLOCK_SIZE,
+    CELL_VALUES,
+    MAX_DRAWS,
     EstimatorResult,
     ExperimentOutcome,
     RunRecord,
@@ -21,6 +25,7 @@ from bellcheck.realworld import (
     tensor_joint_pmf,
     tensor_state,
 )
+from bellcheck.realworld import _cell_counts, _cell_of, _estimate, _pair_cdf  # the rule under test
 
 OPTIMAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5)
 
@@ -87,15 +92,83 @@ def test_cross_experiment_independence():
     # joint frequency across two experiments factorizes into the product
     cfg = AngleConfig.from_degrees(0.0, 30.0, 10.0, 70.0)
     n = 40_000
-    from bellcheck.realworld import _sample_cells  # test taps the stream directly
-
-    cells_1 = _sample_cells(*cfg.experiment_angles()[0], n, 5, 1)
-    cells_2 = _sample_cells(*cfg.experiment_angles()[1], n, 5, 2)
+    # test taps the streams directly
+    cells_1 = _cell_of(stream_uniforms(5, 1, n), _pair_cdf(*cfg.experiment_angles()[0]))
+    cells_2 = _cell_of(stream_uniforms(5, 2, n), _pair_cdf(*cfg.experiment_angles()[1]))
     p1 = np.mean(cells_1 == 0)
     p2 = np.mean(cells_2 == 0)
     p12 = np.mean((cells_1 == 0) & (cells_2 == 0))
     se = math.sqrt(p12 * (1 - p12) / n) + math.sqrt(p1 * p2 / n)
     assert abs(p12 - p1 * p2) < 5 * se
+
+
+def _searchsorted_cell(u, cdf):
+    return np.minimum(np.searchsorted(cdf, u, side="right"), 3)
+
+
+@pytest.mark.parametrize("cdf", [
+    _pair_cdf(0.2, 0.9),
+    _pair_cdf(0.0, math.pi / 4),
+    np.array([0.0, 0.5, 1.0, 1.0]),
+    np.array([0.5, 0.5, 0.5, 1.0]),
+    np.array([0.0, 0.0, 0.0, 1.0]),
+    np.array([0.25, 0.25, 1.0, 1.0]),
+    np.cumsum(joint_pmf(singlet_state(), 0.4, 0.4).p.reshape(-1)),
+])
+def test_cell_rule_equals_capped_searchsorted(cdf):
+    u = np.random.default_rng(17).random(10_000)
+    edges = np.concatenate((cdf, [0.0], np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
+    for draws in (u, edges):
+        assert np.array_equal(_cell_of(draws, cdf), _searchsorted_cell(draws, cdf))
+    for x in edges.tolist():  # scalar draws, as sample_pair makes them
+        assert int(_cell_of(x, cdf)) == int(_searchsorted_cell(x, cdf))
+
+
+def test_sample_pair_uses_the_cell_rule():
+    class FixedDraw:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    cdf = _pair_cdf(0.2, 0.9)
+    for u in [0.0, *cdf.tolist(), 0.5, 0.999999]:
+        assert sample_pair(0.2, 0.9, FixedDraw(u)) == CELL_VALUES[int(_searchsorted_cell(u, cdf))]
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 7])
+def test_block_counts_match_the_per_draw_samplers(n):
+    # references: the per-draw arrays the counting samplers replace
+    cfg = AngleConfig.from_degrees(0.0, 30.0, 15.0, 75.0)
+    per_exp, combined = run_experiments(cfg, n, seed=31)
+    for idx, ((a, b), est) in enumerate(zip(cfg.experiment_angles(), per_exp), start=1):
+        cells = _searchsorted_cell(stream_uniforms(31, idx, n), _pair_cdf(a, b))
+        assert np.array_equal(_cell_counts(_pair_cdf(a, b), 31, idx, n), np.bincount(cells, minlength=4))
+        vals = np.array([1.0, -1.0, -1.0, 1.0])[cells]
+        assert est == _estimate(float(vals.sum()), float((vals**2).sum()), n)
+    spectrum = chsh_spectrum(cfg)
+    k_plus = int(np.count_nonzero(stream_uniforms(31, 0, n) < spectrum.w_plus))
+    assert sample_outcomes(cfg, n, seed=31).mean == spectrum.t0 * ((2 * k_plus - n) / n)
+
+
+def test_sampler_memory_does_not_grow_with_n():
+    for sampler in (run_experiments, sample_outcomes):
+        sampler(OPTIMAL, 10, seed=1)  # warm up one-time allocations
+        tracemalloc.start()
+        try:
+            sampler(OPTIMAL, 2_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (sampler.__name__, peak)
+
+
+def test_samplers_reject_counts_beyond_exact_float_sums():
+    assert MAX_DRAWS == 2**53
+    for sampler in (run_experiments, sample_outcomes):
+        with pytest.raises(ValueError, match="at most 2"):
+            sampler(OPTIMAL, MAX_DRAWS + 1, seed=1)
 
 
 def test_enumeration_size_and_range():
