@@ -165,7 +165,9 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
 
     Uses the same counter-indexed stream layout as the experiment
     samplers, so results are reproducible for a fixed seed regardless of
-    sharding.  The mean converges on the CHSH expectation.
+    sharding.  Draws are counted block by block, so memory does not grow
+    with ``n`` (1 <= n <= 2**53).  The mean converges on the CHSH
+    expectation.
     """
     _check_draw_count(n)
     spectrum = chsh_spectrum(cfg)
@@ -173,7 +175,8 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
         return EstimatorResult(0.0, 0.0, n)
     # Outcomes take only the two values +-t0, so counts give the exact
     # sample moments: v^2 = t0^2 identically.
-    k_plus = sum(int(np.count_nonzero(u < spectrum.w_plus)) for u in _uniform_blocks(seed, _SAMPLER_STREAM, n))
+    blocks = _uniform_blocks(seed, _SAMPLER_STREAM, n)
+    k_plus = sum(int(np.count_nonzero(u < spectrum.w_plus)) for u in blocks)
     mean = spectrum.t0 * ((2 * k_plus - n) / n)
     if n < 2:
         return EstimatorResult(mean, 0.0, n)

@@ -34,10 +34,6 @@ from .polarization import AngleConfig, basis_matrix, singlet_state
 
 BLOCK_SIZE = 1 << 16
 
-# Largest draw count a sampler accepts: above it, float64 sums of counts
-# are no longer exact.
-MAX_DRAWS = 1 << 53
-
 # Per-experiment elementary outcomes in fixed order: the cell (k, l) of the
 # pair table, flattened row-major, so cell index 0 -> (+1, +1), 1 -> (+1, -1),
 # 2 -> (-1, +1), 3 -> (-1, -1).
@@ -107,22 +103,16 @@ def _pair_cdf(alpha: float, beta: float) -> np.ndarray:
     return np.cumsum(p.reshape(-1))
 
 
-def _cell_of(u, cdf: np.ndarray):
-    """Cell index of uniform draw(s) ``u``: the number of ``cdf[:3]`` entries <= u.
-
-    Equal to ``min(searchsorted(cdf, u, side="right"), 3)`` for a
-    non-decreasing ``cdf``; broadcasts over an array of draws.
-    """
-    return (np.asarray(u)[..., None] >= cdf[:3]).sum(axis=-1)
-
-
 def sample_pair(alpha: float, beta: float, rng: np.random.Generator) -> tuple[int, int]:
     """Draw one (x, y) outcome from the singlet pair distribution.
 
     Inverse-CDF over the four cells using a single uniform, so exactly
-    one draw of ``rng`` is consumed per call.
+    one draw of ``rng`` is consumed per call.  A draw u lands in cell
+    #{j < 3 : cdf[j] <= u}, which is min(searchsorted(cdf, u, "right"), 3);
+    the block samplers count the same rule.
     """
-    return CELL_VALUES[int(_cell_of(rng.random(), _pair_cdf(alpha, beta)))]
+    cdf = _pair_cdf(alpha, beta)
+    return CELL_VALUES[int((rng.random() >= cdf[:3]).sum())]
 
 
 def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -143,10 +133,11 @@ def _uniform_blocks(seed: int, stream: int, n: int) -> Iterator[np.ndarray]:
 
 
 def stream_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
-    """The first ``n`` uniforms of a counter-indexed stream.
+    """The first ``n`` uniforms of a counter-indexed stream, as one array.
 
-    Shared by all samplers in the package; the block layout makes the
-    value of draw ``i`` independent of how [0, n) is split over workers.
+    The same draws the samplers count block by block; the block layout
+    makes the value of draw ``i`` independent of how [0, n) is split over
+    workers.
     """
     out = np.empty(n)
     for lo, u in zip(range(0, n, BLOCK_SIZE), _uniform_blocks(seed, stream, n)):
@@ -157,12 +148,12 @@ def stream_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
 def _check_draw_count(n: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > MAX_DRAWS:
-        raise ValueError(f"n must be at most 2**53 = {MAX_DRAWS}: larger draw counts are not exact in float64")
+    if n > 2**53:
+        raise ValueError("n must be at most 2**53 = 9007199254740992: larger counts are not exact in float64")
 
 
 def _cell_counts(cdf: np.ndarray, seed: int, stream: int, n: int) -> np.ndarray:
-    """How many of the first ``n`` draws of a stream land in each cell (``_cell_of`` rule)."""
+    """How many of the first ``n`` draws of a stream land in each cell (rule of ``sample_pair``)."""
     at_least = np.zeros(3, dtype=np.int64)  # draws with u >= cdf[j]
     for u in _uniform_blocks(seed, stream, n):
         at_least += [np.count_nonzero(u >= t) for t in cdf[:3]]

@@ -5,13 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from bellcheck import realworld
 from bellcheck.born import chsh_expectation, joint_pmf
 from bellcheck.chsh_operator import chsh_spectrum, sample_outcomes
 from bellcheck.polarization import AngleConfig, singlet_state
 from bellcheck.realworld import (
     BLOCK_SIZE,
     CELL_VALUES,
-    MAX_DRAWS,
     EstimatorResult,
     ExperimentOutcome,
     RunRecord,
@@ -25,7 +25,7 @@ from bellcheck.realworld import (
     tensor_joint_pmf,
     tensor_state,
 )
-from bellcheck.realworld import _cell_counts, _cell_of, _estimate, _pair_cdf  # the rule under test
+from bellcheck.realworld import _cell_counts, _estimate, _pair_cdf  # the counting path under test
 
 OPTIMAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5)
 
@@ -88,13 +88,17 @@ def test_run_experiments_rejects_zero_draws():
         run_experiments(OPTIMAL, 0, seed=1)
 
 
+def _cell_rule(u, cdf):
+    return (u[:, None] >= cdf[:3]).sum(axis=1)
+
+
 def test_cross_experiment_independence():
     # joint frequency across two experiments factorizes into the product
     cfg = AngleConfig.from_degrees(0.0, 30.0, 10.0, 70.0)
     n = 40_000
     # test taps the streams directly
-    cells_1 = _cell_of(stream_uniforms(5, 1, n), _pair_cdf(*cfg.experiment_angles()[0]))
-    cells_2 = _cell_of(stream_uniforms(5, 2, n), _pair_cdf(*cfg.experiment_angles()[1]))
+    cells_1 = _cell_rule(stream_uniforms(5, 1, n), _pair_cdf(*cfg.experiment_angles()[0]))
+    cells_2 = _cell_rule(stream_uniforms(5, 2, n), _pair_cdf(*cfg.experiment_angles()[1]))
     p1 = np.mean(cells_1 == 0)
     p2 = np.mean(cells_2 == 0)
     p12 = np.mean((cells_1 == 0) & (cells_2 == 0))
@@ -106,35 +110,34 @@ def _searchsorted_cell(u, cdf):
     return np.minimum(np.searchsorted(cdf, u, side="right"), 3)
 
 
+class _FixedDraw:
+    """Stands in for a Generator whose next uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
 @pytest.mark.parametrize("cdf", [
     _pair_cdf(0.2, 0.9),
     _pair_cdf(0.0, math.pi / 4),
+    _pair_cdf(0.4, 0.4),  # equal settings: two zero cells
     np.array([0.0, 0.5, 1.0, 1.0]),
     np.array([0.5, 0.5, 0.5, 1.0]),
     np.array([0.0, 0.0, 0.0, 1.0]),
     np.array([0.25, 0.25, 1.0, 1.0]),
-    np.cumsum(joint_pmf(singlet_state(), 0.4, 0.4).p.reshape(-1)),
 ])
-def test_cell_rule_equals_capped_searchsorted(cdf):
-    u = np.random.default_rng(17).random(10_000)
+def test_cell_rule_equals_capped_searchsorted(monkeypatch, cdf):
+    monkeypatch.setattr(realworld, "_pair_cdf", lambda alpha, beta: cdf)
+    random_u = np.random.default_rng(17).random(2_000)
     edges = np.concatenate((cdf, [0.0], np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
-    for draws in (u, edges):
-        assert np.array_equal(_cell_of(draws, cdf), _searchsorted_cell(draws, cdf))
-    for x in edges.tolist():  # scalar draws, as sample_pair makes them
-        assert int(_cell_of(x, cdf)) == int(_searchsorted_cell(x, cdf))
-
-
-def test_sample_pair_uses_the_cell_rule():
-    class FixedDraw:
-        def __init__(self, u):
-            self.u = u
-
-        def random(self):
-            return self.u
-
-    cdf = _pair_cdf(0.2, 0.9)
-    for u in [0.0, *cdf.tolist(), 0.5, 0.999999]:
-        assert sample_pair(0.2, 0.9, FixedDraw(u)) == CELL_VALUES[int(_searchsorted_cell(u, cdf))]
+    for u in np.concatenate((random_u, edges)).tolist():
+        assert sample_pair(0.0, 0.0, _FixedDraw(u)) == CELL_VALUES[int(_searchsorted_cell(u, cdf))]
+    # the vectorised rule the stream tests use is the same rule
+    for u in (random_u, edges):
+        assert np.array_equal(_cell_rule(u, cdf), _searchsorted_cell(u, cdf))
 
 
 @pytest.mark.parametrize("n", [1, 2, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 7])
@@ -165,10 +168,9 @@ def test_sampler_memory_does_not_grow_with_n():
 
 
 def test_samplers_reject_counts_beyond_exact_float_sums():
-    assert MAX_DRAWS == 2**53
     for sampler in (run_experiments, sample_outcomes):
         with pytest.raises(ValueError, match="at most 2"):
-            sampler(OPTIMAL, MAX_DRAWS + 1, seed=1)
+            sampler(OPTIMAL, 2**53 + 1, seed=1)
 
 
 def test_enumeration_size_and_range():
