@@ -93,7 +93,11 @@ def test_simulate_deterministic_across_shards(capsys):
     assert abs(payload["e_rw"]["mean"] + 2 * math.sqrt(2)) < 5 * payload["e_rw"]["stderr"]
 
 
-def test_simulate_rejects_n_beyond_exact_counting(capsys, tmp_path):
+def test_simulate_rejects_n_beyond_exact_counting(capsys, monkeypatch, tmp_path):
+    def no_draws(seed, stream, n):
+        raise AssertionError("the count must be rejected before any draw")
+
+    monkeypatch.setattr("bellcheck.realworld._uniform_blocks", no_draws)
     out = tmp_path / "sim.json"
     argv = ["simulate", "0", "45", "22.5", "-22.5", "--n", "9007199254740993", "--seed", "1", "--out", str(out)]
     code = main(argv)

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 from itertools import product
@@ -138,13 +139,17 @@ def test_cell_rule_equals_capped_searchsorted(monkeypatch, cdf):
     # the vectorised rule the stream tests use is the same rule
     for u in (random_u, edges):
         assert np.array_equal(_cell_rule(u, cdf), _searchsorted_cell(u, cdf))
+    # and so are the block counts, fed the same draws as two blocks
+    monkeypatch.setattr(realworld, "_uniform_blocks", lambda seed, stream, n: iter((random_u, edges)))
+    want = np.bincount(_searchsorted_cell(np.concatenate((random_u, edges)), cdf), minlength=4)
+    assert np.array_equal(_cell_counts(cdf, 0, 0, len(random_u) + len(edges)), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 7])
 def test_block_counts_match_the_per_draw_samplers(n):
     # references: the per-draw arrays the counting samplers replace
     cfg = AngleConfig.from_degrees(0.0, 30.0, 15.0, 75.0)
-    per_exp, combined = run_experiments(cfg, n, seed=31)
+    per_exp, _ = run_experiments(cfg, n, seed=31)
     for idx, ((a, b), est) in enumerate(zip(cfg.experiment_angles(), per_exp), start=1):
         cells = _searchsorted_cell(stream_uniforms(31, idx, n), _pair_cdf(a, b))
         assert np.array_equal(_cell_counts(_pair_cdf(a, b), 31, idx, n), np.bincount(cells, minlength=4))
@@ -167,7 +172,13 @@ def test_sampler_memory_does_not_grow_with_n():
         assert peak < 1_000_000, (sampler.__name__, peak)
 
 
-def test_samplers_reject_counts_beyond_exact_float_sums():
+def test_samplers_reject_counts_beyond_exact_float_sums(monkeypatch):
+    def no_draws(seed, stream, n):
+        raise AssertionError("the count must be rejected before any draw")
+
+    monkeypatch.setattr(realworld, "_uniform_blocks", no_draws)
+    # the package attribute chsh_operator is the function of that name
+    monkeypatch.setattr(importlib.import_module("bellcheck.chsh_operator"), "_uniform_blocks", no_draws)
     for sampler in (run_experiments, sample_outcomes):
         with pytest.raises(ValueError, match="at most 2"):
             sampler(OPTIMAL, 2**53 + 1, seed=1)
