@@ -12,7 +12,11 @@ printed witness (including its rounding-noise digits) and a degenerate
 configuration with zero cells.  The ``simulate`` hashes were recorded
 from the sampler that built n-long uniform and cell-index arrays per
 experiment: a run over several draw blocks, a run one draw past a block
-boundary with certain (zero-probability) cells, and a single draw.
+boundary with certain (zero-probability) cells, and a single draw.  The
+``correlate``, point-mode ``quasiprob``, ``enumerate`` and single
+``chsh`` hashes, and the ``--out`` file and manifest of a
+``t-spectrum`` sweep, were recorded before the cross-checks moved into
+one shared helper.
 """
 
 import hashlib
@@ -48,6 +52,22 @@ GOLDEN = {
         "fcadd6da66b15d8f7ab1cc1160615f66425452a1e4f3989315f20305414a1cf4",
     ("simulate", "0", "45", "22.5", "-22.5", "--n", "1", "--seed", "7"):
         "7d51da9972e1d3a2e08fc662c62dc7a27da237ec67785f57ae3cd125a4605a98",
+    ("correlate", "0", "22.5"):
+        "4f42f8681cb982723690fae31dbf17a2833e5730275b52322e07a2f46abc9583",
+    ("correlate", "10", "40", "--format", "csv"):
+        "20cd04a1500641949ac9313da6ea7759959f703b31f44473f1e6dc40f47552bc",
+    ("quasiprob", "10", "20", "30"):
+        "53ae8a536eec59bd90cec4880b72ad34915639a520693e1d5b90fc23acaebaba",
+    ("enumerate", "realworld"):
+        "16b1fc3c6da078d28cca07e33c3e3863a472e88a7c9ba429f0e975ace3e5aa39",
+    ("enumerate", "realworld", "--format", "json"):
+        "7100be9d2aa1c32535f61a0511548b210e96855b4650321d999f3c364002c99e",
+    ("enumerate", "counterfactual"):
+        "e6cedfc6bbe683c1ae08820c7810bab2d91238c0ebcaf5ea6a01fcf1289bb5e7",
+    ("enumerate", "counterfactual", "--format", "json"):
+        "8d56b95a305444e8d7da7a4885ffeb1791368abaa09adbf86b45b9047dd4ee99",
+    ("chsh", "0", "45", "22.5", "-22.5"):
+        "9c3d0de9cc84290068fa7781262b1ed93165bf6945f2edc12818cc0c7555687d",
 }
 
 
@@ -56,6 +76,16 @@ def test_golden_stdout_bytes(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[argv]
+
+
+def test_golden_out_file_and_manifest_bytes(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    assert main(["t-spectrum", "0", "45", "22.5", "-22.5", "--sweep", "30", "--out", str(out)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
+    assert digests == {
+        "spectrum.csv": "91151131db35bdd58041296f7b755e488ff430ce85811aa8c326fecba35933fd",
+        "spectrum.csv.manifest.json": "82acb8604bfeb8695479221c5325a24efde3e3d01a9162413823bfea7a645b1e",
+    }
 
 
 def _cli_stdout(capsys, *argv):
