@@ -8,10 +8,12 @@ Alice sees value (+1, -1)[k] and Bob sees value (+1, -1)[l].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import hermiticity_defect
 from .polarization import AngleConfig, basis_matrix, singlet_state
 
 OUTCOME_VALUES = np.array([1.0, -1.0])
@@ -21,10 +23,24 @@ OUTCOME_VALUES = np.array([1.0, -1.0])
 CLAMP_TOL = 1e-12
 
 
-def _clamp_probabilities(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
+def _checked_table(values, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a float array of ``shape``, finite and summing to 1 within 1e-12.
+
+    Every probability table passes through here; the sign policy (clamp,
+    reject or allow negative cells) stays with each table type.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {v.shape}")
+    if not np.all(np.isfinite(v)):
         raise ValueError("probabilities must be finite")
+    total = v.sum()
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"table sums to {total}, not 1")
+    return v
+
+
+def _clamp_probabilities(p: np.ndarray) -> np.ndarray:
     if p.min() < -CLAMP_TOL:
         raise ValueError(f"probability {p.min()} below -{CLAMP_TOL}; not representable as rounding noise")
     if p.min() < 0.0:
@@ -60,12 +76,7 @@ class JointPmf2x2:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        p = _clamp_probabilities(self.p)
-        if p.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 table, got shape {p.shape}")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"table sums to {p.sum()}, not 1")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _clamp_probabilities(_checked_table(self.p, (2, 2))))
 
     def x_marginal(self) -> Pmf2:
         row = self.p.sum(axis=1)
@@ -99,13 +110,13 @@ def pmf_single(state: np.ndarray, observable: np.ndarray) -> Pmf2:
     dim = state.shape[0]
     if obs.shape != (dim, dim):
         raise ValueError(f"observable shape {obs.shape} does not match state dimension {dim}")
-    if np.max(np.abs(obs - obs.conj().T)) > 1e-10:
+    if hermiticity_defect(obs) > 1e-10:
         raise ValueError("observable is not Hermitian")
     if np.max(np.abs(obs @ obs - np.eye(dim))) > 1e-10:
         raise ValueError("observable is not involutory; spectrum must be {+1, -1}")
     plus_proj = (np.eye(dim) + obs) / 2.0
     p_plus = float(np.real(state.conj() @ plus_proj @ state))
-    p = _clamp_probabilities(np.array([p_plus, 1.0 - p_plus]))
+    p = _clamp_probabilities(_checked_table([p_plus, 1.0 - p_plus], (2,)))
     return Pmf2(float(p[0]), float(p[1]))
 
 
@@ -129,8 +140,12 @@ def correlation(alpha: float | np.ndarray, beta: float | np.ndarray) -> float | 
     """Singlet pair correlation E[xy]; analytically -cos 2(alpha - beta).
 
     Angle arrays broadcast and give an array of correlations, one stacked
-    pair table each; two plain angles give a float.
+    pair table each; two plain angles give a float.  Non-finite angles
+    raise ValueError.
     """
+    for angle in (alpha, beta):
+        if not (math.isfinite(angle) if isinstance(angle, float) else np.isfinite(angle).all()):
+            raise ValueError("angle must be finite")
     p = _pair_probabilities(singlet_state(), alpha, beta)
     c = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
     return float(c) if c.ndim == 0 else c
@@ -141,6 +156,7 @@ def chsh_expectations(alpha1, alpha2, beta1, beta2) -> float | np.ndarray:
 
     C(a1,b1) + C(a1,b2) + C(a2,b1) - C(a2,b2), a float when all four
     angles are plain numbers; bounded by 2*sqrt(2) in magnitude.
+    Non-finite angles raise ValueError.
     """
     return (
         correlation(alpha1, beta1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalCheckError
+from .errors import check
 from .linalg import eig_hermitian, hermiticity_defect, kron
 from .polarization import AngleConfig, same_setting, singlet_state, z_operator
 from .realworld import EstimatorResult, _check_draw_count, _uniform_blocks
@@ -67,9 +67,7 @@ def _chsh_operators(alpha1, alpha2, beta1, beta2) -> np.ndarray:
     """
     za1, za2, zb1, zb2 = (z_operator(angle) for angle in (alpha1, alpha2, beta1, beta2))
     op = kron(za1, zb1) + kron(za1, zb2) + kron(za2, zb1) - kron(za2, zb2)
-    defect = hermiticity_defect(op)
-    if defect > 1e-13:
-        raise InternalCheckError(f"CHSH operator hermiticity defect {defect}")
+    check("CHSH operator hermiticity", hermiticity_defect(op), 1e-13)
     return op
 
 
@@ -124,19 +122,14 @@ def chsh_spectra(alpha1, alpha2, beta1, beta2) -> ChshSpectrum:
     distance = np.abs(np.abs(evals) - t0[..., None])
     order = np.argsort(distance, axis=-1, kind="stable")
     atom_idx, dark_idx = order[..., :2], order[..., 2:]
-    worst_atom = float(np.max(np.take_along_axis(distance, atom_idx, axis=-1), initial=0.0))
-    if worst_atom > 1e-9:
-        raise InternalCheckError(f"numeric spectrum misses the closed-form t0 by {worst_atom}")
+    check("numeric t0 vs closed form", np.take_along_axis(distance, atom_idx, axis=-1), 1e-9)
     t1 = np.mean(np.abs(np.take_along_axis(evals, dark_idx, axis=-1)), axis=-1)
 
     overlaps = np.abs(evecs.conj().swapaxes(-1, -2) @ singlet_state()) ** 2
     degenerate = np.abs(t0 - t1) <= 1e-9
     dark_weight = np.where(degenerate, 0.0, np.take_along_axis(overlaps, dark_idx, axis=-1).sum(axis=-1))
-    if np.any(dark_weight > 1e-12):
-        raise InternalCheckError(f"singlet carries weight {np.max(dark_weight)} outside the outcome atoms")
-
-    if np.any(np.abs(expectation) > t0 + 1e-9):
-        raise InternalCheckError(f"|E| exceeds t0 by up to {np.max(np.abs(expectation) - t0)}")
+    check("singlet weight outside the outcome atoms", dark_weight, 1e-12)
+    check("|E| above t0", np.abs(expectation) - t0, 1e-9)
     live = t0 >= _T0_FLOOR
     ratio = expectation / np.where(live, t0, 1.0)
     w_plus = np.where(live, np.clip((1.0 + ratio) / 2.0, 0.0, 1.0), 0.5)
@@ -144,8 +137,7 @@ def chsh_spectra(alpha1, alpha2, beta1, beta2) -> ChshSpectrum:
     # projector, which stays well-defined even when t0 = t1.
     plus_space = np.abs(evals - t0[..., None]) <= 1e-8
     gap = np.where(live, np.abs(np.sum(overlaps * plus_space, axis=-1) - w_plus), 0.0)
-    if np.any(gap > 1e-9):
-        raise InternalCheckError(f"projector weight disagrees with the closed form by {np.max(gap)}")
+    check("projector weight vs closed form", gap, 1e-9)
     return ChshSpectrum(t0, t1, w_plus, 1.0 - w_plus, evals)
 
 

@@ -119,9 +119,9 @@ _FLAGS: dict[str, str] = {
 }
 
 
-def _manifest_parameters(command: str, args: argparse.Namespace) -> dict:
+def _manifest_parameters(args: argparse.Namespace) -> dict:
     params: dict = {}
-    for name in _POSITIONALS[command]:
+    for name in _POSITIONALS[args.command]:
         params[name] = getattr(args, name)
     for name in _FLAGS:
         if getattr(args, name, None) is not None:
@@ -129,7 +129,7 @@ def _manifest_parameters(command: str, args: argparse.Namespace) -> dict:
     return params
 
 
-def _emit(text: str, command: str, args: argparse.Namespace) -> None:
+def _emit(text: str, args: argparse.Namespace) -> None:
     out = getattr(args, "out", None)
     if out is None:
         sys.stdout.write(text)
@@ -138,9 +138,9 @@ def _emit(text: str, command: str, args: argparse.Namespace) -> None:
     Path(out).write_bytes(data)
     manifest = {
         "artifact_version": __version__,
-        "command": command,
+        "command": args.command,
         "output": os.path.basename(out),
-        "parameters": _manifest_parameters(command, args),
+        "parameters": _manifest_parameters(args),
         "sha256": hashlib.sha256(data).hexdigest(),
     }
     Path(str(out) + ".manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
@@ -196,7 +196,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         header = ["alpha_deg", "beta_deg", "correlation", "p_pp", "p_pm", "p_mp", "p_mm"]
         row = (args.alpha_deg, args.beta_deg, corr, *table.p.reshape(-1))
         text = canonical_csv(header, [row])
-    _emit(text, "correlate", args)
+    _emit(text, args)
     return EXIT_OK
 
 
@@ -212,7 +212,7 @@ def _spectrum_rows(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: list[f
     ]
 
 
-def _chsh_like(args: argparse.Namespace, command: str) -> int:
+def cmd_chsh(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     header = ["alpha1", "alpha2", "beta1", "beta2", "e_qm", "t0", "t1", "w_plus", "w_minus"]
     if args.sweep_deg is not None:
@@ -230,16 +230,8 @@ def _chsh_like(args: argparse.Namespace, command: str) -> int:
             text = canonical_json(dict(zip(header, row)))
         else:
             text = canonical_csv(header, [row])
-    _emit(text, command, args)
+    _emit(text, args)
     return EXIT_OK
-
-
-def cmd_chsh(args: argparse.Namespace) -> int:
-    return _chsh_like(args, "chsh")
-
-
-def cmd_t_spectrum(args: argparse.Namespace) -> int:
-    return _chsh_like(args, "t-spectrum")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -264,7 +256,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     for idx, est in enumerate(per_experiment, start=1):
         payload[f"c{idx}"] = {"mean": est.mean, "n": est.n, "stderr": est.stderr}
-    _emit(canonical_json(payload), "simulate", args)
+    _emit(canonical_json(payload), args)
     return EXIT_OK
 
 
@@ -286,7 +278,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "rows": [dict(zip(header, row)) for row in rows],
             }
             text = canonical_json(payload)
-    elif args.target == "counterfactual":
+    else:  # "counterfactual", the only other target argparse admits
         header = ["k", "l", "m", "n", "a1", "a2", "b1", "b2", "statistic"]
         rows = [
             (w.k, w.l, w.m, w.n, *outcome_values(w), outcome_statistic(w))
@@ -296,9 +288,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             text = canonical_csv(header, rows)
         else:
             text = canonical_json({"rows": [dict(zip(header, row)) for row in rows]})
-    else:
-        raise ValueError(f"unknown enumeration target {args.target!r}")
-    _emit(text, "enumerate", args)
+    _emit(text, args)
     return EXIT_OK
 
 
@@ -316,7 +306,7 @@ def cmd_fine(args: argparse.Namespace) -> int:
         # Witness probabilities flattened over (k, l, m, n), row-major.
         "witness": None if result.witness is None else result.witness.probabilities.reshape(-1),
     }
-    _emit(canonical_json(payload), "fine", args)
+    _emit(canonical_json(payload), args)
     return EXIT_OK
 
 
@@ -370,7 +360,7 @@ def cmd_quasiprob(args: argparse.Namespace) -> int:
                 for w in witnesses
             ],
         }
-    _emit(canonical_json(payload), "quasiprob", args)
+    _emit(canonical_json(payload), args)
     return EXIT_OK
 
 
@@ -421,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sp)
     sp.set_defaults(func=cmd_correlate)
 
-    for name, func, help_text in (
-        ("chsh", cmd_chsh, "CHSH expectation and operator spectrum"),
-        ("t-spectrum", cmd_t_spectrum, "alias of chsh focused on the spectrum columns"),
+    for name, help_text in (
+        ("chsh", "CHSH expectation and operator spectrum"),
+        ("t-spectrum", "alias of chsh focused on the spectrum columns"),
     ):
         sp = sub.add_parser(name, help=help_text)
         add_angles4(sp)
@@ -432,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="sweep beta2 over [0, 180) with this step in degrees",
         )
         add_output(sp)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=cmd_chsh)
 
     sp = sub.add_parser("simulate", help="Monte Carlo run of the four experiments")
     add_angles4(sp)

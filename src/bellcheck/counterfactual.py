@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import JointPmf2x2, joint_pmf
-from .errors import InternalCheckError
+from .born import JointPmf2x2, _checked_table, joint_pmf
+from .errors import InternalCheckError, check
 from .polarization import AngleConfig, singlet_state
 from .realworld import RunRecord
 
@@ -71,15 +71,9 @@ class CfPmf:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (2, 2, 2, 2):
-            raise ValueError(f"expected shape (2, 2, 2, 2), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
+        p = _checked_table(self.probabilities, (2, 2, 2, 2))
         if p.min() < 0.0:
             raise ValueError(f"negative probability {p.min()}")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
         object.__setattr__(self, "probabilities", p)
 
     @classmethod
@@ -265,22 +259,17 @@ def fine_feasibility(marginals: PairMarginals) -> FeasibilityResult:
     feasible = objective <= 1e-9
 
     chsh = chsh_all_variants(*marginals.correlations())
-    if feasible and chsh > 2.0 + 1e-7:
-        raise InternalCheckError(f"simplex found a witness but max CHSH variant is {chsh}")
-    if not feasible and chsh < 2.0 - 1e-7:
-        raise InternalCheckError(f"simplex claims infeasible but max CHSH variant is only {chsh}")
+    check("simplex verdict vs CHSH criterion", chsh - 2.0 if feasible else 2.0 - chsh, 1e-7)
 
     if not feasible:
         return FeasibilityResult(False, None, chsh, None)
 
-    if x.min() < -1e-12:
-        raise InternalCheckError(f"witness has entry {x.min()} below -1e-12")
+    check("witness negativity", -x.min(), 1e-12)
     x = np.maximum(x, 0.0)
     witness = CfPmf((x / x.sum()).reshape(2, 2, 2, 2))
     residual = max(
         float(np.max(np.abs(got.p - want.p)))
         for got, want in zip(pair_marginals(witness).tables(), marginals.tables())
     )
-    if residual > 1e-9:
-        raise InternalCheckError(f"witness reproduces marginals only to {residual}")
+    check("witness marginal residual", residual, 1e-9)
     return FeasibilityResult(True, witness, chsh, residual)

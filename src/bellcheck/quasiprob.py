@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import OUTCOME_VALUES, _pair_amplitudes, joint_pmf
-from .errors import InternalCheckError
+from .born import OUTCOME_VALUES, _checked_table, _pair_amplitudes, joint_pmf
+from .errors import check
 from .polarization import basis_matrix, singlet_state, x_operator, y_operator
 
 _IMAG_TOL = 1e-12
@@ -51,14 +51,7 @@ class QuasiPmf3:
     beta: float
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (2, 2, 2):
-            raise ValueError(f"expected shape (2, 2, 2), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        if abs(v.sum() - 1.0) > 1e-12:
-            raise ValueError(f"values sum to {v.sum()}, not 1")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _checked_table(self.values, (2, 2, 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +63,7 @@ class QuasiPmf2:
     alpha_prime: float
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (2, 2):
-            raise ValueError(f"expected shape (2, 2), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        if abs(v.sum() - 1.0) > 1e-12:
-            raise ValueError(f"values sum to {v.sum()}, not 1")
+        v = _checked_table(self.values, (2, 2))
         for sums in (v.sum(axis=0), v.sum(axis=1)):
             if np.max(np.abs(sums - 0.5)) > 1e-12:
                 raise ValueError("marginals must each equal 1/2")
@@ -96,9 +83,7 @@ def _cells(amps: np.ndarray, overlap: np.ndarray, amps_prime: np.ndarray) -> np.
     imaginary residue is asserted below 1e-12 to catch ordering bugs.
     """
     table = (amps.conj()[..., :, None, :] * overlap[..., :, :, None]) * amps_prime[..., None, :, :]
-    worst_imag = float(np.max(np.abs(table.imag)))
-    if worst_imag > _IMAG_TOL:
-        raise InternalCheckError(f"quasi-probability cells have imaginary part {worst_imag}")
+    check("imaginary residue of quasi-probability cells", np.abs(table.imag), _IMAG_TOL)
     return table.real
 
 
@@ -111,14 +96,10 @@ def q_value(alpha: float, alpha_prime: float, beta: float) -> float:
     psi = singlet_state()
     op = (x_operator(alpha) + x_operator(alpha_prime)) @ y_operator(beta)
     sandwich = float(np.real(psi.conj() @ op @ psi))
-
-    signs = np.outer(OUTCOME_VALUES, OUTCOME_VALUES)
-    from_tables = float(
-        np.sum(signs * joint_pmf(psi, alpha, beta).p)
-        + np.sum(signs * joint_pmf(psi, alpha_prime, beta).p)
+    from_tables = (
+        joint_pmf(psi, alpha, beta).product_expectation() + joint_pmf(psi, alpha_prime, beta).product_expectation()
     )
-    if abs(sandwich - from_tables) > 1e-12:
-        raise InternalCheckError(f"operator route {sandwich} != pair-table route {from_tables}")
+    check("q_value operator route vs pair-table route", abs(sandwich - from_tables), 1e-12)
     return sandwich
 
 
@@ -158,9 +139,7 @@ def f_jk(alpha: float, alpha_prime: float) -> QuasiPmf2:
         _pair_amplitudes(psi, alpha_prime, _BETA_PROBES),
     )
     summed = tables.sum(axis=-1)
-    spread = float(np.max(np.abs(summed[1:] - summed[0])))
-    if spread > _IMAG_TOL:
-        raise InternalCheckError(f"summed table varies with Bob's angle by {spread}")
+    check("f_jk spread over Bob's angle", np.abs(summed[1:] - summed[0]), _IMAG_TOL)
     return QuasiPmf2(summed[0], alpha, alpha_prime)
 
 

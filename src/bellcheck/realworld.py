@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .born import OUTCOME_VALUES, joint_pmf
-from .errors import InternalCheckError
+from .errors import check
 from .linalg import kron
 from .polarization import AngleConfig, basis_matrix, singlet_state
 
@@ -233,9 +233,7 @@ def tensor_joint_pmf(cfg: AngleConfig) -> np.ndarray:
     born_route = (np.abs(amps) ** 2).reshape((2,) * 8)
 
     factored = np.einsum("ab,cd,ef,gh->abcdefgh", *pair_tables)
-    gap = float(np.max(np.abs(born_route - factored)))
-    if gap > 1e-12:
-        raise InternalCheckError(f"full Born route and factored route differ by {gap}")
+    check("full Born route vs factored route", np.abs(born_route - factored), 1e-12)
     return born_route
 
 

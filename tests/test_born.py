@@ -9,12 +9,15 @@ from bellcheck.born import (
     JointPmf2x2,
     Pmf2,
     chsh_expectation,
+    chsh_expectations,
     correlation,
     joint_pmf,
     pmf_single,
 )
+from bellcheck.counterfactual import CfPmf
 from bellcheck.polarization import AngleConfig, basis_matrix, singlet_state, x_operator, y_operator
 from bellcheck.linalg import kron
+from bellcheck.quasiprob import QuasiPmf2, QuasiPmf3
 
 M_MATRIX = np.ones((2, 2))
 N_MATRIX = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -97,6 +100,17 @@ def test_correlation_values():
     assert correlation(0.0, math.radians(22.5)) == pytest.approx(-math.sqrt(2) / 2, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0), (np.array([0.1, math.nan]), 0.3), (0.2, np.array([[0.0], [math.inf]]))],
+)
+def test_correlation_and_chsh_reject_non_finite_angles(alpha, beta):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        correlation(alpha, beta)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        chsh_expectations(alpha, 0.5, beta, 1.0)
+
+
 def test_correlation_matches_operator_sandwich():
     psi = singlet_state()
     rng = np.random.default_rng(14)
@@ -169,3 +183,40 @@ def test_pmf2_admits_a_certain_outcome_rounded_above_one():
     assert marginal.p_plus == 1.0000000000000002 and marginal.p_minus == 0.0
     with pytest.raises(ValueError, match="outside"):
         Pmf2(1.0 + 1e-9, 0.0)
+
+
+
+
+@pytest.mark.parametrize(
+    "make, shape",
+    [
+        (JointPmf2x2, (2, 2)),
+        (CfPmf, (2, 2, 2, 2)),
+        (lambda v: QuasiPmf3(v, 0.0, 0.5, 1.0), (2, 2, 2)),
+        (lambda v: QuasiPmf2(v, 0.0, 0.5), (2, 2)),
+    ],
+    ids=["JointPmf2x2", "CfPmf", "QuasiPmf3", "QuasiPmf2"],
+)
+def test_every_probability_table_checks_shape_finiteness_and_sum(make, shape):
+    uniform = np.full(shape, 1.0 / math.prod(shape))
+    make(uniform.tolist())
+    with pytest.raises(ValueError, match="expected shape"):
+        make(uniform.reshape(-1))
+    one_nan = uniform.copy()
+    one_nan.flat[0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        make(one_nan)
+    with pytest.raises(ValueError, match="sums"):
+        make(uniform * (1.0 + 1e-9))
+
+
+def test_table_sign_policies():
+    # JointPmf2x2 clamps rounding noise (test_pmf2_and_joint_validation);
+    # CfPmf rejects any negative cell, the quasi-probability tables keep them.
+    p = np.full(16, 1.0 / 16.0)
+    p[:2] = (-1e-13, 2.0 / 16.0 + 1e-13)
+    with pytest.raises(ValueError, match="negative"):
+        CfPmf(p.reshape(2, 2, 2, 2))
+    assert QuasiPmf3([[[0.5, -0.25], [0.25, 0.0]], [[0.0, 0.25], [0.0, 0.25]]], 0.0, 0.5, 1.0).values.min() == -0.25
+    with pytest.raises(ValueError, match="marginals"):
+        QuasiPmf2([[0.6, 0.0], [0.0, 0.4]], 0.0, 0.5)

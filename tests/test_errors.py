@@ -1,0 +1,195 @@
+"""The shared cross-check helper, and every cross-check site made to fire.
+
+Each site case perturbs one route of one check and asserts that the
+resulting InternalCheckError names that check; the NaN cases feed a NaN
+route through checks whose old ``gap > tol`` form let NaN pass.
+"""
+
+import importlib
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bellcheck
+from bellcheck.errors import InternalCheckError, check
+from bellcheck.polarization import AngleConfig
+
+chsh_mod = importlib.import_module("bellcheck.chsh_operator")
+counterfactual = importlib.import_module("bellcheck.counterfactual")
+quasiprob = importlib.import_module("bellcheck.quasiprob")
+realworld = importlib.import_module("bellcheck.realworld")
+
+OPTIMAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5)
+LOCAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, 112.5)  # Fine-feasible, with a witness
+
+
+def test_check_passes_at_tol_and_fails_one_ulp_above():
+    check("edge", 1e-9, 1e-9)
+    check("edge", np.array([0.0, 1e-9]), 1e-9)
+    with pytest.raises(InternalCheckError):
+        check("edge", np.nextafter(1e-9, math.inf), 1e-9)
+
+
+def test_check_fails_on_nan():
+    with pytest.raises(InternalCheckError, match="nan"):
+        check("nan gap", math.nan, 1.0)
+    with pytest.raises(InternalCheckError, match="nan"):
+        check("nan entry", np.array([0.0, math.nan, 0.5]), 1.0)
+
+
+def test_check_passes_an_empty_array():
+    check("empty", np.array([]), 0.0)
+    check("empty", np.empty((0, 4)), 0.0)
+
+
+def test_check_message_prints_gap_and_tol_in_full():
+    with pytest.raises(InternalCheckError) as info:
+        check("some route", 1.0 + 1e-15, 1.0)
+    assert str(info.value) == "some route: gap 1.000000000000001 exceeds tol 1.0"
+    with pytest.raises(InternalCheckError, match=r"^stack: gap 0\.5 exceeds tol 0\.25$"):
+        check("stack", np.array([[0.1, 0.5], [0.2, 0.0]]), 0.25)
+
+
+def test_tensor_joint_pmf_rejects_a_nan_route(monkeypatch):
+    monkeypatch.setattr(realworld, "tensor_state", lambda: np.full(256, np.nan, dtype=np.complex128))
+    with pytest.raises(InternalCheckError, match="full Born route vs factored route"):
+        realworld.tensor_joint_pmf(OPTIMAL)
+
+
+def test_chsh_spectrum_rejects_nan_eigenvectors(monkeypatch):
+    real = chsh_mod.eig_hermitian
+
+    def nan_vectors(a, tol):
+        vals, vecs = real(a, tol=tol)
+        return vals, np.full_like(vecs, np.nan)
+
+    monkeypatch.setattr(chsh_mod, "eig_hermitian", nan_vectors)
+    with pytest.raises(InternalCheckError):
+        chsh_mod.chsh_spectrum(OPTIMAL)
+
+
+def _wrap(monkeypatch, module, name, change):
+    """Replace ``module.name`` by a function that passes its result through ``change``."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+
+
+def _non_hermitian_factors(mp):
+    _wrap(mp, chsh_mod, "z_operator", lambda z: z + 1j * np.eye(2))
+    return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
+
+
+def _shifted_t0(mp):
+    _wrap(mp, chsh_mod, "_atom_magnitudes", lambda t0: t0 * (1.0 + 1e-6))
+    return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
+
+
+def _basis_eigenvectors(mp):
+    _wrap(mp, chsh_mod, "eig_hermitian", lambda res: (res[0], np.broadcast_to(np.eye(4), res[1].shape)))
+    return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
+
+
+def _expectation_above_t0(mp):
+    _wrap(mp, chsh_mod, "_closed_form_expectations", lambda e: e * 1.001)
+    return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
+
+
+def _expectation_below_t0(mp):
+    _wrap(mp, chsh_mod, "_closed_form_expectations", lambda e: e * 0.999)
+    return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
+
+
+def _rolled_tensor_state(mp):
+    _wrap(mp, realworld, "tensor_state", lambda state: np.roll(state, 1))
+    return lambda: realworld.tensor_joint_pmf(OPTIMAL)
+
+
+def _chsh_variant_says_infeasible(mp):
+    mp.setattr(counterfactual, "chsh_all_variants", lambda *c: 3.0)
+    return lambda: counterfactual.fine_feasibility(counterfactual.quantum_pair_marginals(LOCAL))
+
+
+def _chsh_variant_says_feasible(mp):
+    mp.setattr(counterfactual, "chsh_all_variants", lambda *c: 1.0)
+    return lambda: counterfactual.fine_feasibility(counterfactual.quantum_pair_marginals(OPTIMAL))
+
+
+def _negative_witness_entry(mp):
+    def dent(result):
+        objective, x = result
+        x = x.copy()
+        x[np.argmin(x)] -= 1e-6
+        return objective, x
+
+    _wrap(mp, counterfactual, "_phase1_simplex", dent)
+    return lambda: counterfactual.fine_feasibility(counterfactual.quantum_pair_marginals(LOCAL))
+
+
+def _rolled_witness(mp):
+    _wrap(mp, counterfactual, "_phase1_simplex", lambda result: (result[0], np.roll(result[1], 1)))
+    return lambda: counterfactual.fine_feasibility(counterfactual.quantum_pair_marginals(LOCAL))
+
+
+def _complex_overlaps(mp):
+    _wrap(mp, quasiprob, "_overlaps", lambda overlap: overlap * np.exp(0.1j))
+    return lambda: quasiprob.f_jkl(0.2, 0.9, 1.3)
+
+
+def _turned_bob_operator(mp):
+    real = quasiprob.y_operator
+    mp.setattr(quasiprob, "y_operator", lambda beta: real(beta + 0.1))
+    return lambda: quasiprob.q_value(0.2, 0.9, 1.3)
+
+
+def _bob_basis_differs_between_brackets(mp):
+    real = quasiprob._pair_amplitudes
+    calls = []
+
+    def skewed(psi, alpha, beta):
+        calls.append(alpha)
+        return real(psi, alpha, beta * 1.3 if len(calls) % 2 == 0 else beta)
+
+    mp.setattr(quasiprob, "_pair_amplitudes", skewed)
+    return lambda: quasiprob.f_jk(0.2, 0.9)
+
+
+SITES = {
+    "CHSH operator hermiticity": _non_hermitian_factors,
+    "numeric t0 vs closed form": _shifted_t0,
+    "singlet weight outside the outcome atoms": _basis_eigenvectors,
+    "|E| above t0": _expectation_above_t0,
+    "projector weight vs closed form": _expectation_below_t0,
+    "full Born route vs factored route": _rolled_tensor_state,
+    "simplex verdict vs CHSH criterion (feasible)": _chsh_variant_says_infeasible,
+    "simplex verdict vs CHSH criterion (infeasible)": _chsh_variant_says_feasible,
+    "witness negativity": _negative_witness_entry,
+    "witness marginal residual": _rolled_witness,
+    "imaginary residue of quasi-probability cells": _complex_overlaps,
+    "q_value operator route vs pair-table route": _turned_bob_operator,
+    "f_jk spread over Bob's angle": _bob_basis_differs_between_brackets,
+}
+
+
+@pytest.mark.parametrize("site", list(SITES))
+def test_each_cross_check_fires_and_names_itself(monkeypatch, site):
+    call = SITES[site](monkeypatch)
+    name = site.split(" (")[0]
+    with pytest.raises(InternalCheckError, match="^" + re.escape(name) + ": gap "):
+        call()
+
+
+def test_cross_checks_raise_only_through_check():
+    # Every route-agreement check goes through errors.check; the simplex's
+    # unbounded branch has no gap to compare and is the one exception.
+    package = Path(bellcheck.__file__).parent
+    raises = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "errors.py"
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "raise InternalCheckError" in line
+    ]
+    assert len(raises) == 1 and raises[0].startswith("counterfactual.py: ") and "unbounded" in raises[0], raises
