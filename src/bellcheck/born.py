@@ -94,7 +94,7 @@ class JointPmf2x2:
 
 def _require_unit(state: np.ndarray) -> np.ndarray:
     state = np.asarray(state, dtype=np.complex128)
-    if abs(np.linalg.norm(state) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(state) - 1.0) <= 1e-10:
         raise ValueError("state vector is not unit norm")
     return state
 

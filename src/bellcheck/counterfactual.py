@@ -119,7 +119,7 @@ def chsh_all_variants(c11: float, c12: float, c21: float, c22: float) -> float:
     only when the maximum stays at or below 2.
     """
     c = np.array([c11, c12, c21, c22], dtype=float)
-    if np.any(np.abs(c) > 1.0 + 1e-12):
+    if not np.all(np.abs(c) <= 1.0 + 1e-12):
         raise ValueError("correlations must lie in [-1, 1]")
     total = c.sum()
     return float(np.max(np.abs(total - 2.0 * c)))

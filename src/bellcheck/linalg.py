@@ -7,10 +7,19 @@ accepts a stack and acts on its trailing two axes.  The dimensions that
 actually occur in this package are 2, 4 and 256; the eigensolver is a
 cyclic Jacobi iteration intended for the 4x4 operators it is used on,
 and ``eig_hermitian`` diagonalizes a whole ``(..., n, n)`` stack in one
-call, so an angle sweep costs one solve rather than one per point.
+call, so an angle sweep costs one solve rather than one per point.  A
+single matrix takes a cheaper path that computes each rotation in Python
+floats and gives bit for bit the stacked result.  Python floats round
+like numpy's float64 ufuncs, but not like its complex kernels: Python's
+``abs`` and ``math.hypot`` differ from numpy's complex ``abs`` in the
+last bit on about 30% of inputs, so |apq| still comes from numpy's array
+ufunc, and the complex division and product are written out the way
+numpy computes them.  The row and column updates stay BLAS products.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,8 +32,12 @@ MAX_KRON_DIM = 65_536
 # (tests/test_golden.py) were computed with.
 _OFF_TOL = 2.5e-14
 # Off-diagonal entries below _SKIP * ||A||_F are left alone: they are far
-# below the stop target, and dividing by them could overflow.
+# below the stop target, and dividing by them could overflow.  For small
+# ||A||_F that product falls below _SKIP_FLOOR, the least float whose
+# reciprocal is finite, and dividing by an entry below it (an exact zero
+# too) overflows, so the threshold never drops below it.
 _SKIP = 1e-300
+_SKIP_FLOOR = 5.56268464626801e-309  # nextafter(2**-1024, 1)
 _MAX_SWEEPS = 100
 
 
@@ -109,6 +122,43 @@ def _jacobi_rotations(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray, skip: n
     return rot
 
 
+def _sweep_alone(m: np.ndarray, n: int, skip: float) -> None:
+    """One cyclic Jacobi sweep, in place, of the one matrix ``m[:n]`` with eigenvectors ``m[n:]``.
+
+    Bit for bit the stacked sweep on a stack of one, at a fraction of its
+    cost.  Each rotation is the one ``_jacobi_rotations`` builds, by the
+    same operations in the same order on Python floats.  Where numpy's
+    complex kernels round otherwise, their way is kept: |apq| comes from
+    the array ``abs``; ``apq / safe`` is numpy's complex division by
+    ``safe + 0j`` (Smith's method, ``(re + im*rat) * scl``) and
+    ``(t*c) * phase`` its complex product by ``t*c + 0j``.  The row and
+    column updates stay the same BLAS products, since BLAS fuses
+    multiply-adds: rows p and q are a strided view BLAS reads in place,
+    while columns p and q are copied, as numpy multiplies a strided
+    column pair without BLAS.
+    """
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = complex(m[p, q])
+            mag = float(np.abs(m[p, q : q + 1])[0])
+            safe = max(mag, skip)
+            theta = (float(m[q, q].real) - float(m[p, p].real)) / (2.0 * safe)
+            size = abs(theta)
+            capped = min(size, 1e150)
+            t = (1.0 if theta >= 0.0 else -1.0) / (size + math.sqrt(capped * capped + 1.0))
+            t *= 1.0 if mag >= skip else 0.0
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            rat = 0.0 / safe
+            scl = 1.0 / (safe + 0.0 * rat)
+            phase_re, phase_im = (apq.real + apq.imag * rat) * scl, (apq.imag - apq.real * rat) * scl
+            tc = t * c
+            s_re, s_im = tc * phase_re - 0.0 * phase_im, tc * phase_im + 0.0 * phase_re
+            rot = np.array([[c, complex(s_re, s_im)], [complex(-s_re, s_im), c]])
+            pq = slice(p, q + 1, q - p)
+            m[pq] = rot.conj().T @ m[pq]
+            m[:, pq] = m[:, pq].copy() @ rot
+
+
 def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or a stack, by cyclic Jacobi sweeps.
 
@@ -129,7 +179,11 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     Every matrix of a stack gets its own rotations, in the same cyclic
     (p, q) order, touching only rows and columns p and q; a matrix whose
     off-diagonal norm is below 2.5e-14 of its Frobenius norm is frozen.
-    Each result is bit-identical to solving that matrix alone.
+    Each result is bit-identical to solving that matrix alone.  While
+    only one matrix is active (always, for a lone matrix), sweeps take
+    the scalar path ``_sweep_alone``, which computes each rotation in
+    Python floats but with numpy's roundings of |apq| and of the complex
+    division and product, so the result does not depend on the path.
 
     Raises
     ------
@@ -150,7 +204,7 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     both = np.concatenate([work, np.broadcast_to(np.eye(n, dtype=np.complex128), work.shape)], axis=1)
     norm_sq = (work.real**2 + work.imag**2).reshape(len(work), n * n).sum(axis=1)
     target_sq = _OFF_TOL**2 * norm_sq
-    skip = _SKIP * np.sqrt(norm_sq)
+    skip = np.maximum(_SKIP * np.sqrt(norm_sq), _SKIP_FLOOR)
     pairs = [(p, q, np.array([p, q])) for p in range(n - 1) for q in range(p + 1, n)]
 
     active = np.flatnonzero(_off_diagonal_sq(both, n) > target_sq)
@@ -158,10 +212,13 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
         if active.size == 0:
             break
         m, m_skip = both[active], skip[active]
-        for p, q, pq in pairs:
-            rot = _jacobi_rotations(m[:, p, p].real, m[:, q, q].real, m[:, p, q], m_skip)
-            m[:, pq, :] = rot.conj().swapaxes(-1, -2) @ m[:, pq, :]
-            m[:, :, pq] = m[:, :, pq] @ rot
+        if len(m) == 1:
+            _sweep_alone(m[0], n, float(m_skip[0]))
+        else:
+            for p, q, pq in pairs:
+                rot = _jacobi_rotations(m[:, p, p].real, m[:, q, q].real, m[:, p, q], m_skip)
+                m[:, pq, :] = rot.conj().swapaxes(-1, -2) @ m[:, pq, :]
+                m[:, :, pq] = m[:, :, pq] @ rot
         both[active] = m
         active = active[_off_diagonal_sq(m, n) > target_sq[active]]
     if active.size:

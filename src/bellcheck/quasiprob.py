@@ -161,7 +161,8 @@ def find_negativity(grid_step: float, threshold: float = -1e-12) -> list[Negativ
 
     All three angles run over [0, pi) in steps of ``grid_step`` radians.
     Returns every cell below ``threshold``, sorted by value ascending
-    with ties broken lexicographically by (alpha, alpha', beta, j, k, l).
+    with ties broken lexicographically by (alpha, alpha', beta, j, k, l);
+    a threshold of +inf returns every cell, and NaN raises ValueError.
     Any grid with step <= 15 degrees contains negative cells.  Tables are
     built a block of alpha values at a time, about a million cells per
     block, so memory beyond the returned witnesses stays bounded however
@@ -169,6 +170,8 @@ def find_negativity(grid_step: float, threshold: float = -1e-12) -> list[Negativ
     """
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError("grid_step must be positive and finite")
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     grid = np.arange(0.0, np.pi, grid_step)
     size = grid.size
     amps = _pair_amplitudes(singlet_state(), grid[:, None], grid)  # [alpha, beta, j, l]

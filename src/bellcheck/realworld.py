@@ -223,13 +223,21 @@ def tensor_joint_pmf(cfg: AngleConfig) -> np.ndarray:
     computed twice -- once through the full 256-dimensional Born rule
     and once as the product of the four per-pair tables -- and the two
     routes must agree to 1e-12, else the basis ordering is broken.
+
+    The full route reads the 256 amplitudes of :func:`tensor_state` and
+    applies the 256x256 measurement basis as the Kronecker product it
+    is: each pair axis of the state, viewed as shape (4, 4, 4, 4), is
+    contracted with its own conjugated 4x4 pair basis.  That is the
+    Born rule on the whole state without forming the 256x256 matrix.
     """
     pair_tables = [joint_pmf(singlet_state(), a, b).p for a, b in cfg.experiment_angles()]
 
-    full_basis = np.eye(1, dtype=np.complex128)
-    for a, b in cfg.experiment_angles():
-        full_basis = kron(full_basis, kron(basis_matrix(a), basis_matrix(b)))
-    amps = full_basis.conj() @ tensor_state()
+    alphas, betas = np.array(cfg.experiment_angles()).T
+    amps = tensor_state().reshape(4, 64)
+    for pair_basis in kron(basis_matrix(alphas), basis_matrix(betas)).conj():
+        # Contract the leading pair axis and move it last; after all four
+        # pairs the axes are back in pair order.
+        amps = (pair_basis @ amps).T.reshape(4, 64)
     born_route = (np.abs(amps) ** 2).reshape((2,) * 8)
 
     factored = np.einsum("ab,cd,ef,gh->abcdefgh", *pair_tables)

@@ -111,6 +111,12 @@ def test_correlation_and_chsh_reject_non_finite_angles(alpha, beta):
         chsh_expectations(alpha, 0.5, beta, 1.0)
 
 
+@pytest.mark.parametrize("state", [np.full(4, math.nan), np.array([math.inf, 0, 0, 0]), np.zeros(4), 2 * singlet_state()])
+def test_joint_pmf_rejects_non_unit_and_nan_states(state):
+    with pytest.raises(ValueError, match="not unit norm"):
+        joint_pmf(state, 0.0, 0.0)
+
+
 def test_correlation_matches_operator_sandwich():
     psi = singlet_state()
     rng = np.random.default_rng(14)

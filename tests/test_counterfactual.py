@@ -114,6 +114,15 @@ def test_chsh_all_variants_values():
         chsh_all_variants(1.5, 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_chsh_all_variants_rejects_non_finite_correlations(position, bad):
+    c = [0.0] * 4
+    c[position] = bad
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        chsh_all_variants(*c)
+
+
 def test_pair_marginals_consistency_check():
     good = pair_marginals(CfPmf.uniform())
     assert all(abs(c) < 1e-12 for c in good.correlations())

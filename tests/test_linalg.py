@@ -205,3 +205,66 @@ def test_eig_leaves_exact_zero_couplings_alone():
     assert np.allclose(vals, [5.0, 3.0, np.sqrt(5.0), -np.sqrt(5.0)], atol=1e-14)
     assert np.allclose(vecs.conj().T @ block @ vecs, np.diag(vals), atol=1e-14)
     assert np.array_equal(eig_hermitian(np.zeros((3, 3)))[0], np.zeros(3))
+
+
+def assert_bitwise_equal(x, y):
+    assert np.array_equal(x, y)
+    assert np.array_equal(np.signbit(x.real), np.signbit(y.real))
+    assert np.array_equal(np.signbit(np.imag(x)), np.signbit(np.imag(y)))
+
+
+def assert_alone_equals_stacked(a):
+    """One matrix takes the scalar-rotation path; two identical ones the stacked path."""
+    alone_vals, alone_vecs = eig_hermitian(a)
+    stacked_vals, stacked_vecs = eig_hermitian(np.stack([a, a]))
+    assert_bitwise_equal(alone_vals, stacked_vals[0])
+    assert_bitwise_equal(alone_vecs, stacked_vecs[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    log_scale=st.floats(min_value=-8.0, max_value=8.0),
+    zero_fraction=st.sampled_from([0.0, 0.3, 0.7]),
+    real=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_eig_single_matrix_path_is_bitwise_the_stacked_path(n, log_scale, zero_fraction, real, seed):
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(rng, n) * 10.0**log_scale
+    if real:
+        a = a.real.astype(complex)
+    zero = np.triu(rng.random((n, n)) < zero_fraction, 1)
+    a[zero | zero.T] = 0.0
+    assert_alone_equals_stacked(a)
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [
+        (0, 45, 22.5, -22.5),
+        (0, 45, 20, -22.5),
+        (105.528, 109.043, 92.049, 177.716),
+        (10.5, 50.25, 20.125, 30),
+        (0, 45, 22.5, 112.5),
+        (0, 90, 0, 90),
+        (0, 90, 45, 135),
+    ],
+)
+def test_eig_single_matrix_path_is_bitwise_the_stacked_path_on_chsh_operators(degrees):
+    assert_alone_equals_stacked(chsh_operator(AngleConfig.from_degrees(*degrees)))
+
+
+def test_eig_skips_exact_zero_couplings_at_tiny_scale():
+    # Below ||A||_F ~ 2.5e-24 the relative skip threshold rounds to zero;
+    # an exact-zero coupling must still be skipped, not divided by.
+    a = np.array([[1.0, 0.0, 1e-3], [0.0, 1.0, 1.0], [1e-3, 1.0, 3.0]], dtype=complex)
+    want = np.linalg.eigvalsh(a)[::-1]
+    for scale in (1e-25, 1e-60):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, vecs = eig_hermitian(a * scale)
+            stacked_vals, _ = eig_hermitian(np.stack([a, a]) * scale)
+        assert np.allclose(vals / scale, want, rtol=0, atol=1e-12)
+        assert np.array_equal(stacked_vals[0], vals)
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-12)

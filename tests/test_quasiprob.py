@@ -110,6 +110,14 @@ def test_find_negativity_rejects_non_finite_step(step):
         find_negativity(step)
 
 
+def test_find_negativity_rejects_nan_threshold():
+    # No cell compares below NaN, so a NaN threshold would quietly find nothing.
+    with pytest.raises(ValueError, match="threshold must not be NaN"):
+        find_negativity(DEG(30.0), threshold=math.nan)
+    assert find_negativity(DEG(30.0), threshold=-math.inf) == []
+    assert len(find_negativity(DEG(30.0), threshold=math.inf)) == 6**3 * 8
+
+
 def test_f_jk_matches_summed_f_jkl_at_every_probe():
     alpha, alpha_prime = 0.4, 1.9
     summed = f_jk(alpha, alpha_prime).values

@@ -9,6 +9,7 @@ import pytest
 from bellcheck import realworld
 from bellcheck.born import chsh_expectation, joint_pmf
 from bellcheck.chsh_operator import chsh_spectrum, sample_outcomes
+from bellcheck.errors import InternalCheckError
 from bellcheck.polarization import AngleConfig, singlet_state
 from bellcheck.realworld import (
     BLOCK_SIZE,
@@ -251,3 +252,14 @@ def test_tensor_expectation_equals_pair_route():
             continue
         assert abs(tensor_chsh_expectation(cfg) - chsh_expectation(cfg)) < 1e-12
     assert tensor_chsh_expectation(OPTIMAL) == pytest.approx(-2 * math.sqrt(2), abs=1e-12)
+
+
+def test_full_born_route_reads_the_256_dimensional_state(monkeypatch):
+    # |e1 e2> in the first pair: if the full route were rebuilt from the
+    # pair tables, it would not see this state and the check would pass.
+    wrong = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    for _ in range(3):
+        wrong = np.kron(wrong, singlet_state())
+    monkeypatch.setattr(realworld, "tensor_state", lambda: wrong)
+    with pytest.raises(InternalCheckError, match="full Born route vs factored route"):
+        tensor_joint_pmf(OPTIMAL)
