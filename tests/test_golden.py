@@ -16,7 +16,10 @@ boundary with certain (zero-probability) cells, and a single draw.  The
 ``correlate``, point-mode ``quasiprob``, ``enumerate`` and single
 ``chsh`` hashes, and the ``--out`` file and manifest of a
 ``t-spectrum`` sweep, were recorded before the cross-checks moved into
-one shared helper.
+one shared helper.  The ``-0`` echoes, the empty JSON sweep and the
+``--out`` files, manifests and replays of ``enumerate counterfactual`` and
+a ``quasiprob`` scan were recorded before every table went through one
+columnar writer.
 """
 
 import hashlib
@@ -26,7 +29,7 @@ import numpy as np
 import pytest
 
 from bellcheck import quasiprob
-from bellcheck.cli import main
+from bellcheck.cli import main, replay
 from bellcheck.quasiprob import NegativityWitness, f_jkl, find_negativity
 
 GOLDEN = {
@@ -68,6 +71,12 @@ GOLDEN = {
         "8d56b95a305444e8d7da7a4885ffeb1791368abaa09adbf86b45b9047dd4ee99",
     ("chsh", "0", "45", "22.5", "-22.5"):
         "9c3d0de9cc84290068fa7781262b1ed93165bf6945f2edc12818cc0c7555687d",
+    ("chsh", "-0", "45", "22.5", "-22.5", "--format", "csv"):
+        "1c562e36a46fbcd5abb57a6356093a1da8e9b540795f757adf9f5f37c0a804a7",
+    ("chsh", "-0", "45", "22.5", "-22.5"):
+        "9c3d0de9cc84290068fa7781262b1ed93165bf6945f2edc12818cc0c7555687d",
+    ("chsh", "0", "45", "0", "10", "--sweep", "180", "--format", "json"):
+        "31851727f99a25b3937454c6cf95bd6ec9f602351ca1572375f7f1bdd3baef64",
 }
 
 
@@ -86,6 +95,29 @@ def test_golden_out_file_and_manifest_bytes(tmp_path):
         "spectrum.csv": "91151131db35bdd58041296f7b755e488ff430ce85811aa8c326fecba35933fd",
         "spectrum.csv.manifest.json": "82acb8604bfeb8695479221c5325a24efde3e3d01a9162413823bfea7a645b1e",
     }
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (
+        ("enumerate", "counterfactual", "--format", "csv"),
+        {
+            "table.txt": "e6cedfc6bbe683c1ae08820c7810bab2d91238c0ebcaf5ea6a01fcf1289bb5e7",
+            "table.txt.manifest.json": "fe48156057c087bfa8094e50e8b1b076b5d77e9aea4a8108715ee0168b247e93",
+        },
+    ),
+    (
+        ("quasiprob", "--scan", "30"),
+        {
+            "table.txt": "c8af22a688505adf13041bb02df4da50be88cd315e1438c67b0700638c79a51c",
+            "table.txt.manifest.json": "60b0a4545cda8abb63562f0166efc4e7bf2c74c28007a176d189f6bd1dcc5ec6",
+        },
+    ),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
+def test_golden_out_file_manifest_and_replay(tmp_path, argv, digests):
+    out = tmp_path / "table.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()} == digests
+    assert replay(str(tmp_path / "table.txt.manifest.json"), str(tmp_path / "again.txt")) == digests["table.txt"]
 
 
 def _cli_stdout(capsys, *argv):
