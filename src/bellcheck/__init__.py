@@ -44,7 +44,7 @@ from .polarization import (
     y_operator,
     z_operator,
 )
-from .quasiprob import NegativityWitness, QuasiPmf2, QuasiPmf3, f_jk, f_jkl, find_negativity, q_reconstruct, q_value
+from .quasiprob import QuasiPmf2, QuasiPmf3, f_jk, f_jkl, find_negativity, q_reconstruct, q_value
 from .realworld import (
     EstimatorResult,
     ExperimentOutcome,
@@ -68,7 +68,6 @@ __all__ = [
     "FeasibilityResult",
     "InternalCheckError",
     "JointPmf2x2",
-    "NegativityWitness",
     "PairMarginals",
     "Pmf2",
     "QuasiPmf2",

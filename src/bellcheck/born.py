@@ -8,7 +8,6 @@ Alice sees value (+1, -1)[k] and Bob sees value (+1, -1)[l].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,9 +142,6 @@ def correlation(alpha: float | np.ndarray, beta: float | np.ndarray) -> float | 
     pair table each; two plain angles give a float.  Non-finite angles
     raise ValueError.
     """
-    for angle in (alpha, beta):
-        if not (math.isfinite(angle) if isinstance(angle, float) else np.isfinite(angle).all()):
-            raise ValueError("angle must be finite")
     p = _pair_probabilities(singlet_state(), alpha, beta)
     c = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
     return float(c) if c.ndim == 0 else c

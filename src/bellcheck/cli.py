@@ -8,9 +8,16 @@ and a sha256 of the output, so any published number can be regenerated
 (see :func:`replay`).
 
 Serialization is deliberately rigid for reproducibility: JSON objects
-have sorted keys, floats are printed with 9 significant digits, and
-output is newline-terminated; CSV is comma-separated with a header row
-and LF line endings.
+have sorted keys, integers are printed exactly and floats with 9
+significant digits (-0 as 0), and output is newline-terminated; CSV is
+comma-separated with a header row and LF line endings.  Every
+header-and-rows output -- the ``correlate`` CSV row, single and swept
+``chsh``/``t-spectrum`` rows, both ``enumerate`` targets, and the
+negative cells and scan witnesses of ``quasiprob`` -- is one columnar
+:class:`Table`, written by one row template: comma-joined for CSV, an
+object with sorted keys for JSON.  ``--format`` takes ``json`` or
+``csv`` for ``correlate``, ``chsh``/``t-spectrum`` and ``enumerate``,
+and only ``json`` for ``simulate``, ``fine`` and ``quasiprob``.
 
 Exit codes: 0 success, 2 usage or validation error, 3 internal
 cross-check failure.
@@ -24,6 +31,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +55,36 @@ TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-def _format_float(x: float) -> str:
-    text = format(float(x), ".9g")
-    # JSON has no -0 or bare "inf"; neither should ever reach here anyway.
-    return "0" if text == "-0" else text
+# The one cell format of every output: integers exactly, floats to 9
+# significant digits.  Floats get + 0.0 first, which turns -0.0 into 0.0
+# (JSON has no -0) and leaves every other float as it is.
+_INT_CELL = "%d"
+_FLOAT_CELL = "%.9g"
+
+
+@dataclass(frozen=True)
+class Table:
+    """Named columns of equal length, written one row per line; a column is integer or float."""
+
+    header: list[str]
+    columns: list
+
+
+def _rows(table: Table, keyed: bool) -> list[str]:
+    """The rows of ``table`` as CSV lines, or (keyed) as JSON objects with sorted keys."""
+    fields = []
+    for name, column in zip(table.header, table.columns):
+        column = np.asarray(column)
+        if column.dtype.kind in "iu":
+            fields.append((name, _INT_CELL, column.tolist()))
+        else:
+            fields.append((name, _FLOAT_CELL, (column + 0.0).tolist()))
+    if keyed:
+        fields.sort(key=lambda field: field[0])
+        template = "{" + ", ".join(f"{json.dumps(name)}: {cell}" for name, cell, _ in fields) + "}"
+    else:
+        template = ",".join(cell for _, cell, _ in fields)
+    return [template % row for row in zip(*(values for _, _, values in fields))]
 
 
 def _json_fragment(value) -> str:
@@ -58,16 +92,18 @@ def _json_fragment(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(value)
+    if isinstance(value, int):
+        return _INT_CELL % value
+    if isinstance(value, float):
+        return _FLOAT_CELL % (value + 0.0)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
         items = sorted(value.items())
         inner = ", ".join(f"{json.dumps(str(k))}: {_json_fragment(v)}" for k, v in items)
         return "{" + inner + "}"
+    if isinstance(value, Table):
+        return "[" + ", ".join(_rows(value, keyed=True)) + "]"
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
@@ -76,24 +112,13 @@ def _json_fragment(value) -> str:
 
 
 def canonical_json(value) -> str:
-    """Deterministic JSON text: sorted keys, 9-significant-digit floats."""
+    """Deterministic JSON text: sorted keys, 9-significant-digit floats; a Table is a list of row objects."""
     return _json_fragment(value) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError("CSV columns are numeric only")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _format_float(value)
-
-
-def canonical_csv(header: list[str], rows: list[tuple], footer: list[str] | None = None) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
-    if footer:
-        lines.extend(footer)
-    return "\n".join(lines) + "\n"
+def canonical_csv(table: Table, footer: list[str] | None = None) -> str:
+    """CSV text: the header line, one line per row, then any footer lines."""
+    return "\n".join([",".join(table.header), *_rows(table, keyed=False), *(footer or [])]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +204,6 @@ def _config_from_args(args: argparse.Namespace) -> AngleConfig:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     alpha, beta = math.radians(args.alpha_deg), math.radians(args.beta_deg)
-    for value in (alpha, beta):
-        if not math.isfinite(value):
-            raise ValueError("angles must be finite")
     table = joint_pmf(singlet_state(), alpha, beta)
     corr = correlation(alpha, beta)
     if (args.format or "json") == "json":
@@ -194,42 +216,35 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         text = canonical_json(payload)
     else:
         header = ["alpha_deg", "beta_deg", "correlation", "p_pp", "p_pm", "p_mp", "p_mm"]
-        row = (args.alpha_deg, args.beta_deg, corr, *table.p.reshape(-1))
-        text = canonical_csv(header, [row])
+        text = canonical_csv(Table(header, [[args.alpha_deg], [args.beta_deg], [corr], *table.p.reshape(4, 1)]))
     _emit(text, args)
     return EXIT_OK
 
 
-def _spectrum_rows(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: list[float]) -> list[tuple]:
+def _spectrum_table(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: np.ndarray) -> Table:
     """One row per beta2 value (degrees, replacing cfg's): echoed angles, e_qm and spectrum."""
     beta2 = np.radians(beta2_deg)
+    echoed = [np.full(beta2.shape, angle) for angle in (args.alpha1_deg, args.alpha2_deg, args.beta1_deg)]
     e_qm = chsh_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
     spectra = chsh_spectra(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
-    columns = (e_qm, spectra.t0, spectra.t1, spectra.w_plus, spectra.w_minus)
-    return [
-        (args.alpha1_deg, args.alpha2_deg, args.beta1_deg, b2, *values)
-        for b2, *values in zip(beta2_deg, *(column.tolist() for column in columns))
-    ]
+    return Table(
+        ["alpha1", "alpha2", "beta1", "beta2", "e_qm", "t0", "t1", "w_plus", "w_minus"],
+        [*echoed, beta2_deg, e_qm, spectra.t0, spectra.t1, spectra.w_plus, spectra.w_minus],
+    )
 
 
 def cmd_chsh(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    header = ["alpha1", "alpha2", "beta1", "beta2", "e_qm", "t0", "t1", "w_plus", "w_minus"]
-    if args.sweep_deg is not None:
+    if args.sweep_deg is None:
+        table = _spectrum_table(args, cfg, np.array([args.beta2_deg]))
+        # A single configuration prints as the JSON object of its one row.
+        text = canonical_csv(table) if args.format == "csv" else _rows(table, keyed=True)[0] + "\n"
+    else:
         # Sweep iterates beta2 over [0, 180); points colliding with beta1
         # (mod 180) are skipped because the configuration is degenerate there.
         grid = np.arange(0.0, 180.0, args.sweep_deg)
-        rows = _spectrum_rows(args, cfg, grid[~same_setting(np.radians(grid), cfg.beta1)].tolist())
-        if (args.format or "csv") == "csv":
-            text = canonical_csv(header, rows)
-        else:
-            text = canonical_json({"rows": [dict(zip(header, row)) for row in rows]})
-    else:
-        (row,) = _spectrum_rows(args, cfg, [args.beta2_deg])
-        if (args.format or "json") == "json":
-            text = canonical_json(dict(zip(header, row)))
-        else:
-            text = canonical_csv(header, [row])
+        table = _spectrum_table(args, cfg, grid[~same_setting(np.radians(grid), cfg.beta1)])
+        text = canonical_json({"rows": table}) if args.format == "json" else canonical_csv(table)
     _emit(text, args)
     return EXIT_OK
 
@@ -263,31 +278,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.target == "realworld":
         records = enumerate_total_sample_space()
-        header = ["x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4", "statistic"]
-        rows = [
-            tuple(v for o in r.outcomes for v in (o.x, o.y)) + (r.statistic,)
-            for r in records
-        ]
+        cells = [[v for o in r.outcomes for v in (o.x, o.y)] + [r.statistic] for r in records]
+        table = Table(["x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4", "statistic"], np.array(cells).T)
         hist = statistic_histogram(records)
-        if (args.format or "csv") == "csv":
-            footer = ["# statistic histogram: " + ",".join(f"{k}:{v}" for k, v in hist.items())]
-            text = canonical_csv(header, rows, footer=footer)
-        else:
-            payload = {
-                "histogram": {str(k): v for k, v in hist.items()},
-                "rows": [dict(zip(header, row)) for row in rows],
-            }
-            text = canonical_json(payload)
+        footer = ["# statistic histogram: " + ",".join(f"{k}:{v}" for k, v in hist.items())]
+        payload = {"histogram": {str(k): v for k, v in hist.items()}, "rows": table}
     else:  # "counterfactual", the only other target argparse admits
-        header = ["k", "l", "m", "n", "a1", "a2", "b1", "b2", "statistic"]
-        rows = [
-            (w.k, w.l, w.m, w.n, *outcome_values(w), outcome_statistic(w))
-            for w in sample_space()
-        ]
-        if (args.format or "csv") == "csv":
-            text = canonical_csv(header, rows)
-        else:
-            text = canonical_json({"rows": [dict(zip(header, row)) for row in rows]})
+        cells = [(w.k, w.l, w.m, w.n, *outcome_values(w), outcome_statistic(w)) for w in sample_space()]
+        table = Table(["k", "l", "m", "n", "a1", "a2", "b1", "b2", "statistic"], np.array(cells).T)
+        footer, payload = None, {"rows": table}
+    text = canonical_json(payload) if args.format == "json" else canonical_csv(table, footer)
     _emit(text, args)
     return EXIT_OK
 
@@ -318,8 +318,6 @@ def cmd_quasiprob(args: argparse.Namespace) -> int:
     if point_mode == (args.scan_deg is not None):
         raise ValueError("give either three angles or --scan <step_deg>")
     if point_mode:
-        if not all(math.isfinite(a) for a in given):
-            raise ValueError("angles must be finite")
         table = f_jkl(
             math.radians(args.alpha_deg),
             math.radians(args.alpha_prime_deg),
@@ -328,6 +326,8 @@ def cmd_quasiprob(args: argparse.Namespace) -> int:
         pair = joint_pmf(singlet_state(), table.alpha, table.beta).p
         pair_prime = joint_pmf(singlet_state(), table.alpha_prime, table.beta).p
         values = table.values
+        negative = values < -1e-12
+        j, k, l = np.nonzero(negative)
         payload = {
             "alpha_deg": args.alpha_deg,
             "alpha_prime_deg": args.alpha_prime_deg,
@@ -338,27 +338,16 @@ def cmd_quasiprob(args: argparse.Namespace) -> int:
                 "marginal_alpha_prime": float(np.max(np.abs(values.sum(axis=0) - pair_prime))),
                 "total": abs(float(values.sum()) - 1.0),
             },
-            "negative_cells": [
-                {"j": int(j) + 1, "k": int(k) + 1, "l": int(l) + 1, "value": float(values[j, k, l])}
-                for j, k, l in np.argwhere(values < -1e-12)
-            ],
+            "negative_cells": Table(["j", "k", "l", "value"], [j + 1, k + 1, l + 1, values[negative]]),
         }
     else:
-        witnesses = find_negativity(math.radians(args.scan_deg))
+        w = find_negativity(math.radians(args.scan_deg))
         payload = {
             "scan_step_deg": args.scan_deg,
-            "witnesses": [
-                {
-                    "alpha_deg": math.degrees(w.alpha),
-                    "alpha_prime_deg": math.degrees(w.alpha_prime),
-                    "beta_deg": math.degrees(w.beta),
-                    "j": w.j,
-                    "k": w.k,
-                    "l": w.l,
-                    "value": w.value,
-                }
-                for w in witnesses
-            ],
+            "witnesses": Table(
+                ["alpha_deg", "alpha_prime_deg", "beta_deg", "j", "k", "l", "value"],
+                [np.degrees(w.alpha), np.degrees(w.alpha_prime), np.degrees(w.beta), w.j, w.k, w.l, w.value],
+            ),
         }
     _emit(canonical_json(payload), args)
     return EXIT_OK
@@ -395,9 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(sp: argparse.ArgumentParser) -> None:
+    def add_output(sp: argparse.ArgumentParser) -> argparse.Action:
+        """Add --out and --format; the returned --format action lets a JSON-only command narrow its choices."""
         sp.add_argument("--out", help="write output to this path, with a .manifest.json beside it")
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
+        return sp.add_argument("--format", choices=("json", "csv"), default=None)
 
     def add_angles4(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("alpha1_deg", type=float, help="Alice setting 1, degrees")
@@ -411,25 +401,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sp)
     sp.set_defaults(func=cmd_correlate)
 
-    for name, help_text in (
-        ("chsh", "CHSH expectation and operator spectrum"),
-        ("t-spectrum", "alias of chsh focused on the spectrum columns"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        add_angles4(sp)
-        sp.add_argument(
-            "--sweep", dest="sweep_deg", type=_grid_step, default=None,
-            help="sweep beta2 over [0, 180) with this step in degrees",
-        )
-        add_output(sp)
-        sp.set_defaults(func=cmd_chsh)
+    # argparse sets args.command to the name typed, so manifests record "t-spectrum" as given.
+    sp = sub.add_parser("chsh", aliases=["t-spectrum"], help="CHSH expectation and operator spectrum")
+    add_angles4(sp)
+    sp.add_argument(
+        "--sweep", dest="sweep_deg", type=_grid_step, default=None,
+        help="sweep beta2 over [0, 180) with this step in degrees",
+    )
+    add_output(sp)
+    sp.set_defaults(func=cmd_chsh)
 
     sp = sub.add_parser("simulate", help="Monte Carlo run of the four experiments")
     add_angles4(sp)
     sp.add_argument("--n", type=_positive_int, required=True, help="pairs per experiment")
     sp.add_argument("--seed", type=_seed, required=True, help="master seed (required: no wall-clock seeding)")
     sp.add_argument("--shards", type=_positive_int, default=1, help="worker shards; results do not depend on it")
-    add_output(sp)
+    add_output(sp).choices = ("json",)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("enumerate", help="exhaustive sample-space tables")
@@ -439,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fine", help="joint-distribution feasibility of the four quantum pair tables")
     add_angles4(sp)
-    add_output(sp)
+    add_output(sp).choices = ("json",)
     sp.set_defaults(func=cmd_fine)
 
     sp = sub.add_parser("quasiprob", help="quasi-probability table or negativity scan")
@@ -447,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("alpha_prime_deg", type=float, nargs="?", default=None)
     sp.add_argument("beta_deg", type=float, nargs="?", default=None)
     sp.add_argument("--scan", dest="scan_deg", type=_grid_step, default=None, help="grid step in degrees")
-    add_output(sp)
+    add_output(sp).choices = ("json",)
     sp.set_defaults(func=cmd_quasiprob)
 
     return parser

@@ -32,12 +32,10 @@ MAX_KRON_DIM = 65_536
 # (tests/test_golden.py) were computed with.
 _OFF_TOL = 2.5e-14
 # Off-diagonal entries below _SKIP * ||A||_F are left alone: they are far
-# below the stop target, and dividing by them could overflow.  For small
-# ||A||_F that product falls below _SKIP_FLOOR, the least float whose
-# reciprocal is finite, and dividing by an entry below it (an exact zero
-# too) overflows, so the threshold never drops below it.
+# below the stop target, and dividing by them could overflow.  Matrices
+# are scaled so that ||A||_F >= 1/2, where this threshold is a normal
+# float whose reciprocal is finite.
 _SKIP = 1e-300
-_SKIP_FLOOR = 5.56268464626801e-309  # nextafter(2**-1024, 1)
 _MAX_SWEEPS = 100
 
 
@@ -179,7 +177,8 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     Every matrix of a stack gets its own rotations, in the same cyclic
     (p, q) order, touching only rows and columns p and q; a matrix whose
     off-diagonal norm is below 2.5e-14 of its Frobenius norm is frozen.
-    Each result is bit-identical to solving that matrix alone.  While
+    Each result is bit-identical to solving that matrix alone, and to
+    solving it scaled by any power of two that keeps it normal.  While
     only one matrix is active (always, for a lone matrix), sweeps take
     the scalar path ``_sweep_alone``, which computes each rotation in
     Python floats but with numpy's roundings of |apq| and of the complex
@@ -197,14 +196,21 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     if hermiticity_defect(a) > tol:
         raise ValueError(f"matrix is not Hermitian within tol={tol}")
 
-    stack = a.reshape((-1, n, n))
+    # Each matrix is scaled by a power of two so that its largest real or
+    # imaginary part lies in [1/2, 1).  That is exact (save for entries
+    # below 2**-1022 of the largest), so no rotation changes, and the
+    # squared norm below can neither underflow nor overflow; the
+    # eigenvalues are scaled back at the end.
+    parts = np.ascontiguousarray(a).view(np.float64).reshape(-1, n, 2 * n)
+    _, exponent = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))
+    stack = np.ldexp(parts, -exponent[:, None, None]).view(np.complex128)
     work = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
     # Rows :n hold the matrix, rows n: the eigenvectors, so a single
     # product applies each rotation's column update to both.
     both = np.concatenate([work, np.broadcast_to(np.eye(n, dtype=np.complex128), work.shape)], axis=1)
     norm_sq = (work.real**2 + work.imag**2).reshape(len(work), n * n).sum(axis=1)
     target_sq = _OFF_TOL**2 * norm_sq
-    skip = np.maximum(_SKIP * np.sqrt(norm_sq), _SKIP_FLOOR)
+    skip = _SKIP * np.sqrt(norm_sq)
     pairs = [(p, q, np.array([p, q])) for p in range(n - 1) for q in range(p + 1, n)]
 
     active = np.flatnonzero(_off_diagonal_sq(both, n) > target_sq)
@@ -226,6 +232,6 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
 
     vals = np.diagonal(both[:, :n], axis1=1, axis2=2).real
     order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
+    vals = np.ldexp(np.take_along_axis(vals, order, axis=1), exponent[:, None])
     vecs = np.take_along_axis(both[:, n:], order[:, None, :], axis=2)
     return vals.reshape(a.shape[:-1]), vecs.reshape(a.shape)

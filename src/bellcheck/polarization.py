@@ -79,8 +79,12 @@ def basis_matrix(phi: float | np.ndarray) -> np.ndarray:
 
     Row 0 is the +1 port direction (cos phi, sin phi), row 1 the
     orthogonal -1 port direction (-sin phi, cos phi).  An array of angles
-    gives a stack of shape ``phi.shape + (2, 2)``.
+    gives a stack of shape ``phi.shape + (2, 2)``.  Every angle enters
+    the Hilbert space here, so this is where a NaN or infinite angle
+    raises ValueError; a float takes the ``math.isfinite`` fast path.
     """
+    if not (math.isfinite(phi) if isinstance(phi, float) else np.isfinite(phi).all()):
+        raise ValueError("angle must be finite")
     c, s = np.cos(phi), np.sin(phi)
     b = np.empty(np.shape(phi) + (2, 2), dtype=np.complex128)
     b[..., 0, 0] = c

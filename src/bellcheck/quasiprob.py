@@ -143,30 +143,19 @@ def f_jk(alpha: float, alpha_prime: float) -> QuasiPmf2:
     return QuasiPmf2(summed[0], alpha, alpha_prime)
 
 
-@dataclass(frozen=True)
-class NegativityWitness:
-    """One negative cell found on a grid scan; indices are 1-based."""
-
-    alpha: float
-    alpha_prime: float
-    beta: float
-    j: int
-    k: int
-    l: int
-    value: float
-
-
-def find_negativity(grid_step: float, threshold: float = -1e-12) -> list[NegativityWitness]:
+def find_negativity(grid_step: float, threshold: float = -1e-12) -> np.recarray:
     """Scan an angle grid for negative quasi-probability cells.
 
     All three angles run over [0, pi) in steps of ``grid_step`` radians.
-    Returns every cell below ``threshold``, sorted by value ascending
-    with ties broken lexicographically by (alpha, alpha', beta, j, k, l);
-    a threshold of +inf returns every cell, and NaN raises ValueError.
-    Any grid with step <= 15 degrees contains negative cells.  Tables are
-    built a block of alpha values at a time, about a million cells per
-    block, so memory beyond the returned witnesses stays bounded however
-    fine the grid.
+    Returns every cell below ``threshold`` as one record array with
+    fields ``alpha, alpha_prime, beta`` (radians), ``j, k, l`` (1-based
+    cell indices) and ``value``, one record per cell, sorted by value
+    ascending with ties broken lexicographically by (alpha, alpha', beta,
+    j, k, l); a threshold of +inf returns every cell, and NaN raises
+    ValueError.  Any grid with step <= 15 degrees contains negative
+    cells.  Tables are built a block of alpha values at a time, about a
+    million cells per block, so memory beyond the returned columns stays
+    bounded however fine the grid.
     """
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError("grid_step must be positive and finite")
@@ -186,8 +175,8 @@ def find_negativity(grid_step: float, threshold: float = -1e-12) -> list[Negativ
         found.append((table[negative], alpha_idx + start, *rest))
     values, *index = (np.concatenate(column) for column in zip(*found))
     order = np.lexsort((*index[::-1], values))
-    angles = grid.tolist()
-    return [
-        NegativityWitness(angles[a], angles[ap], angles[b], j + 1, k + 1, l + 1, value)
-        for value, a, ap, b, j, k, l in zip(*(column[order].tolist() for column in (values, *index)))
-    ]
+    a, ap, b, j, k, l = (column[order] for column in index)
+    return np.rec.fromarrays(
+        [grid[a], grid[ap], grid[b], j + 1, k + 1, l + 1, values[order]],
+        names=["alpha", "alpha_prime", "beta", "j", "k", "l", "value"],
+    )

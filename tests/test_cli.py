@@ -290,3 +290,26 @@ def test_sweep_with_every_point_degenerate_prints_header_only(capsys):
     code, out = run_cli(capsys, "chsh", "0", "45", "0", "10", "--sweep", "180")
     assert code == 0
     assert out == "alpha1,alpha2,beta1,beta2,e_qm,t0,t1,w_plus,w_minus\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "0", "45", "22.5", "-22.5", "--n", "10", "--seed", "1"),
+    ("fine", "0", "45", "22.5", "-22.5"),
+    ("quasiprob", "0", "60", "30"),
+], ids=lambda argv: argv[0])
+def test_json_only_commands_reject_csv(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.txt.manifest.json").exists()
+    # --format json stays legal, so manifests that record it still replay
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [("correlate", "nan", "0"), ("correlate", "0", "inf"), ("quasiprob", "0", "nan", "30")])
+def test_non_finite_angles_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "angle must be finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -30,7 +30,7 @@ import pytest
 
 from bellcheck import quasiprob
 from bellcheck.cli import main, replay
-from bellcheck.quasiprob import NegativityWitness, f_jkl, find_negativity
+from bellcheck.quasiprob import f_jkl, find_negativity
 
 GOLDEN = {
     ("chsh", "0", "45", "22.5", "-22.5", "--sweep", "5"):
@@ -136,6 +136,11 @@ def test_scan_kernel_matches_scalar_f_jkl_bitwise():
     assert np.array_equal(got, want)
 
 
+def _same_records(got, want):
+    """Equal field names, dtypes, order and values, compared bitwise field by field."""
+    return got.dtype == want.dtype and all(np.array_equal(got[name], want[name]) for name in got.dtype.names)
+
+
 def test_scan_matches_per_point_reference():
     step = math.radians(15.0)
     reference = []
@@ -144,19 +149,20 @@ def test_scan_matches_per_point_reference():
             for beta in np.arange(0.0, math.pi, step).tolist():
                 table = f_jkl(alpha, alpha_prime, beta).values
                 for j, k, l in np.argwhere(table < -1e-12):
-                    reference.append(NegativityWitness(
-                        alpha, alpha_prime, beta, int(j) + 1, int(k) + 1, int(l) + 1, float(table[j, k, l])
-                    ))
-    reference.sort(key=lambda w: (w.value, w.alpha, w.alpha_prime, w.beta, w.j, w.k, w.l))
-    assert find_negativity(step) == reference
+                    reference.append((float(table[j, k, l]), alpha, alpha_prime, beta, int(j) + 1, int(k) + 1, int(l) + 1))
+    reference.sort()  # by value, then (alpha, alpha', beta, j, k, l)
+    got = find_negativity(step)
+    assert got.dtype.names == ("alpha", "alpha_prime", "beta", "j", "k", "l", "value")
+    for name, column in zip(("value", "alpha", "alpha_prime", "beta", "j", "k", "l"), zip(*reference)):
+        assert np.array_equal(got[name], column), name
 
 
 def test_scan_blocks_do_not_change_witnesses(monkeypatch):
     whole = find_negativity(math.radians(15.0))
     monkeypatch.setattr(quasiprob, "_CHUNK_CELLS", 8 * 12 * 12 * 5)  # five alphas per block, ragged end
-    assert find_negativity(math.radians(15.0)) == whole
+    assert _same_records(find_negativity(math.radians(15.0)), whole)
     monkeypatch.setattr(quasiprob, "_CHUNK_CELLS", 1)  # one alpha per block
-    assert find_negativity(math.radians(15.0)) == whole
+    assert _same_records(find_negativity(math.radians(15.0)), whole)
 
 
 @pytest.mark.parametrize("angles", [("10.5", "50.25", "20.125", "30"), ("0", "45", "20", "-22.5")])

@@ -268,3 +268,26 @@ def test_eig_skips_exact_zero_couplings_at_tiny_scale():
         assert np.allclose(vals / scale, want, rtol=0, atol=1e-12)
         assert np.array_equal(stacked_vals[0], vals)
         assert np.allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+def test_eig_where_the_squared_norm_under_or_overflows(scale):
+    # ||A||_F^2 is 0 or inf in float64 at these scales; the solver must
+    # still rotate instead of returning the unrotated diagonal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, vecs = eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]) * scale)
+        op = chsh_operator(AngleConfig.from_degrees(10.5, 50.25, 20.125, 30))
+        chsh_vals, _ = eig_hermitian(op * scale)
+    assert np.allclose(vals / scale, [1.0, -1.0], rtol=0, atol=1e-15)
+    assert np.allclose(vecs.conj().T @ vecs, I2, atol=1e-15)
+    assert np.allclose(chsh_vals / scale, eig_hermitian(op)[0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("power", [-900, -300, 300, 900])
+def test_eig_is_bitwise_invariant_under_power_of_two_scaling(power):
+    op = chsh_operator(AngleConfig.from_degrees(105.528, 109.043, 92.049, 177.716))
+    vals, vecs = eig_hermitian(op)
+    scaled_vals, scaled_vecs = eig_hermitian(op * 2.0**power)
+    assert np.array_equal(scaled_vals, vals * 2.0**power)
+    assert np.array_equal(scaled_vecs, vecs)

@@ -1,11 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from bellcheck.born import correlation, joint_pmf
 from bellcheck.linalg import commutator
 from bellcheck.polarization import (
     AngleConfig,
+    basis_matrix,
     reduce_mod_pi,
     rotated_basis,
     same_setting,
@@ -14,6 +17,7 @@ from bellcheck.polarization import (
     y_operator,
     z_operator,
 )
+from bellcheck.quasiprob import f_jk, f_jkl, q_reconstruct, q_value
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 
@@ -101,3 +105,32 @@ def test_angle_config_validation():
         AngleConfig.from_degrees(0.0, 45.0, 90.0, -90.0)
     with pytest.raises(ValueError, match="finite"):
         AngleConfig(0.0, 1.0, 0.5, math.nan)
+
+
+_ANGLE_FUNCTIONS = {
+    "basis_matrix": (basis_matrix, 1),
+    "rotated_basis": (rotated_basis, 1),
+    "z_operator": (z_operator, 1),
+    "x_operator": (x_operator, 1),
+    "y_operator": (y_operator, 1),
+    "correlation": (correlation, 2),
+    "joint_pmf": (functools.partial(joint_pmf, singlet_state()), 2),
+    "f_jkl": (f_jkl, 3),
+    "f_jk": (f_jk, 2),
+    "q_value": (q_value, 3),
+    "q_reconstruct": (q_reconstruct, 3),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name, position", [(name, i) for name, (_, arity) in _ANGLE_FUNCTIONS.items() for i in range(arity)]
+)
+def test_non_finite_angle_raises_value_error(name, position, bad):
+    # Every angle passes through basis_matrix, which rejects it before any
+    # table is built, so no NaN matrix and no InternalCheckError comes out.
+    fn, arity = _ANGLE_FUNCTIONS[name]
+    angles = [0.3, 1.1, 2.0][:arity]
+    angles[position] = bad
+    with pytest.raises(ValueError, match="angle must be finite"):
+        fn(*angles)
