@@ -307,7 +307,9 @@ def test_json_only_commands_reject_csv(tmp_path, capsys, argv):
     assert json.loads(capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("argv", [("correlate", "nan", "0"), ("correlate", "0", "inf"), ("quasiprob", "0", "nan", "30")])
+@pytest.mark.parametrize(
+    "argv", [("correlate", "nan", "0"), ("correlate", "0", "inf"), ("quasiprob", "0", "nan", "30")]
+)
 def test_non_finite_angles_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 2

@@ -137,7 +137,7 @@ def test_scan_kernel_matches_scalar_f_jkl_bitwise():
 
 
 def _same_records(got, want):
-    """Equal field names, dtypes, order and values, compared bitwise field by field."""
+    """Equal field names and dtypes, and every field equal in order under np.array_equal."""
     return got.dtype == want.dtype and all(np.array_equal(got[name], want[name]) for name in got.dtype.names)
 
 
@@ -149,7 +149,8 @@ def test_scan_matches_per_point_reference():
             for beta in np.arange(0.0, math.pi, step).tolist():
                 table = f_jkl(alpha, alpha_prime, beta).values
                 for j, k, l in np.argwhere(table < -1e-12):
-                    reference.append((float(table[j, k, l]), alpha, alpha_prime, beta, int(j) + 1, int(k) + 1, int(l) + 1))
+                    cell = (float(table[j, k, l]), alpha, alpha_prime, beta, int(j) + 1, int(k) + 1, int(l) + 1)
+                    reference.append(cell)
     reference.sort()  # by value, then (alpha, alpha', beta, j, k, l)
     got = find_negativity(step)
     assert got.dtype.names == ("alpha", "alpha_prime", "beta", "j", "k", "l", "value")
