@@ -17,7 +17,6 @@ t0 = 2 sqrt(2) and the outcome is deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import check
 from .linalg import eig_hermitian, hermiticity_defect, kron
 from .polarization import AngleConfig, same_setting, singlet_state, z_operator
-from .realworld import EstimatorResult, _check_draw_count, _uniform_blocks
+from .realworld import EstimatorResult, _check_draw_count, _two_point_estimate
 
 # Stream id for outcome sampling; experiment streams use ids 1..4.
 _SAMPLER_STREAM = 0
@@ -155,22 +154,18 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
 def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     """Draw n single-shot CHSH outcomes (+-t0) and estimate their mean.
 
-    Uses the same counter-indexed stream layout as the experiment
-    samplers, so results are reproducible for a fixed seed regardless of
-    sharding.  Draws are counted block by block, so memory does not grow
-    with ``n`` (1 <= n <= 2**53).  The mean converges on the CHSH
+    Draw u of stream 0 gives +t0 when u < w_plus and -t0 otherwise.  The
+    stream has the counter-indexed layout of the experiment streams, and
+    the draws go through the same block-counting estimator as
+    :func:`~bellcheck.realworld.run_experiments`, so results are
+    reproducible for a fixed seed regardless of sharding, and memory does
+    not grow with ``n`` (1 <= n <= 2**53).  Below t0 = 1e-9 the outcome is
+    exactly 0 and nothing is drawn.  The mean converges on the CHSH
     expectation.
     """
     _check_draw_count(n)
     spectrum = chsh_spectrum(cfg)
     if spectrum.t0 < _T0_FLOOR:
         return EstimatorResult(0.0, 0.0, n)
-    # Outcomes take only the two values +-t0, so counts give the exact
-    # sample moments: v^2 = t0^2 identically.
-    blocks = _uniform_blocks(seed, _SAMPLER_STREAM, n)
-    k_plus = sum(int(np.count_nonzero(u < spectrum.w_plus)) for u in blocks)
-    mean = spectrum.t0 * ((2 * k_plus - n) / n)
-    if n < 2:
-        return EstimatorResult(mean, 0.0, n)
-    var = max(spectrum.t0**2 - mean * mean, 0.0) * n / (n - 1)
-    return EstimatorResult(mean, math.sqrt(var / n), n)
+    # -t0 on the band w_plus <= u < 1, which holds every draw u >= w_plus.
+    return _two_point_estimate(spectrum.t0, spectrum.w_plus, 1.0, seed, _SAMPLER_STREAM, n)

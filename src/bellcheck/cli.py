@@ -144,14 +144,9 @@ _FLAGS: dict[str, str] = {
 }
 
 
-def _manifest_parameters(args: argparse.Namespace) -> dict:
-    params: dict = {}
-    for name in _POSITIONALS[args.command]:
-        params[name] = getattr(args, name)
-    for name in _FLAGS:
-        if getattr(args, name, None) is not None:
-            params[name] = getattr(args, name)
-    return params
+def _echo(args: argparse.Namespace, *flags: str) -> dict:
+    """The command's positional arguments, then the named flags, as given: name -> value."""
+    return {name: getattr(args, name) for name in (*_POSITIONALS[args.command], *flags)}
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -165,7 +160,7 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         "artifact_version": __version__,
         "command": args.command,
         "output": os.path.basename(out),
-        "parameters": _manifest_parameters(args),
+        "parameters": _echo(args, *(name for name in _FLAGS if getattr(args, name, None) is not None)),
         "sha256": hashlib.sha256(data).hexdigest(),
     }
     Path(str(out) + ".manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
@@ -196,29 +191,20 @@ def replay(manifest_path: str, out_path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its output text, and main emits it
 
 def _config_from_args(args: argparse.Namespace) -> AngleConfig:
     return AngleConfig.from_degrees(args.alpha1_deg, args.alpha2_deg, args.beta1_deg, args.beta2_deg)
 
 
-def cmd_correlate(args: argparse.Namespace) -> int:
+def cmd_correlate(args: argparse.Namespace) -> str:
     alpha, beta = math.radians(args.alpha_deg), math.radians(args.beta_deg)
     table = joint_pmf(singlet_state(), alpha, beta)
     corr = correlation(alpha, beta)
     if (args.format or "json") == "json":
-        payload = {
-            "alpha_deg": args.alpha_deg,
-            "beta_deg": args.beta_deg,
-            "correlation": corr,
-            "pmf": table.p,
-        }
-        text = canonical_json(payload)
-    else:
-        header = ["alpha_deg", "beta_deg", "correlation", "p_pp", "p_pm", "p_mp", "p_mm"]
-        text = canonical_csv(Table(header, [[args.alpha_deg], [args.beta_deg], [corr], *table.p.reshape(4, 1)]))
-    _emit(text, args)
-    return EXIT_OK
+        return canonical_json({**_echo(args), "correlation": corr, "pmf": table.p})
+    header = ["alpha_deg", "beta_deg", "correlation", "p_pp", "p_pm", "p_mp", "p_mm"]
+    return canonical_csv(Table(header, [[args.alpha_deg], [args.beta_deg], [corr], *table.p.reshape(4, 1)]))
 
 
 def _spectrum_table(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: np.ndarray) -> Table:
@@ -233,36 +219,27 @@ def _spectrum_table(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: np.nd
     )
 
 
-def cmd_chsh(args: argparse.Namespace) -> int:
+def cmd_chsh(args: argparse.Namespace) -> str:
     cfg = _config_from_args(args)
     if args.sweep_deg is None:
         table = _spectrum_table(args, cfg, np.array([args.beta2_deg]))
         # A single configuration prints as the JSON object of its one row.
-        text = canonical_csv(table) if args.format == "csv" else _rows(table, keyed=True)[0] + "\n"
-    else:
-        # Sweep iterates beta2 over [0, 180); points colliding with beta1
-        # (mod 180) are skipped because the configuration is degenerate there.
-        grid = np.arange(0.0, 180.0, args.sweep_deg)
-        table = _spectrum_table(args, cfg, grid[~same_setting(np.radians(grid), cfg.beta1)])
-        text = canonical_json({"rows": table}) if args.format == "json" else canonical_csv(table)
-    _emit(text, args)
-    return EXIT_OK
+        return canonical_csv(table) if args.format == "csv" else _rows(table, keyed=True)[0] + "\n"
+    # Sweep iterates beta2 over [0, 180); points colliding with beta1
+    # (mod 180) are skipped because the configuration is degenerate there.
+    grid = np.arange(0.0, 180.0, args.sweep_deg)
+    table = _spectrum_table(args, cfg, grid[~same_setting(np.radians(grid), cfg.beta1)])
+    return canonical_json({"rows": table}) if args.format == "json" else canonical_csv(table)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> str:
     cfg = _config_from_args(args)
     # Draw streams are counter-indexed, so the shard count cannot change
     # any sampled value; it is recorded for the manifest only.
     per_experiment, combined = run_experiments(cfg, args.n, args.seed)
     payload = {
-        "alpha1_deg": args.alpha1_deg,
-        "alpha2_deg": args.alpha2_deg,
-        "beta1_deg": args.beta1_deg,
-        "beta2_deg": args.beta2_deg,
-        "n": args.n,
-        "seed": args.seed,
-        "shards": args.shards,
-        "e_rw": {"mean": combined.mean, "n": combined.n, "stderr": combined.stderr},
+        **_echo(args, "n", "seed", "shards"),
+        "e_rw": vars(combined),
         "flags": {
             "exceeds_2": abs(combined.mean) > 2.0,
             "exceeds_2sqrt2": abs(combined.mean) > TWO_SQRT_TWO,
@@ -270,12 +247,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
     }
     for idx, est in enumerate(per_experiment, start=1):
-        payload[f"c{idx}"] = {"mean": est.mean, "n": est.n, "stderr": est.stderr}
-    _emit(canonical_json(payload), args)
-    return EXIT_OK
+        payload[f"c{idx}"] = vars(est)
+    return canonical_json(payload)
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> str:
     if args.target == "realworld":
         records = enumerate_total_sample_space()
         cells = [[v for o in r.outcomes for v in (o.x, o.y)] + [r.statistic] for r in records]
@@ -287,30 +263,24 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         cells = [(w.k, w.l, w.m, w.n, *outcome_values(w), outcome_statistic(w)) for w in sample_space()]
         table = Table(["k", "l", "m", "n", "a1", "a2", "b1", "b2", "statistic"], np.array(cells).T)
         footer, payload = None, {"rows": table}
-    text = canonical_json(payload) if args.format == "json" else canonical_csv(table, footer)
-    _emit(text, args)
-    return EXIT_OK
+    return canonical_json(payload) if args.format == "json" else canonical_csv(table, footer)
 
 
-def cmd_fine(args: argparse.Namespace) -> int:
+def cmd_fine(args: argparse.Namespace) -> str:
     cfg = _config_from_args(args)
     result = fine_feasibility(quantum_pair_marginals(cfg))
     payload = {
-        "alpha1_deg": args.alpha1_deg,
-        "alpha2_deg": args.alpha2_deg,
-        "beta1_deg": args.beta1_deg,
-        "beta2_deg": args.beta2_deg,
+        **_echo(args),
         "chsh_variants": result.chsh_value,
         "feasible": result.feasible,
         "marginal_residual": result.marginal_residual,
         # Witness probabilities flattened over (k, l, m, n), row-major.
         "witness": None if result.witness is None else result.witness.probabilities.reshape(-1),
     }
-    _emit(canonical_json(payload), args)
-    return EXIT_OK
+    return canonical_json(payload)
 
 
-def cmd_quasiprob(args: argparse.Namespace) -> int:
+def cmd_quasiprob(args: argparse.Namespace) -> str:
     given = [a for a in (args.alpha_deg, args.alpha_prime_deg, args.beta_deg) if a is not None]
     if len(given) not in (0, 3):
         raise ValueError("quasiprob needs all three angles: alpha, alpha', beta")
@@ -329,9 +299,7 @@ def cmd_quasiprob(args: argparse.Namespace) -> int:
         negative = values < -1e-12
         j, k, l = np.nonzero(negative)
         payload = {
-            "alpha_deg": args.alpha_deg,
-            "alpha_prime_deg": args.alpha_prime_deg,
-            "beta_deg": args.beta_deg,
+            **_echo(args),
             "f": values,
             "residuals": {
                 "marginal_alpha": float(np.max(np.abs(values.sum(axis=1) - pair))),
@@ -349,8 +317,7 @@ def cmd_quasiprob(args: argparse.Namespace) -> int:
                 [np.degrees(w.alpha), np.degrees(w.alpha_prime), np.degrees(w.beta), w.j, w.k, w.l, w.value],
             ),
         }
-    _emit(canonical_json(payload), args)
-    return EXIT_OK
+    return canonical_json(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        _emit(args.func(args), args)
+        return EXIT_OK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

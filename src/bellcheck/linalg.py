@@ -163,10 +163,12 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     Parameters
     ----------
     a : square matrix, or stack of them with shape ``(..., n, n)``,
-        Hermitian within ``tol`` (entrywise).
-    tol : hermiticity admission tolerance; orthonormality and residual of
-        the returned decomposition are good to well below ``10 * tol``
-        relative to the norm of the matrix.
+        each Hermitian within ``tol`` (entrywise).
+    tol : hermiticity admission tolerance, relative to the largest real
+        or imaginary part, within a factor of two; a NaN ``tol`` admits
+        nothing.  Orthonormality and residual of the returned
+        decomposition are good to well below ``10 * tol`` relative to
+        the norm of the matrix.
 
     Returns
     -------
@@ -193,17 +195,18 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     n = a.shape[-1]
     if n != a.shape[-2]:
         raise ValueError(f"eig_hermitian needs a square matrix, got {a.shape}")
-    if hermiticity_defect(a) > tol:
-        raise ValueError(f"matrix is not Hermitian within tol={tol}")
 
     # Each matrix is scaled by a power of two so that its largest real or
     # imaginary part lies in [1/2, 1).  That is exact (save for entries
-    # below 2**-1022 of the largest), so no rotation changes, and the
-    # squared norm below can neither underflow nor overflow; the
-    # eigenvalues are scaled back at the end.
+    # below 2**-1022 of the largest), so no rotation changes, the
+    # hermiticity check is relative, and the squared norm below can
+    # neither underflow nor overflow; the eigenvalues are scaled back at
+    # the end.
     parts = np.ascontiguousarray(a).view(np.float64).reshape(-1, n, 2 * n)
     _, exponent = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))
     stack = np.ldexp(parts, -exponent[:, None, None]).view(np.complex128)
+    if not hermiticity_defect(stack) <= tol:
+        raise ValueError(f"matrix is not Hermitian within tol={tol} relative to its largest entry")
     work = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
     # Rows :n hold the matrix, rows n: the eigenvectors, so a single
     # product applies each rotation's column update to both.

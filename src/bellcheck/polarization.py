@@ -25,20 +25,19 @@ def reduce_mod_pi(angle: float | np.ndarray) -> float | np.ndarray:
     return angle % math.pi
 
 
-def same_setting(
-    a: float | np.ndarray, b: float | np.ndarray, tol: float = ANGLE_EQUALITY_TOL
-) -> bool | np.ndarray:
-    """True when two angles describe the same polarizer setting mod pi, elementwise for arrays."""
+def same_setting(a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndarray:
+    """True when two angles are the same polarizer setting mod pi (to ANGLE_EQUALITY_TOL), elementwise."""
     d = abs(reduce_mod_pi(a) - reduce_mod_pi(b))
-    return np.minimum(d, math.pi - d) <= tol
+    return np.minimum(d, math.pi - d) <= ANGLE_EQUALITY_TOL
 
 
 @dataclass(frozen=True)
 class AngleConfig:
     """The four polarizer settings (alpha1, alpha2, beta1, beta2), radians.
 
-    Alice's two settings must differ mod pi, and likewise Bob's; a CHSH
-    combination with coincident settings on one side is degenerate.
+    Every angle must be finite.  Alice's two settings must differ mod pi,
+    and likewise Bob's; a CHSH combination with coincident settings on
+    one side is degenerate.
     """
 
     alpha1: float
@@ -47,9 +46,7 @@ class AngleConfig:
     beta2: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2", "beta1", "beta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        # same_setting rejects a non-finite angle through reduce_mod_pi.
         if same_setting(self.alpha1, self.alpha2):
             raise ValueError("alpha1 and alpha2 coincide mod pi")
         if same_setting(self.beta1, self.beta2):

@@ -13,9 +13,12 @@ its own photon pair.  This module provides
 Random streams are counter-indexed: draw ``i`` of experiment ``n`` lives
 in block ``i // BLOCK_SIZE`` whose generator is seeded from
 ``SeedSequence([seed, n, block])``.  Results are therefore bit-identical
-no matter how draws are sharded across workers.  Samplers count outcomes
-block by block instead of keeping the draws, so their memory does not
-grow with the number of draws.
+no matter how draws are sharded across workers.  Both seeded samplers,
+:func:`run_experiments` and :func:`~bellcheck.chsh_operator.sample_outcomes`,
+estimate the mean of a two-valued outcome with one estimator.  It counts
+the draws in one band of [0, 1) block by block instead of keeping them,
+so memory does not grow with the number of draws, and the sample moments
+follow exactly from that count.
 """
 
 from __future__ import annotations
@@ -89,14 +92,6 @@ class EstimatorResult:
             raise ValueError("stderr must be non-negative")
 
 
-def _estimate(total: float, total_sq: float, n: int) -> EstimatorResult:
-    mean = total / n
-    if n < 2:
-        return EstimatorResult(mean, 0.0, n)
-    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    return EstimatorResult(mean, math.sqrt(var / n), n)
-
-
 def _pair_cdf(alpha: float, beta: float) -> np.ndarray:
     """Cumulative cell probabilities in the fixed CELL_VALUES order."""
     p = joint_pmf(singlet_state(), alpha, beta).p
@@ -108,8 +103,9 @@ def sample_pair(alpha: float, beta: float, rng: np.random.Generator) -> tuple[in
 
     Inverse-CDF over the four cells using a single uniform, so exactly
     one draw of ``rng`` is consumed per call.  A draw u lands in cell
-    #{j < 3 : cdf[j] <= u}, which is min(searchsorted(cdf, u, "right"), 3);
-    the block samplers count the same rule.
+    #{j < 3 : cdf[j] <= u}, which is min(searchsorted(cdf, u, "right"), 3).
+    By the same rule x*y = -1 exactly on cdf[0] <= u < cdf[2], the band
+    :func:`run_experiments` counts block by block.
     """
     cdf = _pair_cdf(alpha, beta)
     return CELL_VALUES[int((rng.random() >= cdf[:3]).sum())]
@@ -152,12 +148,22 @@ def _check_draw_count(n: int) -> None:
         raise ValueError("n must be at most 2**53 = 9007199254740992: larger counts are not exact in float64")
 
 
-def _cell_counts(cdf: np.ndarray, seed: int, stream: int, n: int) -> np.ndarray:
-    """How many of the first ``n`` draws of a stream land in each cell (rule of ``sample_pair``)."""
-    at_least = np.zeros(3, dtype=np.int64)  # draws with u >= cdf[j]
+def _two_point_estimate(magnitude: float, lo: float, hi: float, seed: int, stream: int, n: int) -> EstimatorResult:
+    """Mean and standard error of ``n`` outcomes +-magnitude drawn from a counter-indexed stream.
+
+    Draw u gives -magnitude when lo <= u < hi and +magnitude otherwise.
+    The -magnitude count is an integer of at most n <= 2**53, and every
+    squared outcome is magnitude**2, so both sample moments are exact.
+    """
+    _check_draw_count(n)
+    minus = 0
     for u in _uniform_blocks(seed, stream, n):
-        at_least += [np.count_nonzero(u >= t) for t in cdf[:3]]
-    return -np.diff(np.concatenate(([n], at_least, [0])))
+        minus += int(np.count_nonzero(u >= lo)) - int(np.count_nonzero(u >= hi))
+    mean = magnitude * ((n - 2 * minus) / n)
+    if n < 2:
+        return EstimatorResult(mean, 0.0, n)
+    var = max(magnitude**2 - mean * mean, 0.0) * n / (n - 1)
+    return EstimatorResult(mean, math.sqrt(var / n), n)
 
 
 def run_experiments(
@@ -171,14 +177,11 @@ def run_experiments(
     per-experiment product estimates C1..C4 and the combination
     C1 + C2 + C3 - C4 with standard errors combined in quadrature.
     """
-    _check_draw_count(n)
     estimates = []
     for idx, (a, b) in enumerate(cfg.experiment_angles(), start=1):
-        counts = _cell_counts(_pair_cdf(a, b), seed, idx, n)
-        # x*y is +1 on cells 0 and 3 and -1 on cells 1 and 2, and (x*y)^2 = 1:
-        # both sums are integers of magnitude <= n <= 2**53, hence exact.
-        total = int(counts[0] - counts[1] - counts[2] + counts[3])
-        estimates.append(_estimate(float(total), float(n), n))
+        # x*y is -1 on cells 1 and 2, the draws with cdf[0] <= u < cdf[2].
+        cdf = _pair_cdf(a, b)
+        estimates.append(_two_point_estimate(1.0, cdf[0], cdf[2], seed, idx, n))
     signs = (1.0, 1.0, 1.0, -1.0)
     mean = sum(s * e.mean for s, e in zip(signs, estimates))
     stderr = math.sqrt(sum(e.stderr**2 for e in estimates))

@@ -291,3 +291,22 @@ def test_eig_is_bitwise_invariant_under_power_of_two_scaling(power):
     scaled_vals, scaled_vecs = eig_hermitian(op * 2.0**power)
     assert np.array_equal(scaled_vals, vals * 2.0**power)
     assert np.array_equal(scaled_vecs, vecs)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e8])
+def test_eig_admits_hermitian_matrices_at_any_scale(scale):
+    # the rounding defect of q D q^H grows with the scale; admission is relative
+    q, _ = np.linalg.qr(random_complex(np.random.default_rng(8), (4, 4)))
+    vals, _ = eig_hermitian(q @ np.diag([4.0, 1.0, -2.0, -3.0]) @ q.conj().T * scale)
+    assert np.allclose(vals / scale, [4.0, 1.0, -2.0, -3.0], rtol=0, atol=1e-12)
+
+
+def test_eig_with_nan_tol_admits_nothing():
+    with pytest.raises(ValueError, match="Hermitian"):
+        eig_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]), tol=np.nan)
+
+
+def test_eig_rejects_a_tiny_matrix_far_from_hermitian():
+    # absolute defect 1e-26, relative 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        eig_hermitian(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]) * 1e-20)

@@ -107,6 +107,15 @@ def test_angle_config_validation():
         AngleConfig(0.0, 1.0, 0.5, math.nan)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(4))
+def test_angle_config_rejects_non_finite_angles_like_every_angle_function(position, bad):
+    angles = [0.0, 1.0, 0.5, 2.0]
+    angles[position] = bad
+    with pytest.raises(ValueError, match="angle must be finite"):
+        AngleConfig(*angles)
+
+
 _ANGLE_FUNCTIONS = {
     "basis_matrix": (basis_matrix, 1),
     "rotated_basis": (rotated_basis, 1),

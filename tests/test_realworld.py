@@ -1,4 +1,3 @@
-import importlib
 import math
 import tracemalloc
 from itertools import product
@@ -27,7 +26,7 @@ from bellcheck.realworld import (
     tensor_joint_pmf,
     tensor_state,
 )
-from bellcheck.realworld import _cell_counts, _estimate, _pair_cdf  # the counting path under test
+from bellcheck.realworld import _pair_cdf, _two_point_estimate  # the counting path under test
 
 OPTIMAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5)
 
@@ -140,10 +139,21 @@ def test_cell_rule_equals_capped_searchsorted(monkeypatch, cdf):
     # the vectorised rule the stream tests use is the same rule
     for u in (random_u, edges):
         assert np.array_equal(_cell_rule(u, cdf), _searchsorted_cell(u, cdf))
-    # and so are the block counts, fed the same draws as two blocks
+    # and so is the x*y band the estimator counts, fed the same draws as two blocks
     monkeypatch.setattr(realworld, "_uniform_blocks", lambda seed, stream, n: iter((random_u, edges)))
-    want = np.bincount(_searchsorted_cell(np.concatenate((random_u, edges)), cdf), minlength=4)
-    assert np.array_equal(_cell_counts(cdf, 0, 0, len(random_u) + len(edges)), want)
+    cells = _searchsorted_cell(np.concatenate((random_u, edges)), cdf)
+    n, minus = len(cells), int(np.count_nonzero((cells == 1) | (cells == 2)))
+    assert _two_point_estimate(1.0, cdf[0], cdf[2], 0, 0, n).mean == (n - 2 * minus) / n
+
+
+def _moment_estimate(vals):
+    """Reference estimator: sample mean and standard error from the per-draw values."""
+    n = len(vals)
+    mean = float(vals.sum()) / n
+    if n < 2:
+        return EstimatorResult(mean, 0.0, n)
+    var = max(float((vals**2).sum()) / n - mean * mean, 0.0) * n / (n - 1)
+    return EstimatorResult(mean, math.sqrt(var / n), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 7])
@@ -153,12 +163,36 @@ def test_block_counts_match_the_per_draw_samplers(n):
     per_exp, _ = run_experiments(cfg, n, seed=31)
     for idx, ((a, b), est) in enumerate(zip(cfg.experiment_angles(), per_exp), start=1):
         cells = _searchsorted_cell(stream_uniforms(31, idx, n), _pair_cdf(a, b))
-        assert np.array_equal(_cell_counts(_pair_cdf(a, b), 31, idx, n), np.bincount(cells, minlength=4))
-        vals = np.array([1.0, -1.0, -1.0, 1.0])[cells]
-        assert est == _estimate(float(vals.sum()), float((vals**2).sum()), n)
+        assert est == _moment_estimate(np.array([1.0, -1.0, -1.0, 1.0])[cells])
     spectrum = chsh_spectrum(cfg)
     k_plus = int(np.count_nonzero(stream_uniforms(31, 0, n) < spectrum.w_plus))
     assert sample_outcomes(cfg, n, seed=31).mean == spectrum.t0 * ((2 * k_plus - n) / n)
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK_SIZE - 1, BLOCK_SIZE + 1])
+def test_sample_outcomes_matches_a_per_draw_reference(n):
+    # the per-draw outcomes are +-t0 with t0 = 2.30 and w_plus = 0.37 here,
+    # so the second moment t0**2 is far from t0
+    cfg = AngleConfig.from_degrees(0.0, 75.0, 20.0, 130.0)
+    spectrum = chsh_spectrum(cfg)
+    vals = np.where(stream_uniforms(31, 0, n) < spectrum.w_plus, spectrum.t0, -spectrum.t0)
+    est, ref = sample_outcomes(cfg, n, seed=31), _moment_estimate(vals)
+    assert est.n == n
+    assert est.mean == pytest.approx(ref.mean, rel=1e-12, abs=1e-12)
+    assert est.stderr == pytest.approx(ref.stderr, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK_SIZE - 1, BLOCK_SIZE + 1])
+def test_sample_outcomes_is_deterministic_at_the_optimal_angles(n):
+    spectrum = chsh_spectrum(OPTIMAL)
+    assert spectrum.w_plus == 0.0
+    assert sample_outcomes(OPTIMAL, n, seed=5) == EstimatorResult(-spectrum.t0, 0.0, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK_SIZE - 1, BLOCK_SIZE + 1])
+def test_equal_settings_give_perfect_anticorrelation_on_every_draw(n):
+    cfg = AngleConfig(0.4, 1.0, 0.4, 1.3)  # E1 measures both photons at 0.4
+    assert run_experiments(cfg, n, seed=3)[0][0] == EstimatorResult(-1.0, 0.0, n)
 
 
 def test_sampler_memory_does_not_grow_with_n():
@@ -178,8 +212,6 @@ def test_samplers_reject_counts_beyond_exact_float_sums(monkeypatch):
         raise AssertionError("the count must be rejected before any draw")
 
     monkeypatch.setattr(realworld, "_uniform_blocks", no_draws)
-    # the package attribute chsh_operator is the function of that name
-    monkeypatch.setattr(importlib.import_module("bellcheck.chsh_operator"), "_uniform_blocks", no_draws)
     for sampler in (run_experiments, sample_outcomes):
         with pytest.raises(ValueError, match="at most 2"):
             sampler(OPTIMAL, 2**53 + 1, seed=1)
