@@ -19,11 +19,14 @@ boundary with certain (zero-probability) cells, and a single draw.  The
 one shared helper.  The ``-0`` echoes, the empty JSON sweep and the
 ``--out`` files, manifests and replays of ``enumerate counterfactual`` and
 a ``quasiprob`` scan were recorded before every table went through one
-columnar writer.
+columnar writer.  The stdout of each script under ``demos/`` was
+recorded before the lone-matrix and stacked Jacobi sweeps became one loop.
 """
 
 import hashlib
 import math
+import pathlib
+import runpy
 
 import numpy as np
 import pytest
@@ -118,6 +121,28 @@ def test_golden_out_file_manifest_and_replay(tmp_path, argv, digests):
     assert main([*argv, "--out", str(out)]) == 0
     assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()} == digests
     assert replay(str(tmp_path / "table.txt.manifest.json"), str(tmp_path / "again.txt")) == digests["table.txt"]
+
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+DEMO_GOLDEN = {
+    "born_rule_and_correlations.py": "e328053f2e5cd3c0cc3dba1f5ea48a051fdca0090df6a835bf4ecc919e41aba2",
+    "chsh_operator_spectrum.py": "ddd9a7dc40a598006b9f6c22538495557708cf799892847c2ab45dc0f94e4398",
+    "counterfactual_device.py": "e93ef9b349992d2e8275ffa142eb0ea84369a29c1f6347faa30ba06bdbfceb2b",
+    "quasiprobability_negativity.py": "e3dc7b3a5eb32c8d92208f6396fe8e8bafa8e1d689e19c9a9b0787d609f20d10",
+    "real_world_experiments.py": "62e5a12595190ac8c2de194182af750386fe8c6a9c510ba60c8db4f21db46ab4",
+}
+
+
+def test_demo_scripts_are_all_pinned():
+    assert sorted(path.name for path in DEMOS.glob("*.py")) == sorted(DEMO_GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_GOLDEN))
+def test_golden_demo_stdout_bytes(capsys, name):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEMO_GOLDEN[name]
 
 
 def _cli_stdout(capsys, *argv):
