@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermiticity_defect
+from .linalg import as_operator, hermiticity_defect
 from .polarization import AngleConfig, basis_matrix, singlet_state
 
 OUTCOME_VALUES = np.array([1.0, -1.0])
@@ -105,10 +105,10 @@ def pmf_single(state: np.ndarray, observable: np.ndarray) -> Pmf2:
     so that (I + O)/2 and (I - O)/2 are the spectral projectors.
     """
     state = _require_unit(state)
-    obs = np.asarray(observable, dtype=np.complex128)
     dim = state.shape[0]
-    if obs.shape != (dim, dim):
-        raise ValueError(f"observable shape {obs.shape} does not match state dimension {dim}")
+    if np.shape(observable) != (dim, dim):
+        raise ValueError(f"observable shape {np.shape(observable)} does not match state dimension {dim}")
+    obs = as_operator(observable)
     if hermiticity_defect(obs) > 1e-10:
         raise ValueError("observable is not Hermitian")
     if np.max(np.abs(obs @ obs - np.eye(dim))) > 1e-10:
@@ -147,7 +147,9 @@ def correlation(alpha: float | np.ndarray, beta: float | np.ndarray) -> float | 
     return float(c) if c.ndim == 0 else c
 
 
-def chsh_expectations(alpha1, alpha2, beta1, beta2) -> float | np.ndarray:
+def chsh_expectations(
+    alpha1: float | np.ndarray, alpha2: float | np.ndarray, beta1: float | np.ndarray, beta2: float | np.ndarray
+) -> float | np.ndarray:
     """CHSH combination of four singlet correlations over broadcast angle arrays.
 
     C(a1,b1) + C(a1,b2) + C(a2,b1) - C(a2,b2), a float when all four

@@ -99,7 +99,9 @@ def closed_form_expectation(cfg: AngleConfig) -> float:
     return float(_closed_form_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
 
 
-def chsh_spectra(alpha1, alpha2, beta1, beta2) -> ChshSpectrum:
+def chsh_spectra(
+    alpha1: float | np.ndarray, alpha2: float | np.ndarray, beta1: float | np.ndarray, beta2: float | np.ndarray
+) -> ChshSpectrum:
     """Spectrum and singlet outcome weights of the CHSH operator over a stack.
 
     The four angles (radians) broadcast against each other, and every

@@ -7,14 +7,9 @@ accepts a stack and acts on its trailing two axes.  The dimensions that
 actually occur in this package are 2, 4 and 256; the eigensolver is a
 cyclic Jacobi iteration intended for the 4x4 operators it is used on,
 and ``eig_hermitian`` diagonalizes a whole ``(..., n, n)`` stack in one
-call, so an angle sweep costs one solve rather than one per point.  A
-single matrix takes a cheaper path that computes each rotation in Python
-floats and gives bit for bit the stacked result.  Python floats round
-like numpy's float64 ufuncs, but not like its complex kernels: Python's
-``abs`` and ``math.hypot`` differ from numpy's complex ``abs`` in the
-last bit on about 30% of inputs, so |apq| still comes from numpy's array
-ufunc, and the complex division and product are written out the way
-numpy computes them.  The row and column updates stay BLAS products.
+call, so an angle sweep costs one solve rather than one per point.
+Stacks and lone matrices run the same sweep; only the 2x2 rotation
+differs, computed in Python floats while one matrix is active.
 """
 
 from __future__ import annotations
@@ -82,8 +77,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of ``a`` (every matrix of a stack) from its own adjoint."""
-    a = as_operator(a)
+    """Largest entrywise deviation of the complex array ``a`` (every matrix of a stack) from its adjoint."""
     return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
 
 
@@ -94,8 +88,8 @@ def _off_diagonal_sq(work: np.ndarray, n: int) -> np.ndarray:
     return sq.reshape(len(sq), n * n).sum(axis=1)
 
 
-def _jacobi_rotations(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    """Stack of 2x2 unitaries, each diagonalizing [[app, apq], [conj(apq), aqq]].
+def _jacobi_rotations(m: np.ndarray, p: int, q: int, skip: np.ndarray) -> np.ndarray:
+    """Stack of 2x2 unitaries, each diagonalizing the (p, q) block of one matrix of ``m``.
 
     Each is [[c, s*phase], [-s*conj(phase), c]] with phase = apq/|apq|;
     the tangent is chosen with the classic stable formula so the rotation
@@ -104,9 +98,10 @@ def _jacobi_rotations(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray, skip: n
     1e-150 there, is still right to within a factor of two.  Entries with
     |apq| below ``skip`` get the identity.
     """
+    apq = m[:, p, q]
     mag = np.abs(apq)
     safe = np.maximum(mag, skip)
-    theta = (aqq - app) / (2.0 * safe)
+    theta = (m[:, q, q].real - m[:, p, p].real) / (2.0 * safe)
     size = np.abs(theta)
     capped = np.minimum(size, 1e150)
     t = np.where(theta >= 0.0, 1.0, -1.0) / (size + np.sqrt(capped * capped + 1.0)) * (mag >= skip)
@@ -120,41 +115,31 @@ def _jacobi_rotations(app: np.ndarray, aqq: np.ndarray, apq: np.ndarray, skip: n
     return rot
 
 
-def _sweep_alone(m: np.ndarray, n: int, skip: float) -> None:
-    """One cyclic Jacobi sweep, in place, of the one matrix ``m[:n]`` with eigenvectors ``m[n:]``.
+def _rotation_alone(m: np.ndarray, p: int, q: int, skip: float) -> np.ndarray:
+    """The rotation ``_jacobi_rotations`` builds for the one matrix ``m``, from Python floats.
 
-    Bit for bit the stacked sweep on a stack of one, at a fraction of its
-    cost.  Each rotation is the one ``_jacobi_rotations`` builds, by the
-    same operations in the same order on Python floats.  Where numpy's
-    complex kernels round otherwise, their way is kept: |apq| comes from
-    the array ``abs``; ``apq / safe`` is numpy's complex division by
-    ``safe + 0j`` (Smith's method, ``(re + im*rat) * scl``) and
-    ``(t*c) * phase`` its complex product by ``t*c + 0j``.  The row and
-    column updates stay the same BLAS products, since BLAS fuses
-    multiply-adds: rows p and q are a strided view BLAS reads in place,
-    while columns p and q are copied, as numpy multiplies a strided
-    column pair without BLAS.
+    The same operations in the same order, at a fraction of the cost.
+    Where numpy's complex kernels round otherwise, their way is kept:
+    |apq| comes from the array ``abs`` (Python's ``abs`` and ``math.hypot``
+    differ from it in the last bit on about 30% of inputs); ``apq / safe``
+    is numpy's complex division by ``safe + 0j`` (Smith's method,
+    ``(re + im*rat) * scl``, where safe >= skip > 0 makes rat = +0.0 and
+    scl = 1/safe) and ``(t*c) * phase`` its complex product by ``t*c + 0j``.
     """
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = complex(m[p, q])
-            mag = float(np.abs(m[p, q : q + 1])[0])
-            safe = max(mag, skip)
-            theta = (float(m[q, q].real) - float(m[p, p].real)) / (2.0 * safe)
-            size = abs(theta)
-            capped = min(size, 1e150)
-            t = (1.0 if theta >= 0.0 else -1.0) / (size + math.sqrt(capped * capped + 1.0))
-            t *= 1.0 if mag >= skip else 0.0
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            rat = 0.0 / safe
-            scl = 1.0 / (safe + 0.0 * rat)
-            phase_re, phase_im = (apq.real + apq.imag * rat) * scl, (apq.imag - apq.real * rat) * scl
-            tc = t * c
-            s_re, s_im = tc * phase_re - 0.0 * phase_im, tc * phase_im + 0.0 * phase_re
-            rot = np.array([[c, complex(s_re, s_im)], [complex(-s_re, s_im), c]])
-            pq = slice(p, q + 1, q - p)
-            m[pq] = rot.conj().T @ m[pq]
-            m[:, pq] = m[:, pq].copy() @ rot
+    apq = complex(m[p, q])
+    mag = float(np.abs(m[p, q : q + 1])[0])
+    safe = max(mag, skip)
+    theta = (float(m[q, q].real) - float(m[p, p].real)) / (2.0 * safe)
+    size = abs(theta)
+    capped = min(size, 1e150)
+    t = (1.0 if theta >= 0.0 else -1.0) / (size + math.sqrt(capped * capped + 1.0))
+    t *= 1.0 if mag >= skip else 0.0
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    scl = 1.0 / safe
+    phase_re, phase_im = (apq.real + apq.imag * 0.0) * scl, (apq.imag - apq.real * 0.0) * scl
+    tc = t * c
+    s_re, s_im = tc * phase_re - 0.0 * phase_im, tc * phase_im + 0.0 * phase_re
+    return np.array([[c, complex(s_re, s_im)], [complex(-s_re, s_im), c]])
 
 
 def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -181,10 +166,8 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     off-diagonal norm is below 2.5e-14 of its Frobenius norm is frozen.
     Each result is bit-identical to solving that matrix alone, and to
     solving it scaled by any power of two that keeps it normal.  While
-    only one matrix is active (always, for a lone matrix), sweeps take
-    the scalar path ``_sweep_alone``, which computes each rotation in
-    Python floats but with numpy's roundings of |apq| and of the complex
-    division and product, so the result does not depend on the path.
+    one matrix is active (always, for a lone matrix), its rotations come
+    from Python floats (``_rotation_alone``), bit for bit the same.
 
     Raises
     ------
@@ -214,20 +197,25 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     norm_sq = (work.real**2 + work.imag**2).reshape(len(work), n * n).sum(axis=1)
     target_sq = _OFF_TOL**2 * norm_sq
     skip = _SKIP * np.sqrt(norm_sq)
-    pairs = [(p, q, np.array([p, q])) for p in range(n - 1) for q in range(p + 1, n)]
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
 
     active = np.flatnonzero(_off_diagonal_sq(both, n) > target_sq)
     for _ in range(_MAX_SWEEPS):
         if active.size == 0:
             break
         m, m_skip = both[active], skip[active]
-        if len(m) == 1:
-            _sweep_alone(m[0], n, float(m_skip[0]))
-        else:
-            for p, q, pq in pairs:
-                rot = _jacobi_rotations(m[:, p, p].real, m[:, q, q].real, m[:, p, q], m_skip)
-                m[:, pq, :] = rot.conj().swapaxes(-1, -2) @ m[:, pq, :]
-                m[:, :, pq] = m[:, :, pq] @ rot
+        # A lone matrix is rotated as the 2-D m[0], which costs less than a stack of one.
+        alone = len(m) == 1
+        target = m[0] if alone else m
+        for p, q in pairs:
+            rot = _rotation_alone(target, p, q, float(m_skip[0])) if alone else _jacobi_rotations(m, p, q, m_skip)
+            # The same BLAS products in both cases, as BLAS fuses multiply-adds
+            # and rounds unlike numpy's own loops: rows p and q are a strided
+            # view BLAS reads in place, and columns p and q are copied, since
+            # numpy multiplies a strided column pair without BLAS.
+            pq = slice(p, q + 1, q - p)
+            target[..., pq, :] = rot.conj().swapaxes(-1, -2) @ target[..., pq, :]
+            target[..., :, pq] = target[..., :, pq].copy() @ rot
         both[active] = m
         active = active[_off_diagonal_sq(m, n) > target_sq[active]]
     if active.size:

@@ -152,10 +152,9 @@ def _two_point_estimate(magnitude: float, lo: float, hi: float, seed: int, strea
     """Mean and standard error of ``n`` outcomes +-magnitude drawn from a counter-indexed stream.
 
     Draw u gives -magnitude when lo <= u < hi and +magnitude otherwise.
-    The -magnitude count is an integer of at most n <= 2**53, and every
-    squared outcome is magnitude**2, so both sample moments are exact.
+    Callers check 1 <= n <= 2**53, so the -magnitude count is exact, and
+    every squared outcome is magnitude**2: both sample moments are exact.
     """
-    _check_draw_count(n)
     minus = 0
     for u in _uniform_blocks(seed, stream, n):
         minus += int(np.count_nonzero(u >= lo)) - int(np.count_nonzero(u >= hi))
@@ -177,6 +176,7 @@ def run_experiments(
     per-experiment product estimates C1..C4 and the combination
     C1 + C2 + C3 - C4 with standard errors combined in quadrature.
     """
+    _check_draw_count(n)
     estimates = []
     for idx, (a, b) in enumerate(cfg.experiment_angles(), start=1):
         # x*y is -1 on cells 1 and 2, the draws with cdf[0] <= u < cdf[2].

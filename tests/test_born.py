@@ -56,6 +56,17 @@ def test_pmf_single_validation():
         pmf_single(psi, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pmf_single_rejects_non_finite_and_misshapen_observables(bad):
+    psi = singlet_state()
+    obs = x_operator(0.0)
+    obs[0, 0] = bad
+    with pytest.raises(ValueError, match="matrix contains NaN or infinite entries"):
+        pmf_single(psi, obs)
+    with pytest.raises(ValueError, match=r"observable shape \(4,\) does not match state dimension 4"):
+        pmf_single(psi, np.ones(4))
+
+
 def test_joint_pmf_against_explicit_kron_born_rule():
     # independent route: project onto explicit product basis vectors
     psi = singlet_state()
