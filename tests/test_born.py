@@ -56,13 +56,13 @@ def test_pmf_single_validation():
         pmf_single(psi, bad)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_pmf_single_rejects_non_finite_and_misshapen_observables(bad):
+def test_pmf_single_rejects_non_finite_and_misshapen_observables():
     psi = singlet_state()
-    obs = x_operator(0.0)
-    obs[0, 0] = bad
-    with pytest.raises(ValueError, match="matrix contains NaN or infinite entries"):
-        pmf_single(psi, obs)
+    for bad in (np.nan, np.inf):
+        obs = x_operator(0.0)
+        obs[0, 0] = bad
+        with pytest.raises(ValueError, match="matrix contains NaN or infinite entries"):
+            pmf_single(psi, obs)
     with pytest.raises(ValueError, match=r"observable shape \(4,\) does not match state dimension 4"):
         pmf_single(psi, np.ones(4))
 
