@@ -21,17 +21,22 @@ one shared helper.  The ``-0`` echoes, the empty JSON sweep and the
 a ``quasiprob`` scan were recorded before every table went through one
 columnar writer.  The stdout of each script under ``demos/`` was
 recorded before the lone-matrix and stacked Jacobi sweeps became one loop.
+The library pin hashes the per-configuration outputs of the library
+itself, at 103 configurations.
 """
 
+import functools
 import hashlib
 import math
 import pathlib
+import random
 import runpy
 
 import numpy as np
 import pytest
 
-from bellcheck import quasiprob
+import bellcheck
+from bellcheck import AngleConfig, quasiprob
 from bellcheck.cli import main, replay
 from bellcheck.quasiprob import f_jkl, find_negativity
 
@@ -199,3 +204,77 @@ def test_sweep_rows_match_single_config_rows(capsys, angles):
         beta2 = row.split(",")[3]
         single = _cli_stdout(capsys, "chsh", *angles[:3], beta2, "--format", "csv").splitlines()
         assert single == [header, row]
+
+
+# The library pin: one sha256 per kind of per-configuration output, over
+# the bytes of every output at LIBRARY_CONFIGS.  Recorded before the pair
+# tables, the CHSH operator and the Fine simplex were rebuilt from
+# stacked kernels; every byte must survive such a rebuild.
+_CONFIG_RNG = random.Random("golden/library")
+LIBRARY_CONFIGS = [
+    (AngleConfig(*(_CONFIG_RNG.uniform(0.0, math.pi) for _ in range(4))), _CONFIG_RNG.getrandbits(32))
+    for _ in range(100)
+] + [
+    (AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5), 7),  # optimal: deterministic outcome
+    (AngleConfig.from_degrees(0.0, 45.0, 22.5, 112.5), 11),  # Fine-feasible, with a witness
+    (AngleConfig(0.4, 1.0, 0.4, 1.3), 3),  # E1 measures both photons at 0.4
+]
+SAMPLER_COUNTS = (1, 65535, 65536, 65537, 10_000)
+
+LIBRARY_GOLDEN = {
+    "correlation": "720d7144ed0fcb28c004eaf3232719d6d51b963be0577f20464b3743aa51b5ff",
+    "spectrum": "c10c713254350e70674f87f4cfe5ad7ae8a3b74d2ea29b1c8648eabc6acad6a2",
+    "spectra stack": "70193f36a60efb8683cb7de505dd50e01fb158f403f59952010eb511ee43595d",
+    "chsh_operator": "a87cfe23beb8eb2d30752fc3980fd2a0c324da4f7335a4ab9fc9f3085c9fd6f6",
+    "pair tables": "cc3fc57f8913e30cd9f5350822aff3596750215875c058d3cdebb78feeccf1bb",
+    "fine": "cdf2e673bf7527fac0645689a5c756b97b89fdad0a85b69b486b188160ad442c",
+    "tensor_joint_pmf": "3d9768b7457b6a5445f75f83c06368b4dbcf66d4c6a14848db46e66ad5741989",
+    "samplers": "ee089a99c5d688e292b097b3c05de3b10a26231a086c877b30553cc2c7184255",
+    "sample_pair": "8686db785d684840841eb0676ea4a92862bbb93415b5c91b6ac6fdfed297b92b",
+    "quasiprob": "069ce792b6cdb843fe7c12fa2bbeb54a197df5c82ef32c1c88c7f89607c8ebcd",
+}
+
+
+def _feed(digest, *values):
+    """Add each value's dtype, shape and raw bytes to ``digest``; None and bools get a tag."""
+    for value in values:
+        if value is None or isinstance(value, bool):
+            digest.update(repr(value).encode())
+        else:
+            array = np.ascontiguousarray(value)
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(array.tobytes())
+
+
+def _library_digests():
+    digests = {kind: hashlib.sha256() for kind in LIBRARY_GOLDEN}
+    feed = {kind: functools.partial(_feed, digest) for kind, digest in digests.items()}
+    for cfg, seed in LIBRARY_CONFIGS:
+        feed["correlation"](*(bellcheck.correlation(a, b) for a, b in cfg.experiment_angles()))
+        s = bellcheck.chsh_spectrum(cfg)
+        feed["spectrum"](s.t0, s.t1, s.w_plus, s.w_minus, s.eigenvalues)
+        feed["chsh_operator"](bellcheck.chsh_operator(cfg))
+        feed["pair tables"](*(table.p for table in bellcheck.quantum_pair_marginals(cfg).tables()))
+        fine = bellcheck.fine_feasibility(bellcheck.quantum_pair_marginals(cfg))
+        witness = None if fine.witness is None else fine.witness.probabilities
+        feed["fine"](fine.feasible, fine.chsh_value, fine.marginal_residual, witness)
+        feed["tensor_joint_pmf"](bellcheck.tensor_joint_pmf(cfg))
+        for n in SAMPLER_COUNTS:
+            per_experiment, combined = bellcheck.run_experiments(cfg, n, seed)
+            outcomes = bellcheck.sample_outcomes(cfg, n, seed)
+            for e in (*per_experiment, combined, outcomes):
+                feed["samplers"](e.mean, e.stderr, e.n)
+        rng = np.random.default_rng(seed)
+        feed["sample_pair"](*(bellcheck.sample_pair(a, b, rng) for a, b in cfg.experiment_angles() for _ in range(4)))
+        feed["quasiprob"](
+            bellcheck.f_jk(cfg.alpha1, cfg.alpha2).values, bellcheck.q_value(cfg.alpha1, cfg.alpha2, cfg.beta1)
+        )
+    angles = np.array([[cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2] for cfg, _ in LIBRARY_CONFIGS]).T
+    stack = bellcheck.chsh_spectra(*angles)
+    feed["correlation"](bellcheck.correlation(angles[0], angles[2]), bellcheck.chsh_expectations(*angles[[0, 1, 2, 3]]))
+    feed["spectra stack"](stack.t0, stack.t1, stack.w_plus, stack.w_minus, stack.eigenvalues)
+    return {kind: digest.hexdigest() for kind, digest in digests.items()}
+
+
+def test_golden_library_output_bytes():
+    assert _library_digests() == LIBRARY_GOLDEN
