@@ -16,35 +16,48 @@ from .linalg import as_operator, hermiticity_defect
 from .polarization import AngleConfig, basis_matrix, singlet_state
 
 OUTCOME_VALUES = np.array([1.0, -1.0])
+# The value x*y of each cell of a pair table.
+_PRODUCT_SIGNS = np.outer(OUTCOME_VALUES, OUTCOME_VALUES)
+
+# The polarization singlet every singlet table is computed from, shared
+# read-only.
+SINGLET = singlet_state()
+SINGLET.flags.writeable = False
 
 # Entries in [-CLAMP_TOL, 0) are rounding noise and get clamped to zero;
 # anything below -CLAMP_TOL is a genuine bug in the caller.
 CLAMP_TOL = 1e-12
 
 
-def _checked_table(values, shape: tuple[int, ...]) -> np.ndarray:
-    """``values`` as a float array of ``shape``, finite and summing to 1 within 1e-12.
+def _checked_table(values, shape: tuple[int, ...], stack: tuple[int, ...] = ()) -> np.ndarray:
+    """``values`` as a float array of ``stack + shape``, finite, each table summing to 1 within 1e-12.
 
-    Every probability table passes through here; the sign policy (clamp,
-    reject or allow negative cells) stays with each table type.
+    Every probability table passes through here, alone or as a stack of
+    tables of ``shape`` along the leading axes ``stack``; the sign policy
+    (clamp, reject or allow negative cells) stays with each table type.
     """
     v = np.asarray(values, dtype=float)
-    if v.shape != shape:
-        raise ValueError(f"expected shape {shape}, got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("probabilities must be finite")
-    total = v.sum()
-    if abs(total - 1.0) > 1e-12:
+    if v.shape != stack + shape:
+        raise ValueError(f"expected shape {stack + shape}, got {v.shape}")
+    total = v.reshape(stack + (-1,)).sum(axis=-1)
+    # A NaN or infinite cell makes its table's total NaN or infinite, which
+    # fails this comparison, so finite tables need no pass of their own.
+    if not (abs(total - 1.0) <= 1e-12).all():
+        if not np.isfinite(v).all():
+            raise ValueError("probabilities must be finite")
         raise ValueError(f"table sums to {total}, not 1")
     return v
 
 
-def _clamp_probabilities(p: np.ndarray) -> np.ndarray:
-    if p.min() < -CLAMP_TOL:
-        raise ValueError(f"probability {p.min()} below -{CLAMP_TOL}; not representable as rounding noise")
-    if p.min() < 0.0:
-        p = np.maximum(p, 0.0)
-        p = p / p.sum()
+def _clamp_probabilities(p: np.ndarray, ndim: int) -> np.ndarray:
+    """``p`` with rounding-noise cells clamped to zero, each table over the last ``ndim`` axes renormalized alone."""
+    low = p.min()
+    if low < -CLAMP_TOL:
+        raise ValueError(f"probability {low} below -{CLAMP_TOL}; not representable as rounding noise")
+    if low < 0.0:
+        axes = tuple(range(-ndim, 0))
+        clamped = np.maximum(p, 0.0)
+        p = np.where((p < 0.0).any(axis=axes, keepdims=True), clamped / clamped.sum(axis=axes, keepdims=True), p)
     return p
 
 
@@ -75,7 +88,17 @@ class JointPmf2x2:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _clamp_probabilities(_checked_table(self.p, (2, 2))))
+        object.__setattr__(self, "p", _clamp_probabilities(_checked_table(self.p, (2, 2)), 2))
+
+    @classmethod
+    def _from_checked(cls, tables: np.ndarray) -> tuple["JointPmf2x2", ...]:
+        """One record per table of a stack that :func:`_singlet_tables` has already held to these rules."""
+        records = []
+        for p in tables:
+            record = object.__new__(cls)
+            object.__setattr__(record, "p", p)
+            records.append(record)
+        return tuple(records)
 
     def x_marginal(self) -> Pmf2:
         row = self.p.sum(axis=1)
@@ -87,8 +110,7 @@ class JointPmf2x2:
 
     def product_expectation(self) -> float:
         """E[xy] under this table."""
-        signs = np.outer(OUTCOME_VALUES, OUTCOME_VALUES)
-        return float(np.sum(signs * self.p))
+        return float(np.sum(_PRODUCT_SIGNS * self.p))
 
 
 def _require_unit(state: np.ndarray) -> np.ndarray:
@@ -115,7 +137,7 @@ def pmf_single(state: np.ndarray, observable: np.ndarray) -> Pmf2:
         raise ValueError("observable is not involutory; spectrum must be {+1, -1}")
     plus_proj = (np.eye(dim) + obs) / 2.0
     p_plus = float(np.real(state.conj() @ plus_proj @ state))
-    p = _clamp_probabilities(_checked_table([p_plus, 1.0 - p_plus], (2,)))
+    p = _clamp_probabilities(_checked_table([p_plus, 1.0 - p_plus], (2,)), 1)
     return Pmf2(float(p[0]), float(p[1]))
 
 
@@ -135,6 +157,21 @@ def joint_pmf(state: np.ndarray, alpha: float, beta: float) -> JointPmf2x2:
     return JointPmf2x2(_pair_probabilities(state, alpha, beta))
 
 
+def _singlet_tables(alpha, beta) -> np.ndarray:
+    """Singlet pair tables over broadcast angle arrays, shape (..., 2, 2).
+
+    The whole stack is held at once to the rules every JointPmf2x2
+    obeys: finite cells, each table summing to 1, rounding noise clamped.
+    """
+    p = _pair_probabilities(SINGLET, alpha, beta)
+    return _clamp_probabilities(_checked_table(p, (2, 2), p.shape[:-2]), 2)
+
+
+def _experiment_angles(cfg: AngleConfig) -> np.ndarray:
+    """Alice's and Bob's angles of the experiments E1..E4, as two rows."""
+    return np.array(cfg.experiment_angles()).T
+
+
 def correlation(alpha: float | np.ndarray, beta: float | np.ndarray) -> float | np.ndarray:
     """Singlet pair correlation E[xy]; analytically -cos 2(alpha - beta).
 
@@ -142,9 +179,11 @@ def correlation(alpha: float | np.ndarray, beta: float | np.ndarray) -> float | 
     pair table each; two plain angles give a float.  Non-finite angles
     raise ValueError.
     """
-    p = _pair_probabilities(singlet_state(), alpha, beta)
-    c = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
-    return float(c) if c.ndim == 0 else c
+    p = _pair_probabilities(SINGLET, alpha, beta)
+    if p.ndim == 2:
+        (p00, p01), (p10, p11) = p.tolist()
+        return p00 - p01 - p10 + p11
+    return p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
 
 
 def chsh_expectations(

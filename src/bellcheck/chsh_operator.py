@@ -17,13 +17,15 @@ t0 = 2 sqrt(2) and the outcome is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .born import SINGLET
 from .errors import check
-from .linalg import eig_hermitian, hermiticity_defect, kron
-from .polarization import AngleConfig, same_setting, singlet_state, z_operator
+from .linalg import _kron, eig_hermitian, hermiticity_defect
+from .polarization import AngleConfig, same_setting, z_operator
 from .realworld import EstimatorResult, _check_draw_count, _two_point_estimate
 
 # Stream id for outcome sampling; experiment streams use ids 1..4.
@@ -44,6 +46,7 @@ class ChshSpectrum:
     probabilities of +t0 and -t0.  ``eigenvalues`` holds the numeric
     spectrum in descending order.  :func:`chsh_spectra` returns the same
     record for a stack of configurations, each field an array along it.
+    Every field must be finite, and the weights within [0, 1] summing to 1.
     """
 
     t0: float | np.ndarray
@@ -53,19 +56,25 @@ class ChshSpectrum:
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(np.abs(self.w_plus + self.w_minus - 1.0) > 1e-12):
-            raise ValueError("outcome weights must sum to 1")
-        if np.any((self.w_plus < -1e-12) | (self.w_plus > 1.0 + 1e-12)):
-            raise ValueError(f"w_plus = {self.w_plus} outside [0, 1]")
+        # Every comparison here is False for NaN, so a NaN field fails it.
+        w_plus, w_minus = self.w_plus, self.w_minus
+        if not np.all((np.abs(w_plus + w_minus - 1.0) <= 1e-12) & (w_plus >= -1e-12) & (w_plus <= 1.0 + 1e-12)):
+            raise ValueError(f"outcome weights {w_plus}, {w_minus} must lie in [0, 1] and sum to 1")
+        if not np.all((np.abs(self.t0) < math.inf) & (np.abs(self.t1) < math.inf)) or not np.all(
+            np.abs(self.eigenvalues) < math.inf
+        ):
+            raise ValueError("t0, t1 and the eigenvalues must be finite")
 
 
 def _chsh_operators(alpha1, alpha2, beta1, beta2) -> np.ndarray:
-    """CHSH operators over broadcast angle arrays, shape (..., 4, 4).
+    """CHSH operators over four angles or angle arrays of one shape, shape (..., 4, 4).
 
     Each product X(a) Y(b) equals the Kronecker product Z(a) (x) Z(b).
+    One z_operator call builds all four factors, whose entries are
+    finite by construction, and each product is formed by broadcasting.
     """
-    za1, za2, zb1, zb2 = (z_operator(angle) for angle in (alpha1, alpha2, beta1, beta2))
-    op = kron(za1, zb1) + kron(za1, zb2) + kron(za2, zb1) - kron(za2, zb2)
+    za1, za2, zb1, zb2 = z_operator(np.array((alpha1, alpha2, beta1, beta2)))
+    op = _kron(za1, zb1) + _kron(za1, zb2) + _kron(za2, zb1) - _kron(za2, zb2)
     check("CHSH operator hermiticity", hermiticity_defect(op), 1e-13)
     return op
 
@@ -114,7 +123,14 @@ def chsh_spectra(
     a1, a2, b1, b2 = np.broadcast_arrays(alpha1, alpha2, beta1, beta2)
     if np.any(same_setting(a1, a2)) or np.any(same_setting(b1, b2)):
         raise ValueError("the two settings on one side coincide mod pi")
+    return ChshSpectrum(*_spectrum_fields(a1, a2, b1, b2))
 
+
+def _spectrum_fields(a1, a2, b1, b2) -> tuple:
+    """(t0, t1, w_plus, w_minus, eigenvalues) over four angles or angle arrays of one shape.
+
+    The angles must obey the rules of AngleConfig; nothing here checks them.
+    """
     evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
     t0 = _atom_magnitudes(a1, a2, b1, b2)
     expectation = _closed_form_expectations(a1, a2, b1, b2)
@@ -126,7 +142,7 @@ def chsh_spectra(
     check("numeric t0 vs closed form", np.take_along_axis(distance, atom_idx, axis=-1), 1e-9)
     t1 = np.mean(np.abs(np.take_along_axis(evals, dark_idx, axis=-1)), axis=-1)
 
-    overlaps = np.abs(evecs.conj().swapaxes(-1, -2) @ singlet_state()) ** 2
+    overlaps = np.abs(evecs.conj().swapaxes(-1, -2) @ SINGLET) ** 2
     degenerate = np.abs(t0 - t1) <= 1e-9
     dark_weight = np.where(degenerate, 0.0, np.take_along_axis(overlaps, dark_idx, axis=-1).sum(axis=-1))
     check("singlet weight outside the outcome atoms", dark_weight, 1e-12)
@@ -139,7 +155,7 @@ def chsh_spectra(
     plus_space = np.abs(evals - t0[..., None]) <= 1e-8
     gap = np.where(live, np.abs(np.sum(overlaps * plus_space, axis=-1) - w_plus), 0.0)
     check("projector weight vs closed form", gap, 1e-9)
-    return ChshSpectrum(t0, t1, w_plus, 1.0 - w_plus, evals)
+    return t0, t1, w_plus, 1.0 - w_plus, evals
 
 
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
@@ -148,9 +164,10 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     The closed-form t0 is cross-checked against the Jacobi eigensolver
     (to 1e-9), and the singlet's Born weight is verified to sit entirely
     on the +-t0 eigenspaces.  Disagreement raises InternalCheckError.
+    The settings are not checked again: AngleConfig already has.
     """
-    s = chsh_spectra(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
-    return ChshSpectrum(float(s.t0), float(s.t1), float(s.w_plus), float(s.w_minus), s.eigenvalues)
+    t0, t1, w_plus, w_minus, evals = _spectrum_fields(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
+    return ChshSpectrum(float(t0), float(t1), float(w_plus), float(w_minus), evals)
 
 
 def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:

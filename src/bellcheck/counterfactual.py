@@ -16,13 +16,14 @@ cross-checks the verdict against the eight CHSH sign variants.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .born import JointPmf2x2, _checked_table, joint_pmf
+from .born import JointPmf2x2, _checked_table, _experiment_angles, _singlet_tables
 from .errors import InternalCheckError, check
-from .polarization import AngleConfig, singlet_state
+from .polarization import AngleConfig
 from .realworld import RunRecord
 
 _VALUES = (1, -1)  # index 0 -> +1, index 1 -> -1
@@ -169,13 +170,13 @@ def pair_marginals(pmf: CfPmf) -> PairMarginals:
 
 def quantum_pair_marginals(cfg: AngleConfig) -> PairMarginals:
     """The four singlet pair tables at the configured angles."""
-    psi = singlet_state()
-    t11, t12, t21, t22 = (joint_pmf(psi, a, b) for a, b in cfg.experiment_angles())
-    return PairMarginals(t11, t12, t21, t22)
+    return PairMarginals(*JointPmf2x2._from_checked(_singlet_tables(*_experiment_angles(cfg))))
 
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
+    """Fine's verdict, its witness and residual when feasible, and the largest CHSH variant; all finite."""
+
     feasible: bool
     witness: CfPmf | None
     chsh_value: float
@@ -184,6 +185,11 @@ class FeasibilityResult:
     def __post_init__(self) -> None:
         if self.feasible and self.witness is None:
             raise ValueError("feasible verdict requires a witness")
+        # Both comparisons below are False for NaN, so a NaN field fails them.
+        if not abs(self.chsh_value) < math.inf:
+            raise ValueError("chsh_value must be finite")
+        if self.marginal_residual is not None and not 0.0 <= self.marginal_residual < math.inf:
+            raise ValueError("marginal_residual must be non-negative and finite")
 
 
 # Fine's linear system: row (pair, cell) of the 16 marginal equations,
@@ -207,6 +213,12 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> tuple[f
     guarantees termination despite the degenerate bases these marginal
     systems produce.  Returns (optimal objective, x part of the basic
     solution); the system is solvable iff the objective is ~0.
+
+    The tableau rows are lists of Python floats, which on a tableau this
+    small cost far less per pivot than numpy rows.  Each row operation is
+    the one a numpy row would do, element by element: the pivot row is
+    divided by the pivot, and every other row loses f times it, with the
+    product rounded before the difference.
     """
     m, n = a.shape
     tableau = np.zeros((m + 1, n + m + 1))
@@ -215,34 +227,36 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> tuple[f
     tableau[:m, -1] = b
     tableau[m, :n] = -a.sum(axis=0)
     tableau[m, -1] = -b.sum()
+    tableau = tableau.tolist()
     basis = list(range(n, n + m))
 
     while True:
-        candidates = np.flatnonzero(tableau[m, :-1] < -tol)
-        if candidates.size == 0:
+        entering = next((j for j, v in enumerate(tableau[m][:-1]) if v < -tol), None)
+        if entering is None:
             break
-        entering = candidates[0]
         leaving = -1
-        best = np.inf
+        best = math.inf
         for i in range(m):
-            coef = tableau[i, entering]
+            coef = tableau[i][entering]
             if coef > tol:
-                ratio = tableau[i, -1] / coef
+                ratio = tableau[i][-1] / coef
                 if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and basis[i] < basis[leaving]):
                     best = ratio
                     leaving = i
         if leaving < 0:
             raise InternalCheckError("phase-1 simplex became unbounded; constraint matrix is malformed")
-        tableau[leaving] /= tableau[leaving, entering]
+        pivot = tableau[leaving][entering]
+        lead = tableau[leaving] = [v / pivot for v in tableau[leaving]]
         for i in range(m + 1):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leaving]
+            f = tableau[i][entering]
+            if i != leaving and f != 0.0:
+                tableau[i] = [v - f * w for v, w in zip(tableau[i], lead)]
         basis[leaving] = entering
 
-    objective = -tableau[m, -1]
+    objective = -tableau[m][-1]
     x = np.zeros(n + m)
     for i, var in enumerate(basis):
-        x[var] = tableau[i, -1]
+        x[var] = tableau[i][-1]
     return objective, x[:n]
 
 

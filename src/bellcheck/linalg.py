@@ -58,8 +58,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cols = a.shape[-1] * b.shape[-1]
     if rows > MAX_KRON_DIM or cols > MAX_KRON_DIM:
         raise ValueError(f"kron result {rows}x{cols} exceeds the {MAX_KRON_DIM} dimension guard")
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(lead + (rows, cols))
+    return _kron(a, b)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`kron` of two complex arrays that are known finite and small, without checking them."""
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return product.reshape(product.shape[:-4] + (rows, cols))
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

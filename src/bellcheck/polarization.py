@@ -13,14 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
+from .linalg import _kron
 
 ANGLE_EQUALITY_TOL = 1e-12
 
+# The other party's factor of a one-party observable in the pair space.
+_IDENTITY = np.eye(2, dtype=np.complex128)
+_IDENTITY.flags.writeable = False
+
 
 def reduce_mod_pi(angle: float | np.ndarray) -> float | np.ndarray:
-    """Canonical representative of a polarizer setting in [0, pi), elementwise for arrays."""
-    if not np.all(np.isfinite(angle)):
+    """Canonical representative of a polarizer setting in [0, pi), elementwise for arrays.
+
+    A NaN or infinite angle raises ValueError; a float takes the
+    ``math.isfinite`` fast path, as in :func:`basis_matrix`.
+    """
+    if not (math.isfinite(angle) if isinstance(angle, float) else np.all(np.isfinite(angle))):
         raise ValueError("angle must be finite")
     return angle % math.pi
 
@@ -83,7 +91,7 @@ def basis_matrix(phi: float | np.ndarray) -> np.ndarray:
     if not (math.isfinite(phi) if isinstance(phi, float) else np.isfinite(phi).all()):
         raise ValueError("angle must be finite")
     c, s = np.cos(phi), np.sin(phi)
-    b = np.empty(np.shape(phi) + (2, 2), dtype=np.complex128)
+    b = np.empty(c.shape + (2, 2), dtype=np.complex128)
     b[..., 0, 0] = c
     b[..., 0, 1] = s
     b[..., 1, 0] = -s
@@ -111,9 +119,9 @@ def z_operator(phi: float | np.ndarray) -> np.ndarray:
 
 def x_operator(alpha: float | np.ndarray) -> np.ndarray:
     """Alice's polarizer observable embedded in the pair space."""
-    return kron(z_operator(alpha), np.eye(2, dtype=np.complex128))
+    return _kron(z_operator(alpha), _IDENTITY)
 
 
 def y_operator(beta: float | np.ndarray) -> np.ndarray:
     """Bob's polarizer observable embedded in the pair space."""
-    return kron(np.eye(2, dtype=np.complex128), z_operator(beta))
+    return _kron(_IDENTITY, z_operator(beta))

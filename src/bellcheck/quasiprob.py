@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import OUTCOME_VALUES, _checked_table, _pair_amplitudes, joint_pmf
+from .born import _PRODUCT_SIGNS, OUTCOME_VALUES, SINGLET, _checked_table, _pair_amplitudes, _singlet_tables
 from .errors import check
-from .polarization import basis_matrix, singlet_state, x_operator, y_operator
+from .polarization import basis_matrix, x_operator, y_operator
 
 _IMAG_TOL = 1e-12
 
@@ -41,9 +41,15 @@ _BETA_PROBES = np.array([
 _CHUNK_CELLS = 1 << 20
 
 
+def _check_angles(*angles: float) -> None:
+    # abs(nan) < inf is False, so the comparison rejects NaN too.
+    if not all(abs(angle) < math.inf for angle in angles):
+        raise ValueError("angle must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class QuasiPmf3:
-    """Quasi-probability table over (j, k, l); cells may be negative."""
+    """Quasi-probability table over (j, k, l); cells may be negative.  The angles must be finite."""
 
     values: np.ndarray
     alpha: float
@@ -51,18 +57,20 @@ class QuasiPmf3:
     beta: float
 
     def __post_init__(self) -> None:
+        _check_angles(self.alpha, self.alpha_prime, self.beta)
         object.__setattr__(self, "values", _checked_table(self.values, (2, 2, 2)))
 
 
 @dataclass(frozen=True, eq=False)
 class QuasiPmf2:
-    """Setting-overlap table over (j, k); both marginals are uniform."""
+    """Setting-overlap table over (j, k); both marginals are uniform.  The angles must be finite."""
 
     values: np.ndarray
     alpha: float
     alpha_prime: float
 
     def __post_init__(self) -> None:
+        _check_angles(self.alpha, self.alpha_prime)
         v = _checked_table(self.values, (2, 2))
         for sums in (v.sum(axis=0), v.sum(axis=1)):
             if np.max(np.abs(sums - 0.5)) > 1e-12:
@@ -93,21 +101,19 @@ def q_value(alpha: float, alpha_prime: float, beta: float) -> float:
     The operator sandwich and the sum of the two sign-weighted pair
     tables must agree to 1e-12; they are two routes to the same number.
     """
-    psi = singlet_state()
     op = (x_operator(alpha) + x_operator(alpha_prime)) @ y_operator(beta)
-    sandwich = float(np.real(psi.conj() @ op @ psi))
-    from_tables = (
-        joint_pmf(psi, alpha, beta).product_expectation() + joint_pmf(psi, alpha_prime, beta).product_expectation()
-    )
+    sandwich = float(np.real(SINGLET.conj() @ op @ SINGLET))
+    from_tables = float(np.sum(_PRODUCT_SIGNS * _singlet_tables(np.array((alpha, alpha_prime)), beta)))
     check("q_value operator route vs pair-table route", abs(sandwich - from_tables), 1e-12)
     return sandwich
 
 
 def f_jkl(alpha: float, alpha_prime: float, beta: float) -> QuasiPmf3:
     """The eight-cell quasi-probability table at the given angles."""
-    psi = singlet_state()
     table = _cells(
-        _pair_amplitudes(psi, alpha, beta), _overlaps(alpha, alpha_prime), _pair_amplitudes(psi, alpha_prime, beta)
+        _pair_amplitudes(SINGLET, alpha, beta),
+        _overlaps(alpha, alpha_prime),
+        _pair_amplitudes(SINGLET, alpha_prime, beta),
     )
     return QuasiPmf3(table, alpha, alpha_prime, beta)
 
@@ -132,11 +138,10 @@ def f_jk(alpha: float, alpha_prime: float) -> QuasiPmf2:
     construction is broken.  The surviving table equals half the squared
     overlap of the two Alice bases, so every cell here is non-negative.
     """
-    psi = singlet_state()
     tables = _cells(
-        _pair_amplitudes(psi, alpha, _BETA_PROBES),
+        _pair_amplitudes(SINGLET, alpha, _BETA_PROBES),
         _overlaps(alpha, alpha_prime),
-        _pair_amplitudes(psi, alpha_prime, _BETA_PROBES),
+        _pair_amplitudes(SINGLET, alpha_prime, _BETA_PROBES),
     )
     summed = tables.sum(axis=-1)
     check("f_jk spread over Bob's angle", np.abs(summed[1:] - summed[0]), _IMAG_TOL)
@@ -163,7 +168,7 @@ def find_negativity(grid_step: float, threshold: float = -1e-12) -> np.recarray:
         raise ValueError("threshold must not be NaN")
     grid = np.arange(0.0, np.pi, grid_step)
     size = grid.size
-    amps = _pair_amplitudes(singlet_state(), grid[:, None], grid)  # [alpha, beta, j, l]
+    amps = _pair_amplitudes(SINGLET, grid[:, None], grid)  # [alpha, beta, j, l]
     overlap = _overlaps(grid[:, None], grid)  # [alpha, alpha', j, k]
     block = max(1, _CHUNK_CELLS // (8 * size * size))
     found = []

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import OUTCOME_VALUES, joint_pmf
+from .born import OUTCOME_VALUES, SINGLET, _experiment_angles, _singlet_tables
 from .errors import check
-from .linalg import kron
-from .polarization import AngleConfig, basis_matrix, singlet_state
+from .linalg import _kron
+from .polarization import AngleConfig, basis_matrix
 
 BLOCK_SIZE = 1 << 16
 
@@ -79,7 +79,7 @@ def run_statistic(outcomes: tuple[ExperimentOutcome, ...]) -> int:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Sample mean with its standard error."""
+    """Sample mean with its standard error; both finite."""
 
     mean: float
     stderr: float
@@ -88,14 +88,17 @@ class EstimatorResult:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not self.stderr >= 0.0:
-            raise ValueError("stderr must be non-negative")
+        # Both comparisons below are False for NaN, so a NaN field fails them.
+        if not abs(self.mean) < math.inf:
+            raise ValueError("mean must be finite")
+        if not 0.0 <= self.stderr < math.inf:
+            raise ValueError("stderr must be non-negative and finite")
 
 
-def _pair_cdf(alpha: float, beta: float) -> np.ndarray:
-    """Cumulative cell probabilities in the fixed CELL_VALUES order."""
-    p = joint_pmf(singlet_state(), alpha, beta).p
-    return np.cumsum(p.reshape(-1))
+def _pair_cdf(alpha, beta) -> np.ndarray:
+    """Cumulative cell probabilities in the fixed CELL_VALUES order, along the last axis; angles broadcast."""
+    p = _singlet_tables(alpha, beta)
+    return np.cumsum(p.reshape(p.shape[:-2] + (4,)), axis=-1)
 
 
 def sample_pair(alpha: float, beta: float, rng: np.random.Generator) -> tuple[int, int]:
@@ -178,9 +181,8 @@ def run_experiments(
     """
     _check_draw_count(n)
     estimates = []
-    for idx, (a, b) in enumerate(cfg.experiment_angles(), start=1):
+    for idx, cdf in enumerate(_pair_cdf(*_experiment_angles(cfg)), start=1):
         # x*y is -1 on cells 1 and 2, the draws with cdf[0] <= u < cdf[2].
-        cdf = _pair_cdf(a, b)
         estimates.append(_two_point_estimate(1.0, cdf[0], cdf[2], seed, idx, n))
     signs = (1.0, 1.0, 1.0, -1.0)
     mean = sum(s * e.mean for s, e in zip(signs, estimates))
@@ -211,10 +213,10 @@ def statistic_histogram(records: list[RunRecord] | None = None) -> dict[int, int
 
 def tensor_state() -> np.ndarray:
     """Product state of the four identically prepared singlet pairs (dim 256)."""
-    psi = singlet_state().reshape(4, 1)
+    psi = SINGLET.reshape(4, 1)
     state = psi
     for _ in range(3):
-        state = kron(state, psi)
+        state = _kron(state, psi)
     return state.reshape(-1)
 
 
@@ -233,17 +235,15 @@ def tensor_joint_pmf(cfg: AngleConfig) -> np.ndarray:
     contracted with its own conjugated 4x4 pair basis.  That is the
     Born rule on the whole state without forming the 256x256 matrix.
     """
-    pair_tables = [joint_pmf(singlet_state(), a, b).p for a, b in cfg.experiment_angles()]
-
-    alphas, betas = np.array(cfg.experiment_angles()).T
+    alphas, betas = _experiment_angles(cfg)
     amps = tensor_state().reshape(4, 64)
-    for pair_basis in kron(basis_matrix(alphas), basis_matrix(betas)).conj():
+    for pair_basis in _kron(basis_matrix(alphas), basis_matrix(betas)).conj():
         # Contract the leading pair axis and move it last; after all four
         # pairs the axes are back in pair order.
         amps = (pair_basis @ amps).T.reshape(4, 64)
     born_route = (np.abs(amps) ** 2).reshape((2,) * 8)
 
-    factored = np.einsum("ab,cd,ef,gh->abcdefgh", *pair_tables)
+    factored = np.einsum("ab,cd,ef,gh->abcdefgh", *_singlet_tables(alphas, betas))
     check("full Born route vs factored route", np.abs(born_route - factored), 1e-12)
     return born_route
 

@@ -1,16 +1,21 @@
 """The whole-domain input contract, generated from the exported API.
 
 Every float-annotated parameter of every function in ``bellcheck.__all__``,
-and every field of ``AngleConfig``, gets NaN, +inf and -inf in turn, with
-the other arguments held at legal values.  Bad input must raise
-ValueError: an InternalCheckError would mean a bug, and a result
-computed from a non-finite input is never right.  A new export is covered
-as soon as it is added to ``__all__``.
+every field of ``AngleConfig`` and every float-annotated field of the
+result records gets NaN, +inf and -inf in turn, with the other arguments
+held at legal values.  Bad input must raise ValueError: an
+InternalCheckError would mean a bug, and a result computed from a
+non-finite input is never right.  A new export is covered as soon as it
+is added to ``__all__``.  Inputs are validated once, at the public entry:
+the internal builders behind the per-configuration quantities make a
+pinned number of calls to the validating helpers.
 """
 
 import dataclasses
+import importlib
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,8 +46,8 @@ LEGAL = {
 }
 
 
-def _takes_float(parameter):
-    return "float" in str(parameter.annotation).split(" | ")
+def _takes_float(annotation):
+    return "float" in str(annotation).split(" | ")
 
 
 SIGNATURES = {
@@ -54,7 +59,7 @@ CASES = [
     (name, param.name, bad)
     for name, params in SIGNATURES.items()
     for param in params
-    if _takes_float(param)
+    if _takes_float(param.annotation)
     for bad in BAD
 ]
 FLOAT_TAKING = sorted({name for name, _, _ in CASES})
@@ -67,7 +72,7 @@ def _legal_arguments(name):
         if param.name in FILLERS:
             filler = FILLERS[param.name]
             args[param.name] = filler() if callable(filler) else filler
-        elif _takes_float(param):
+        elif _takes_float(param.annotation):
             args[param.name] = next(floats)
         elif param.default is inspect.Parameter.empty:
             raise LookupError(f"no legal value for parameter {param.name!r} of {name}")
@@ -110,3 +115,104 @@ ANGLE_FIELDS = [field.name for field in dataclasses.fields(AngleConfig)]
 def test_angle_config_rejects_non_finite_fields(field, bad):
     with pytest.raises(ValueError):
         AngleConfig(**{**dict(zip(ANGLE_FIELDS, FLOATS)), field: bad})
+
+
+# Legal field values of each result record.
+RECORDS = {
+    bellcheck.ChshSpectrum: {
+        "t0": 2.0, "t1": 2.0, "w_plus": 0.25, "w_minus": 0.75, "eigenvalues": np.array([2.0, 2.0, -2.0, -2.0])
+    },
+    bellcheck.EstimatorResult: {"mean": -0.5, "stderr": 0.1, "n": 10},
+    bellcheck.FeasibilityResult: {
+        "feasible": True, "witness": bellcheck.CfPmf.uniform(), "chsh_value": 0.0, "marginal_residual": 0.0
+    },
+    bellcheck.QuasiPmf2: {"values": np.full((2, 2), 0.25), "alpha": 0.1, "alpha_prime": 0.7},
+    bellcheck.QuasiPmf3: {"values": np.full((2, 2, 2), 0.125), "alpha": 0.1, "alpha_prime": 0.7, "beta": 0.4},
+}
+RECORD_CASES = [
+    (record, field.name, bad)
+    for record in RECORDS
+    for field in dataclasses.fields(record)
+    if _takes_float(field.type)
+    for bad in BAD
+]
+
+
+def test_the_record_walk_reaches_every_float_field():
+    assert {(record.__name__, name) for record, name, _ in RECORD_CASES} == {
+        ("ChshSpectrum", "t0"), ("ChshSpectrum", "t1"), ("ChshSpectrum", "w_plus"), ("ChshSpectrum", "w_minus"),
+        ("EstimatorResult", "mean"), ("EstimatorResult", "stderr"),
+        ("FeasibilityResult", "chsh_value"), ("FeasibilityResult", "marginal_residual"),
+        ("QuasiPmf2", "alpha"), ("QuasiPmf2", "alpha_prime"),
+        ("QuasiPmf3", "alpha"), ("QuasiPmf3", "alpha_prime"), ("QuasiPmf3", "beta"),
+    }
+
+
+@pytest.mark.parametrize("record", list(RECORDS), ids=lambda record: record.__name__)
+def test_records_accept_legal_fields(record):
+    record(**RECORDS[record])
+
+
+@pytest.mark.parametrize("record, field, bad", RECORD_CASES, ids=str)
+def test_records_reject_non_finite_float_fields(record, field, bad):
+    with pytest.raises(ValueError):
+        record(**{**RECORDS[record], field: bad})
+
+
+@pytest.mark.parametrize("field", ["t0", "t1", "w_plus", "eigenvalues"])
+def test_stacked_spectrum_rejects_one_nan_entry(field):
+    legal = {name: np.array([value, value]) for name, value in RECORDS[bellcheck.ChshSpectrum].items()}
+    legal["eigenvalues"] = np.stack([legal["eigenvalues"][0]] * 2)
+    legal[field] = legal[field].copy()
+    legal[field].flat[-1] = math.nan
+    with pytest.raises(ValueError):
+        bellcheck.ChshSpectrum(**legal)
+
+
+# The helpers that validate their arguments, and the calls each builder
+# makes to them for one configuration.  Settings are checked once, by
+# AngleConfig, and angles once, by basis_matrix, where they enter the
+# Hilbert space; operators built from them are not checked again.
+VALIDATING = ("as_operator", "kron", "basis_matrix")
+CALLS_PER_CONFIG = {
+    "chsh_spectrum": ({"as_operator": 1, "kron": 0, "basis_matrix": 1}, lambda cfg: bellcheck.chsh_spectrum(cfg)),
+    "run_experiments": (
+        {"as_operator": 0, "kron": 0, "basis_matrix": 2}, lambda cfg: bellcheck.run_experiments(cfg, 1, 0)
+    ),
+    "quantum_pair_marginals": (
+        {"as_operator": 0, "kron": 0, "basis_matrix": 2}, lambda cfg: bellcheck.quantum_pair_marginals(cfg)
+    ),
+    "tensor_joint_pmf": ({"as_operator": 0, "kron": 0, "basis_matrix": 4}, lambda cfg: bellcheck.tensor_joint_pmf(cfg)),
+}
+
+
+def _count_validating_calls(monkeypatch, call):
+    """Calls to each VALIDATING helper during ``call()``, through every module of the package that binds it."""
+    originals = {
+        "as_operator": importlib.import_module("bellcheck.linalg").as_operator,
+        "kron": importlib.import_module("bellcheck.linalg").kron,
+        "basis_matrix": importlib.import_module("bellcheck.polarization").basis_matrix,
+    }
+    counts = dict.fromkeys(VALIDATING, 0)
+
+    def counting(name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("bellcheck."):
+            for name, original in originals.items():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name))
+    call()
+    return counts
+
+
+@pytest.mark.parametrize("builder", list(CALLS_PER_CONFIG))
+def test_each_builder_validates_once(monkeypatch, builder):
+    expected, call = CALLS_PER_CONFIG[builder]
+    cfg = AngleConfig(*FLOATS)
+    assert _count_validating_calls(monkeypatch, lambda: call(cfg)) == expected
