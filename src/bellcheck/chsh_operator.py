@@ -60,9 +60,8 @@ class ChshSpectrum:
         w_plus, w_minus = self.w_plus, self.w_minus
         if not np.all((np.abs(w_plus + w_minus - 1.0) <= 1e-12) & (w_plus >= -1e-12) & (w_plus <= 1.0 + 1e-12)):
             raise ValueError(f"outcome weights {w_plus}, {w_minus} must lie in [0, 1] and sum to 1")
-        if not np.all((np.abs(self.t0) < math.inf) & (np.abs(self.t1) < math.inf)) or not np.all(
-            np.abs(self.eigenvalues) < math.inf
-        ):
+        finite = (np.abs(self.t0) < math.inf) & (np.abs(self.t1) < math.inf)
+        if not (np.all(finite) and np.all(np.abs(self.eigenvalues) < math.inf)):
             raise ValueError("t0, t1 and the eigenvalues must be finite")
 
 
