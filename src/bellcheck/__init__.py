@@ -11,6 +11,8 @@ cells mark jointly unmeasurable observables.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .born import JointPmf2x2, Pmf2, chsh_expectation, chsh_expectations, correlation, joint_pmf, pmf_single
 from .chsh_operator import (
     ChshSpectrum,
@@ -35,15 +37,8 @@ from .counterfactual import (
     quantum_pair_marginals,
 )
 from .errors import InternalCheckError
-from .linalg import adjoint, commutator, eig_hermitian, kron
-from .polarization import (
-    AngleConfig,
-    rotated_basis,
-    singlet_state,
-    x_operator,
-    y_operator,
-    z_operator,
-)
+from .linalg import commutator, eig_hermitian
+from .polarization import AngleConfig, singlet_state, x_operator, y_operator, z_operator
 from .quasiprob import QuasiPmf2, QuasiPmf3, f_jk, f_jkl, find_negativity, q_reconstruct, q_value
 from .realworld import (
     EstimatorResult,
@@ -51,65 +46,14 @@ from .realworld import (
     RunRecord,
     enumerate_total_sample_space,
     run_experiments,
-    sample_pair,
     statistic_histogram,
     tensor_chsh_expectation,
     tensor_joint_pmf,
     tensor_state,
 )
 
-__all__ = [
-    "AngleConfig",
-    "CfOutcome",
-    "CfPmf",
-    "ChshSpectrum",
-    "EstimatorResult",
-    "ExperimentOutcome",
-    "FeasibilityResult",
-    "InternalCheckError",
-    "JointPmf2x2",
-    "PairMarginals",
-    "Pmf2",
-    "QuasiPmf2",
-    "QuasiPmf3",
-    "RunRecord",
-    "adjoint",
-    "atom_magnitude",
-    "chsh_all_variants",
-    "chsh_expectation",
-    "chsh_expectations",
-    "chsh_operator",
-    "chsh_spectra",
-    "chsh_spectrum",
-    "closed_form_expectation",
-    "commutator",
-    "correlation",
-    "eig_hermitian",
-    "enumerate_total_sample_space",
-    "f_jk",
-    "f_jkl",
-    "find_negativity",
-    "fine_feasibility",
-    "identify_run",
-    "joint_pmf",
-    "kron",
-    "outcome_statistic",
-    "outcome_values",
-    "pair_marginals",
-    "pmf_single",
-    "q_reconstruct",
-    "q_value",
-    "quantum_pair_marginals",
-    "rotated_basis",
-    "run_experiments",
-    "sample_outcomes",
-    "sample_pair",
-    "singlet_state",
-    "statistic_histogram",
-    "tensor_chsh_expectation",
-    "tensor_joint_pmf",
-    "tensor_state",
-    "x_operator",
-    "y_operator",
-    "z_operator",
-]
+# The imports above are the one list of exports: every public name they
+# bind, leaving out the submodules that importing them binds as well.
+__all__ = sorted(
+    name for name, value in vars().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -9,7 +9,9 @@ cyclic Jacobi iteration intended for the 4x4 operators it is used on,
 and ``eig_hermitian`` diagonalizes a whole ``(..., n, n)`` stack in one
 call, so an angle sweep costs one solve rather than one per point.
 Stacks and lone matrices run the same sweep; only the 2x2 rotation
-differs, computed in Python floats while one matrix is active.
+differs, computed in Python floats while one matrix is active.  The
+builders form Kronecker products with the private, unchecked ``_kron``:
+their factors come from angles already checked at the public entry.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-MAX_KRON_DIM = 65_536
 
 # Jacobi stops once the off-diagonal Frobenius norm is at most
 # _OFF_TOL * ||A||_F.  Relative, so it is reachable at every scale (the
@@ -44,33 +44,14 @@ def as_operator(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with an output-dimension guard.
-
-    Stacks pair up by broadcasting their leading axes.  The guard rejects
-    results with more than 65 536 rows or columns; nothing in this
-    package legitimately needs more, so exceeding it signals a misuse
-    (e.g. an unbounded kron loop).
-    """
-    a = as_operator(a)
-    b = as_operator(b)
-    rows = a.shape[-2] * b.shape[-2]
-    cols = a.shape[-1] * b.shape[-1]
-    if rows > MAX_KRON_DIM or cols > MAX_KRON_DIM:
-        raise ValueError(f"kron result {rows}x{cols} exceeds the {MAX_KRON_DIM} dimension guard")
-    return _kron(a, b)
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`kron` of two complex arrays that are known finite and small, without checking them."""
+    """Kronecker product of two complex arrays known to be finite and small, unchecked.
+
+    Stacks pair up by broadcasting their leading axes.
+    """
     product = a[..., :, None, :, None] * b[..., None, :, None, :]
     rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
     return product.reshape(product.shape[:-4] + (rows, cols))
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_operator(a).conj().swapaxes(-1, -2)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

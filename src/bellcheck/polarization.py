@@ -99,12 +99,6 @@ def basis_matrix(phi: float | np.ndarray) -> np.ndarray:
     return b
 
 
-def rotated_basis(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The orthonormal eigenvector pair of the polarizer at angle phi."""
-    b = basis_matrix(phi)
-    return b[0].copy(), b[1].copy()
-
-
 def z_operator(phi: float | np.ndarray) -> np.ndarray:
     """Dichotomic polarizer observable at angle phi, built spectrally.
 

@@ -4,7 +4,7 @@ A real CHSH run consists of four separate experiments E1..E4, one per
 angle pair of an :class:`~bellcheck.polarization.AngleConfig`, each on
 its own photon pair.  This module provides
 
-* seeded Monte Carlo draws from the singlet pair distribution,
+* seeded Monte Carlo estimates of the four pair correlations,
 * exhaustive enumeration of the 4^4 = 256 joint elementary outcomes and
   the statistic x1 y1 + x2 y2 + x3 y3 - x4 y4 (always in [-4, 4]),
 * the 256-dimensional four-pair product state and its full Born-rule
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import OUTCOME_VALUES, SINGLET, _experiment_angles, _singlet_tables
+from .born import _PRODUCT_SIGNS, SINGLET, _experiment_angles, _singlet_tables
 from .errors import check
 from .linalg import _kron
 from .polarization import AngleConfig, basis_matrix
@@ -41,6 +41,13 @@ BLOCK_SIZE = 1 << 16
 # pair table, flattened row-major, so cell index 0 -> (+1, +1), 1 -> (+1, -1),
 # 2 -> (-1, +1), 3 -> (-1, -1).
 CELL_VALUES = tuple(itertools.product((1, -1), (1, -1)))
+
+# The run statistic x1 y1 + x2 y2 + x3 y3 - x4 y4 on each cell of the
+# eight-axis outcome table of tensor_joint_pmf.
+_RUN_STATISTIC = np.add.outer(
+    np.add.outer(np.add.outer(_PRODUCT_SIGNS, _PRODUCT_SIGNS), _PRODUCT_SIGNS), -_PRODUCT_SIGNS
+)
+_RUN_STATISTIC.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -101,19 +108,6 @@ def _pair_cdf(alpha, beta) -> np.ndarray:
     return np.cumsum(p.reshape(p.shape[:-2] + (4,)), axis=-1)
 
 
-def sample_pair(alpha: float, beta: float, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one (x, y) outcome from the singlet pair distribution.
-
-    Inverse-CDF over the four cells using a single uniform, so exactly
-    one draw of ``rng`` is consumed per call.  A draw u lands in cell
-    #{j < 3 : cdf[j] <= u}, which is min(searchsorted(cdf, u, "right"), 3).
-    By the same rule x*y = -1 exactly on cdf[0] <= u < cdf[2], the band
-    :func:`run_experiments` counts block by block.
-    """
-    cdf = _pair_cdf(alpha, beta)
-    return CELL_VALUES[int((rng.random() >= cdf[:3]).sum())]
-
-
 def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, stream, block]))
 
@@ -129,19 +123,6 @@ def _uniform_blocks(seed: int, stream: int, n: int) -> Iterator[np.ndarray]:
         u = buf[: min(BLOCK_SIZE, n - lo)]
         _block_rng(seed, stream, block).random(out=u)
         yield u
-
-
-def stream_uniforms(seed: int, stream: int, n: int) -> np.ndarray:
-    """The first ``n`` uniforms of a counter-indexed stream, as one array.
-
-    The same draws the samplers count block by block; the block layout
-    makes the value of draw ``i`` independent of how [0, n) is split over
-    workers.
-    """
-    out = np.empty(n)
-    for lo, u in zip(range(0, n, BLOCK_SIZE), _uniform_blocks(seed, stream, n)):
-        out[lo : lo + len(u)] = u
-    return out
 
 
 def _check_draw_count(n: int) -> None:
@@ -250,12 +231,4 @@ def tensor_joint_pmf(cfg: AngleConfig) -> np.ndarray:
 
 def tensor_chsh_expectation(cfg: AngleConfig) -> float:
     """Expectation of the run statistic under the eight-variable table."""
-    table = tensor_joint_pmf(cfg)
-    v = OUTCOME_VALUES
-    stat = (
-        np.einsum("a,b->ab", v, v).reshape(2, 2, 1, 1, 1, 1, 1, 1)
-        + np.einsum("c,d->cd", v, v).reshape(1, 1, 2, 2, 1, 1, 1, 1)
-        + np.einsum("e,f->ef", v, v).reshape(1, 1, 1, 1, 2, 2, 1, 1)
-        - np.einsum("g,h->gh", v, v).reshape(1, 1, 1, 1, 1, 1, 2, 2)
-    )
-    return float(np.sum(table * stat))
+    return float(np.sum(tensor_joint_pmf(cfg) * _RUN_STATISTIC))

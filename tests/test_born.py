@@ -16,7 +16,6 @@ from bellcheck.born import (
 )
 from bellcheck.counterfactual import CfPmf
 from bellcheck.polarization import AngleConfig, basis_matrix, singlet_state, x_operator, y_operator
-from bellcheck.linalg import kron
 from bellcheck.quasiprob import QuasiPmf2, QuasiPmf3
 
 M_MATRIX = np.ones((2, 2))
@@ -77,7 +76,7 @@ def test_joint_pmf_against_explicit_kron_born_rule():
         ba, bb = basis_matrix(alpha), basis_matrix(beta)
         for k in range(2):
             for l in range(2):
-                amp = np.vdot(kron(ba[k].reshape(1, 2), bb[l].reshape(1, 2)).reshape(-1), psi)
+                amp = np.vdot(np.kron(ba[k], bb[l]), psi)
                 assert abs(table[k, l] - abs(amp) ** 2) < 1e-14
 
 

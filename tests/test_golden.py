@@ -230,7 +230,6 @@ LIBRARY_GOLDEN = {
     "fine": "cdf2e673bf7527fac0645689a5c756b97b89fdad0a85b69b486b188160ad442c",
     "tensor_joint_pmf": "3d9768b7457b6a5445f75f83c06368b4dbcf66d4c6a14848db46e66ad5741989",
     "samplers": "ee089a99c5d688e292b097b3c05de3b10a26231a086c877b30553cc2c7184255",
-    "sample_pair": "8686db785d684840841eb0676ea4a92862bbb93415b5c91b6ac6fdfed297b92b",
     "quasiprob": "069ce792b6cdb843fe7c12fa2bbeb54a197df5c82ef32c1c88c7f89607c8ebcd",
 }
 
@@ -264,8 +263,6 @@ def _library_digests():
             outcomes = bellcheck.sample_outcomes(cfg, n, seed)
             for e in (*per_experiment, combined, outcomes):
                 feed["samplers"](e.mean, e.stderr, e.n)
-        rng = np.random.default_rng(seed)
-        feed["sample_pair"](*(bellcheck.sample_pair(a, b, rng) for a, b in cfg.experiment_angles() for _ in range(4)))
         feed["quasiprob"](
             bellcheck.f_jk(cfg.alpha1, cfg.alpha2).values, bellcheck.q_value(cfg.alpha1, cfg.alpha2, cfg.beta1)
         )

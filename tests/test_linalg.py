@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcheck.linalg import adjoint, commutator, eig_hermitian, kron
+from bellcheck.linalg import _kron, commutator, eig_hermitian
 from bellcheck.polarization import AngleConfig, singlet_state, z_operator
 from bellcheck.chsh_operator import chsh_operator
 
@@ -33,9 +33,10 @@ def char_poly_eigenvalues(m):
     return np.sort(np.roots([1.0, -e1, e2, -e3, e4]).real)
 
 
+# _kron is the unchecked Kronecker product the builders use; np.kron is the reference.
 def test_kron_identities():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-    assert np.array_equal(kron(SIGMA_Z, I2), np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert np.array_equal(_kron(I2, I2), np.eye(4))
+    assert np.array_equal(_kron(SIGMA_Z, I2), np.diag([1.0, 1.0, -1.0, -1.0]))
 
 
 def test_kron_fourfold_singlet_projector_trace():
@@ -43,22 +44,20 @@ def test_kron_fourfold_singlet_projector_trace():
     projector = np.outer(psi, psi.conj())
     big = projector
     for _ in range(3):
-        big = kron(big, projector)
+        big = _kron(big, projector)
     assert big.shape == (256, 256)
+    assert np.array_equal(big, np.kron(np.kron(np.kron(projector, projector), projector), projector))
     assert abs(np.trace(big) - 1.0) < 1e-12
 
 
-def test_kron_dimension_guard():
-    with pytest.raises(ValueError, match="dimension guard"):
-        kron(np.eye(300), np.eye(300))
-
-
-def test_adjoint_basics():
-    assert np.array_equal(adjoint(I2), I2)
-    assert np.array_equal(adjoint(SIGMA_Y), SIGMA_Y)
+def test_kron_pairs_stacks_by_broadcasting():
     rng = np.random.default_rng(3)
-    a = random_complex(rng, (4, 4))
-    assert np.array_equal(adjoint(adjoint(a)), a)
+    a, b = random_complex(rng, (3, 1, 2, 2)), random_complex(rng, (4, 2, 3))
+    got = _kron(a, b)
+    assert got.shape == (3, 4, 4, 6)
+    for i in range(3):
+        for j in range(4):
+            assert np.array_equal(got[i, j], np.kron(a[i, 0], b[j]))
 
 
 def test_commutator_zero_and_frozen_value():
@@ -85,10 +84,11 @@ def test_commutator_antisymmetry(seed):
 def test_kron_mixed_product_and_associativity(seed):
     rng = np.random.default_rng(seed)
     a, b, c, d = (random_complex(rng, (2, 2)) for _ in range(4))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
+    assert np.array_equal(_kron(a, b), np.kron(a, b))
+    lhs = _kron(a, b) @ _kron(c, d)
+    rhs = _kron(a @ c, b @ d)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-    assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) < 1e-12
+    assert np.max(np.abs(_kron(_kron(a, b), c) - _kron(a, _kron(b, c)))) < 1e-12
 
 
 def test_eig_sigma_z():

@@ -10,7 +10,6 @@ from bellcheck.polarization import (
     AngleConfig,
     basis_matrix,
     reduce_mod_pi,
-    rotated_basis,
     same_setting,
     singlet_state,
     x_operator,
@@ -30,18 +29,18 @@ def test_singlet_components():
     assert psi[0] == 0.0 and psi[3] == 0.0
 
 
-def test_rotated_basis_special_angles():
-    plus, minus = rotated_basis(0.0)
+def test_basis_matrix_rows_at_special_angles():
+    plus, minus = basis_matrix(0.0)
     assert np.allclose(plus, [1, 0]) and np.allclose(minus, [0, 1])
-    plus, minus = rotated_basis(math.pi / 2)
+    plus, minus = basis_matrix(math.pi / 2)
     assert np.allclose(plus, [0, 1], atol=1e-15)
     assert np.allclose(minus, [-1, 0], atol=1e-15)
 
 
-def test_rotated_basis_orthonormal_everywhere():
+def test_basis_matrix_rows_orthonormal_everywhere():
     rng = np.random.default_rng(2)
     for phi in rng.uniform(-10, 10, 1000):
-        plus, minus = rotated_basis(phi)
+        plus, minus = basis_matrix(phi)
         assert abs(plus.conj() @ minus) < 1e-14
         assert abs(plus.conj() @ plus - 1) < 1e-14
 
@@ -61,7 +60,7 @@ def test_z_operator_is_hermitian_involution():
 def test_z_operator_periodicity_and_completeness():
     for phi in np.linspace(0.0, math.pi, 19):
         assert np.max(np.abs(z_operator(phi) - z_operator(phi + math.pi))) < 1e-12
-        plus, minus = rotated_basis(phi)
+        plus, minus = basis_matrix(phi)
         resolution = np.outer(plus, plus.conj()) + np.outer(minus, minus.conj())
         assert np.max(np.abs(resolution - np.eye(2))) < 1e-14
 
@@ -118,7 +117,6 @@ def test_angle_config_rejects_non_finite_angles_like_every_angle_function(positi
 
 _ANGLE_FUNCTIONS = {
     "basis_matrix": (basis_matrix, 1),
-    "rotated_basis": (rotated_basis, 1),
     "z_operator": (z_operator, 1),
     "x_operator": (x_operator, 1),
     "y_operator": (y_operator, 1),

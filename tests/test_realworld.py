@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from itertools import product
 
 import numpy as np
 import pytest
@@ -12,59 +11,44 @@ from bellcheck.errors import InternalCheckError
 from bellcheck.polarization import AngleConfig, singlet_state
 from bellcheck.realworld import (
     BLOCK_SIZE,
-    CELL_VALUES,
     EstimatorResult,
     ExperimentOutcome,
     RunRecord,
     enumerate_total_sample_space,
     run_experiments,
     run_statistic,
-    sample_pair,
     statistic_histogram,
-    stream_uniforms,
     tensor_chsh_expectation,
     tensor_joint_pmf,
     tensor_state,
 )
-from bellcheck.realworld import _pair_cdf, _two_point_estimate  # the counting path under test
+from bellcheck.realworld import _pair_cdf, _two_point_estimate, _uniform_blocks  # the counting path under test
 
 OPTIMAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5)
 
 
-def test_sample_pair_perfect_anticorrelation_at_equal_angles():
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        x, y = sample_pair(0.4, 0.4, rng)
-        assert x * y == -1
+def _stream_uniforms(seed, stream, n):
+    """Reference stream: block b of the first n uniforms, drawn straight from its own seeded generator."""
+    return np.concatenate([
+        np.random.default_rng(np.random.SeedSequence([seed, stream, block])).random(min(BLOCK_SIZE, n - lo))
+        for block, lo in enumerate(range(0, n, BLOCK_SIZE))
+    ])
 
 
-def test_sample_pair_uniform_at_45_degrees():
-    rng = np.random.default_rng(1)
-    n = 40_000
-    counts = {}
-    for _ in range(n):
-        xy = sample_pair(0.0, math.pi / 4, rng)
-        counts[xy] = counts.get(xy, 0) + 1
-    stderr = math.sqrt(0.25 * 0.75 / n)
-    for cell in product((1, -1), repeat=2):
-        assert abs(counts[cell] / n - 0.25) < 3 * stderr
+def test_uniform_blocks_block_invariance():
+    # the value of draw i must not depend on how many draws are requested;
+    # every block shares one buffer, so each is copied before the next
+    full = [u.copy() for u in _uniform_blocks(99, 3, BLOCK_SIZE + 500)]
+    assert [len(u) for u in full] == [BLOCK_SIZE, 500]
+    assert np.array_equal(np.concatenate(full), _stream_uniforms(99, 3, BLOCK_SIZE + 500))
+    (prefix,) = _uniform_blocks(99, 3, 700)
+    assert np.array_equal(full[0][:700], prefix)
+    assert not np.array_equal(_stream_uniforms(99, 1, 100), _stream_uniforms(99, 2, 100))
 
 
-def test_sample_pair_mean_x_is_zero():
-    rng = np.random.default_rng(2)
-    n = 40_000
-    total = sum(sample_pair(0.2, 0.9, rng)[0] for _ in range(n))
-    assert abs(total / n) < 3 / math.sqrt(n)
-
-
-def test_stream_uniforms_block_invariance():
-    # the value of draw i must not depend on how many draws are requested
-    full = stream_uniforms(99, 3, BLOCK_SIZE + 500)
-    prefix = stream_uniforms(99, 3, 700)
-    assert np.array_equal(full[:700], prefix)
-    assert not np.array_equal(
-        stream_uniforms(99, 1, 100), stream_uniforms(99, 2, 100)
-    )
+def test_equal_settings_anticorrelate_on_every_draw():
+    per_exp, _ = run_experiments(AngleConfig(0.4, 1.0, 0.4, 1.3), 1_000, seed=0)
+    assert per_exp[0] == EstimatorResult(-1.0, 0.0, 1_000)
 
 
 def test_run_experiments_matches_closed_form():
@@ -97,9 +81,8 @@ def test_cross_experiment_independence():
     # joint frequency across two experiments factorizes into the product
     cfg = AngleConfig.from_degrees(0.0, 30.0, 10.0, 70.0)
     n = 40_000
-    # test taps the streams directly
-    cells_1 = _cell_rule(stream_uniforms(5, 1, n), _pair_cdf(*cfg.experiment_angles()[0]))
-    cells_2 = _cell_rule(stream_uniforms(5, 2, n), _pair_cdf(*cfg.experiment_angles()[1]))
+    cells_1 = _cell_rule(_stream_uniforms(5, 1, n), _pair_cdf(*cfg.experiment_angles()[0]))
+    cells_2 = _cell_rule(_stream_uniforms(5, 2, n), _pair_cdf(*cfg.experiment_angles()[1]))
     p1 = np.mean(cells_1 == 0)
     p2 = np.mean(cells_2 == 0)
     p12 = np.mean((cells_1 == 0) & (cells_2 == 0))
@@ -109,16 +92,6 @@ def test_cross_experiment_independence():
 
 def _searchsorted_cell(u, cdf):
     return np.minimum(np.searchsorted(cdf, u, side="right"), 3)
-
-
-class _FixedDraw:
-    """Stands in for a Generator whose next uniform is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 @pytest.mark.parametrize("cdf", [
@@ -131,12 +104,9 @@ class _FixedDraw:
     np.array([0.25, 0.25, 1.0, 1.0]),
 ])
 def test_cell_rule_equals_capped_searchsorted(monkeypatch, cdf):
-    monkeypatch.setattr(realworld, "_pair_cdf", lambda alpha, beta: cdf)
     random_u = np.random.default_rng(17).random(2_000)
     edges = np.concatenate((cdf, [0.0], np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)))
-    for u in np.concatenate((random_u, edges)).tolist():
-        assert sample_pair(0.0, 0.0, _FixedDraw(u)) == CELL_VALUES[int(_searchsorted_cell(u, cdf))]
-    # the vectorised rule the stream tests use is the same rule
+    # the vectorised rule the stream tests use is the capped searchsorted rule
     for u in (random_u, edges):
         assert np.array_equal(_cell_rule(u, cdf), _searchsorted_cell(u, cdf))
     # and so is the x*y band the estimator counts, fed the same draws as two blocks
@@ -162,10 +132,10 @@ def test_block_counts_match_the_per_draw_samplers(n):
     cfg = AngleConfig.from_degrees(0.0, 30.0, 15.0, 75.0)
     per_exp, _ = run_experiments(cfg, n, seed=31)
     for idx, ((a, b), est) in enumerate(zip(cfg.experiment_angles(), per_exp), start=1):
-        cells = _searchsorted_cell(stream_uniforms(31, idx, n), _pair_cdf(a, b))
+        cells = _searchsorted_cell(_stream_uniforms(31, idx, n), _pair_cdf(a, b))
         assert est == _moment_estimate(np.array([1.0, -1.0, -1.0, 1.0])[cells])
     spectrum = chsh_spectrum(cfg)
-    k_plus = int(np.count_nonzero(stream_uniforms(31, 0, n) < spectrum.w_plus))
+    k_plus = int(np.count_nonzero(_stream_uniforms(31, 0, n) < spectrum.w_plus))
     assert sample_outcomes(cfg, n, seed=31).mean == spectrum.t0 * ((2 * k_plus - n) / n)
 
 
@@ -175,7 +145,7 @@ def test_sample_outcomes_matches_a_per_draw_reference(n):
     # so the second moment t0**2 is far from t0
     cfg = AngleConfig.from_degrees(0.0, 75.0, 20.0, 130.0)
     spectrum = chsh_spectrum(cfg)
-    vals = np.where(stream_uniforms(31, 0, n) < spectrum.w_plus, spectrum.t0, -spectrum.t0)
+    vals = np.where(_stream_uniforms(31, 0, n) < spectrum.w_plus, spectrum.t0, -spectrum.t0)
     est, ref = sample_outcomes(cfg, n, seed=31), _moment_estimate(vals)
     assert est.n == n
     assert est.mean == pytest.approx(ref.mean, rel=1e-12, abs=1e-12)
