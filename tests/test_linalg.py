@@ -60,6 +60,24 @@ def test_kron_pairs_stacks_by_broadcasting():
             assert np.array_equal(got[i, j], np.kron(a[i, 0], b[j]))
 
 
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((2, 2), (2, 2)),
+    ((1, 3), (2, 1)),
+    ((4, 4), (2, 2)),
+    ((2, 2), (4, 4)),
+    ((3, 2, 2), (2, 2)),
+    ((2, 2), (5, 2, 2)),
+])
+def test_kron_matches_numpy(shape_a, shape_b):
+    rng = np.random.default_rng(sum(shape_a) + 10 * sum(shape_b))
+    a, b = random_complex(rng, shape_a), random_complex(rng, shape_b)
+    got = _kron(a, b)
+    for index in np.ndindex(got.shape[:-2]):
+        ia, ib = index[len(index) - a.ndim + 2:], index[len(index) - b.ndim + 2:]
+        assert np.array_equal(got[index], np.kron(a[ia], b[ib]))
+    assert got.shape[-2:] == (shape_a[-2] * shape_b[-2], shape_a[-1] * shape_b[-1])
+
+
 def test_commutator_zero_and_frozen_value():
     assert np.max(np.abs(commutator(I2, SIGMA_Y))) == 0.0
     got = commutator(z_operator(np.pi / 4), z_operator(0.0))

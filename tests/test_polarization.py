@@ -45,6 +45,22 @@ def test_basis_matrix_rows_orthonormal_everywhere():
         assert abs(plus.conj() @ plus - 1) < 1e-14
 
 
+def test_basis_matrix_stack_equals_per_angle_matrices():
+    phis = np.random.default_rng(4).uniform(-10, 10, (3, 5))
+    stack = basis_matrix(phis)
+    assert stack.shape == (3, 5, 2, 2)
+    for index in np.ndindex(phis.shape):
+        assert np.array_equal(stack[index], basis_matrix(float(phis[index])))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_basis_matrix_rejects_one_non_finite_angle_in_a_stack(bad):
+    phis = np.linspace(0.0, math.pi, 8)
+    phis[5] = bad
+    with pytest.raises(ValueError, match="angle must be finite"):
+        basis_matrix(phis)
+
+
 def test_z_operator_values():
     assert np.allclose(z_operator(0.0), np.diag([1.0, -1.0]))
     assert np.allclose(z_operator(math.pi / 4), [[0, 1], [1, 0]], atol=1e-15)

@@ -11,6 +11,7 @@ from bellcheck.errors import InternalCheckError
 from bellcheck.polarization import AngleConfig, singlet_state
 from bellcheck.realworld import (
     BLOCK_SIZE,
+    CELL_VALUES,
     EstimatorResult,
     ExperimentOutcome,
     RunRecord,
@@ -46,9 +47,11 @@ def test_uniform_blocks_block_invariance():
     assert not np.array_equal(_stream_uniforms(99, 1, 100), _stream_uniforms(99, 2, 100))
 
 
-def test_equal_settings_anticorrelate_on_every_draw():
-    per_exp, _ = run_experiments(AngleConfig(0.4, 1.0, 0.4, 1.3), 1_000, seed=0)
-    assert per_exp[0] == EstimatorResult(-1.0, 0.0, 1_000)
+@pytest.mark.parametrize("n", [1, 700, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 3])
+def test_uniform_blocks_match_the_reference_stream(n):
+    blocks = [u.copy() for u in _uniform_blocks(7, 2, n)]
+    assert [len(u) for u in blocks] == [min(BLOCK_SIZE, n - lo) for lo in range(0, n, BLOCK_SIZE)]
+    assert np.array_equal(np.concatenate(blocks), _stream_uniforms(7, 2, n))
 
 
 def test_run_experiments_matches_closed_form():
@@ -88,6 +91,26 @@ def test_cross_experiment_independence():
     p12 = np.mean((cells_1 == 0) & (cells_2 == 0))
     se = math.sqrt(p12 * (1 - p12) / n) + math.sqrt(p1 * p2 / n)
     assert abs(p12 - p1 * p2) < 5 * se
+
+
+def _stream_cells(seed, stream, n, alpha, beta):
+    """Cells of the first n draws (n <= BLOCK_SIZE) of a stream at one angle pair."""
+    (u,) = _uniform_blocks(seed, stream, n)
+    return _cell_rule(u, _pair_cdf(alpha, beta))
+
+
+def test_stream_cells_are_uniform_at_45_degrees():
+    n = 40_000
+    freq = np.bincount(_stream_cells(1, 1, n, 0.0, math.pi / 4), minlength=4) / n
+    assert np.all(np.abs(freq - 0.25) < 3 * math.sqrt(0.25 * 0.75 / n))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.2, 0.9), (0.4, 0.4), (0.0, 2.5)])
+def test_stream_marginals_are_unbiased(alpha, beta):
+    # each photon alone is +1 or -1 with probability 1/2, whatever the settings
+    n = 40_000
+    xy = np.array(CELL_VALUES)[_stream_cells(2, 1, n, alpha, beta)]
+    assert np.all(np.abs(xy.mean(axis=0)) < 3 / math.sqrt(n))
 
 
 def _searchsorted_cell(u, cdf):
@@ -254,6 +277,14 @@ def test_tensor_expectation_equals_pair_route():
             continue
         assert abs(tensor_chsh_expectation(cfg) - chsh_expectation(cfg)) < 1e-12
     assert tensor_chsh_expectation(OPTIMAL) == pytest.approx(-2 * math.sqrt(2), abs=1e-12)
+
+
+def test_run_statistic_table_matches_the_enumeration():
+    table = realworld._RUN_STATISTIC
+    assert table.shape == (2,) * 8 and not table.flags.writeable
+    for record in enumerate_total_sample_space():
+        index = tuple(int(v == -1) for o in record.outcomes for v in (o.x, o.y))
+        assert table[index] == record.statistic
 
 
 def test_full_born_route_reads_the_256_dimensional_state(monkeypatch):
