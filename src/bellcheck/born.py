@@ -4,6 +4,10 @@ Outcome indexing convention, used by every module in the package:
 index 0 of a probability table is the +1 outcome, index 1 is the -1
 outcome.  For a pair table ``p``, ``p[k, l]`` is the probability that
 Alice sees value (+1, -1)[k] and Bob sees value (+1, -1)[l].
+
+Each public entry turns its angles into basis matrices once, and the
+kernels take those.  A record validates the table a caller hands it; a
+builder checks only the totals of the tables it makes itself.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check
 from .linalg import as_operator, hermiticity_defect
 from .polarization import AngleConfig, basis_matrix, singlet_state
 
@@ -29,35 +34,33 @@ SINGLET.flags.writeable = False
 CLAMP_TOL = 1e-12
 
 
-def _checked_table(values, shape: tuple[int, ...], stack: tuple[int, ...] = ()) -> np.ndarray:
-    """``values`` as a float array of ``stack + shape``, finite, each table summing to 1 within 1e-12.
+def _checked_table(values, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a float array of ``shape``, finite, summing to 1 within 1e-12.
 
-    Every probability table passes through here, alone or as a stack of
-    tables of ``shape`` along the leading axes ``stack``; the sign policy
+    Every record validates the table it is handed here; the sign policy
     (clamp, reject or allow negative cells) stays with each table type.
     """
     v = np.asarray(values, dtype=float)
-    if v.shape != stack + shape:
-        raise ValueError(f"expected shape {stack + shape}, got {v.shape}")
-    total = v.reshape(stack + (-1,)).sum(axis=-1)
-    # A NaN or infinite cell makes its table's total NaN or infinite, which
-    # fails this comparison, so finite tables need no pass of their own.
-    if not (abs(total - 1.0) <= 1e-12).all():
+    if v.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {v.shape}")
+    total = v.sum()
+    # A NaN or infinite cell makes the total NaN or infinite, which fails
+    # this comparison, so finite tables need no pass of their own.
+    if not abs(total - 1.0) <= 1e-12:
         if not np.isfinite(v).all():
             raise ValueError("probabilities must be finite")
         raise ValueError(f"table sums to {total}, not 1")
     return v
 
 
-def _clamp_probabilities(p: np.ndarray, ndim: int) -> np.ndarray:
-    """``p`` with rounding-noise cells clamped to zero, each table over the last ``ndim`` axes renormalized alone."""
+def _clamp_probabilities(p: np.ndarray) -> np.ndarray:
+    """``p`` with rounding-noise cells clamped to zero and the table renormalized."""
     low = p.min()
     if low < -CLAMP_TOL:
         raise ValueError(f"probability {low} below -{CLAMP_TOL}; not representable as rounding noise")
     if low < 0.0:
-        axes = tuple(range(-ndim, 0))
         clamped = np.maximum(p, 0.0)
-        p = np.where((p < 0.0).any(axis=axes, keepdims=True), clamped / clamped.sum(axis=axes, keepdims=True), p)
+        p = clamped / clamped.sum()
     return p
 
 
@@ -88,11 +91,11 @@ class JointPmf2x2:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _clamp_probabilities(_checked_table(self.p, (2, 2)), 2))
+        object.__setattr__(self, "p", _clamp_probabilities(_checked_table(self.p, (2, 2))))
 
     @classmethod
     def _from_checked(cls, tables: np.ndarray) -> tuple["JointPmf2x2", ...]:
-        """One record per table of a stack that :func:`_singlet_tables` has already held to these rules."""
+        """One record per table of a stack that :func:`_singlet_tables` built and checked."""
         records = []
         for p in tables:
             record = object.__new__(cls)
@@ -137,39 +140,39 @@ def pmf_single(state: np.ndarray, observable: np.ndarray) -> Pmf2:
         raise ValueError("observable is not involutory; spectrum must be {+1, -1}")
     plus_proj = (np.eye(dim) + obs) / 2.0
     p_plus = float(np.real(state.conj() @ plus_proj @ state))
-    p = _clamp_probabilities(_checked_table([p_plus, 1.0 - p_plus], (2,)), 1)
+    p = _clamp_probabilities(_checked_table([p_plus, 1.0 - p_plus], (2,)))
     return Pmf2(float(p[0]), float(p[1]))
 
 
-def _pair_amplitudes(state: np.ndarray, alpha, beta) -> np.ndarray:
-    """amps[..., k, l] = <x_k, alpha; y_l, beta | state>; angles broadcast."""
-    return basis_matrix(alpha).conj() @ state.reshape(2, 2) @ basis_matrix(beta).conj().swapaxes(-1, -2)
+def _pair_amplitudes(state: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """amps[..., k, l] = <x_k, alpha; y_l, beta | state> from the two parties' basis matrices; stacks broadcast."""
+    return alice.conj() @ state.reshape(2, 2) @ bob.conj().swapaxes(-1, -2)
 
 
-def _pair_probabilities(state: np.ndarray, alpha, beta) -> np.ndarray:
-    """Raw 2x2 Born-rule tables |<x_k, alpha; y_l, beta | state>|^2; angles broadcast."""
-    return np.abs(_pair_amplitudes(state, alpha, beta)) ** 2
+def _pair_probabilities(state: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Raw 2x2 Born-rule tables |<x_k, alpha; y_l, beta | state>|^2 from basis matrices; stacks broadcast."""
+    return np.abs(_pair_amplitudes(state, alice, bob)) ** 2
 
 
 def joint_pmf(state: np.ndarray, alpha: float, beta: float) -> JointPmf2x2:
     """Joint distribution of Alice's and Bob's polarizer outcomes."""
     state = _require_unit(state)
-    return JointPmf2x2(_pair_probabilities(state, alpha, beta))
+    return JointPmf2x2(_pair_probabilities(state, *basis_matrix(np.array((alpha, beta)))))
 
 
-def _singlet_tables(alpha, beta) -> np.ndarray:
-    """Singlet pair tables over broadcast angle arrays, shape (..., 2, 2).
+def _singlet_tables(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Singlet pair tables from broadcast stacks of basis matrices, shape (..., 2, 2).
 
-    The whole stack is held at once to the rules every JointPmf2x2
-    obeys: finite cells, each table summing to 1, rounding noise clamped.
+    The cells are squared moduli, never negative, so only each total is checked.
     """
-    p = _pair_probabilities(SINGLET, alpha, beta)
-    return _clamp_probabilities(_checked_table(p, (2, 2), p.shape[:-2]), 2)
+    p = _pair_probabilities(SINGLET, alice, bob)
+    check("singlet pair table total", np.abs(p.sum(axis=(-2, -1)) - 1.0), 1e-12)
+    return p
 
 
-def _experiment_angles(cfg: AngleConfig) -> np.ndarray:
-    """Alice's and Bob's angles of the experiments E1..E4, as two rows."""
-    return np.array(cfg.experiment_angles()).T
+def _experiment_bases(cfg: AngleConfig) -> np.ndarray:
+    """Alice's and Bob's basis matrices of the experiments E1..E4, shape (2, 4, 2, 2)."""
+    return basis_matrix(np.array(cfg.experiment_angles()).T)
 
 
 def correlation(alpha: float | np.ndarray, beta: float | np.ndarray) -> float | np.ndarray:
@@ -179,7 +182,7 @@ def correlation(alpha: float | np.ndarray, beta: float | np.ndarray) -> float | 
     pair table each; two plain angles give a float.  Non-finite angles
     raise ValueError.
     """
-    p = _pair_probabilities(SINGLET, alpha, beta)
+    p = _pair_probabilities(SINGLET, basis_matrix(alpha), basis_matrix(beta))
     if p.ndim == 2:
         (p00, p01), (p10, p11) = p.tolist()
         return p00 - p01 - p10 + p11

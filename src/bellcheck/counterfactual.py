@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import JointPmf2x2, _checked_table, _experiment_angles, _singlet_tables
+from .born import JointPmf2x2, _checked_table, _experiment_bases, _singlet_tables
 from .errors import InternalCheckError, check
 from .polarization import AngleConfig
 from .realworld import RunRecord
@@ -141,14 +141,11 @@ class PairMarginals:
     a2b2: JointPmf2x2
 
     def __post_init__(self) -> None:
-        checks = (
-            ("A1", self.a1b1.x_marginal(), self.a1b2.x_marginal()),
-            ("A2", self.a2b1.x_marginal(), self.a2b2.x_marginal()),
-            ("B1", self.a1b1.y_marginal(), self.a2b1.y_marginal()),
-            ("B2", self.a1b2.y_marginal(), self.a2b2.y_marginal()),
-        )
-        for name, first, second in checks:
-            if abs(first.p_plus - second.p_plus) > 1e-10:
+        # P(x = +1) is a table's first row sum and P(y = +1) its first column sum.
+        x_plus = [t.p[0].sum() for t in self.tables()]
+        y_plus = [t.p[:, 0].sum() for t in self.tables()]
+        for name, plus, i, j in (("A1", x_plus, 0, 1), ("A2", x_plus, 2, 3), ("B1", y_plus, 0, 2), ("B2", y_plus, 1, 3)):
+            if abs(plus[i] - plus[j]) > 1e-10:
                 raise ValueError(f"inconsistent one-party marginal for {name}")
 
     def tables(self) -> tuple[JointPmf2x2, ...]:
@@ -170,7 +167,7 @@ def pair_marginals(pmf: CfPmf) -> PairMarginals:
 
 def quantum_pair_marginals(cfg: AngleConfig) -> PairMarginals:
     """The four singlet pair tables at the configured angles."""
-    return PairMarginals(*JointPmf2x2._from_checked(_singlet_tables(*_experiment_angles(cfg))))
+    return PairMarginals(*JointPmf2x2._from_checked(_singlet_tables(*_experiment_bases(cfg))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,8 +279,8 @@ def fine_feasibility(marginals: PairMarginals) -> FeasibilityResult:
     x = np.maximum(x, 0.0)
     witness = CfPmf((x / x.sum()).reshape(2, 2, 2, 2))
     residual = max(
-        float(np.max(np.abs(got.p - want.p)))
-        for got, want in zip(pair_marginals(witness).tables(), marginals.tables())
+        float(np.max(np.abs(witness.probabilities.sum(axis=axes) - table.p)))
+        for axes, table in zip(_PAIR_AXES, marginals.tables())
     )
     check("witness marginal residual", residual, 1e-9)
     return FeasibilityResult(True, witness, chsh, residual)

@@ -9,9 +9,10 @@ sums to one and returns both measured pair tables as marginals, exactly
 as a joint distribution of (X, X', Y) would -- but some of its cells go
 negative, which is how quantum mechanics vetoes the joint distribution.
 This module computes F, its marginal identities, the two-index setting
-overlap table, and scans angle grids for negative cells.  Every table
-comes from one broadcast kernel, whether it is a single point, Bob's
-probe angles or a whole scan grid.
+overlap table, and scans angle grids for negative cells.  Each public
+entry turns its angles into basis matrices with one ``basis_matrix``
+call, one broadcast kernel builds every table from them, and the records
+validate the tables.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ _BETA_PROBES = np.array([
     1.7879718653234664, 0.04791899826746086, 1.036081980405563, 3.131370531974885, 0.2807469198186977,
     2.507374700762346, 2.168853884759242, 2.7306447923580985, 2.1556043352100724, 0.5463770822692816,
 ])
+_BETA_PROBE_BASES = basis_matrix(_BETA_PROBES)
+_BETA_PROBE_BASES.flags.writeable = False
+
+# The weight (x_j + x_k) y_l of cell (j, k, l) in q_reconstruct.
+_Q_WEIGHTS = (OUTCOME_VALUES[:, None] + OUTCOME_VALUES[None, :])[:, :, None] * OUTCOME_VALUES[None, None, :]
+_Q_WEIGHTS.flags.writeable = False
 
 # A negativity scan builds its tables one block of alpha values at a
 # time, sized to about this many cells (16 MB per complex array).  A
@@ -78,9 +85,9 @@ class QuasiPmf2:
         object.__setattr__(self, "values", v)
 
 
-def _overlaps(alpha, alpha_prime) -> np.ndarray:
-    """overlap[..., j, k] = <x_j, alpha | x_k, alpha'>; angles broadcast."""
-    return basis_matrix(alpha).conj() @ basis_matrix(alpha_prime).swapaxes(-1, -2)
+def _overlaps(alice: np.ndarray, alice_prime: np.ndarray) -> np.ndarray:
+    """overlap[..., j, k] = <x_j, alpha | x_k, alpha'> from the two basis matrices; stacks broadcast."""
+    return alice.conj() @ alice_prime.swapaxes(-1, -2)
 
 
 def _cells(amps: np.ndarray, overlap: np.ndarray, amps_prime: np.ndarray) -> np.ndarray:
@@ -95,6 +102,11 @@ def _cells(amps: np.ndarray, overlap: np.ndarray, amps_prime: np.ndarray) -> np.
     return table.real
 
 
+def _quasi_cells(a: np.ndarray, a_prime: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F[..., j, k, l] at Alice's basis matrices a, a' and Bob's b; stacks broadcast."""
+    return _cells(_pair_amplitudes(SINGLET, a, b), _overlaps(a, a_prime), _pair_amplitudes(SINGLET, a_prime, b))
+
+
 def q_value(alpha: float, alpha_prime: float, beta: float) -> float:
     """<psi| [X(a) + X(a')] Y(b) |psi>, checked against the two-table sum.
 
@@ -103,18 +115,15 @@ def q_value(alpha: float, alpha_prime: float, beta: float) -> float:
     """
     op = (x_operator(alpha) + x_operator(alpha_prime)) @ y_operator(beta)
     sandwich = float(np.real(SINGLET.conj() @ op @ SINGLET))
-    from_tables = float(np.sum(_PRODUCT_SIGNS * _singlet_tables(np.array((alpha, alpha_prime)), beta)))
+    bases = basis_matrix(np.array((alpha, alpha_prime, beta)))
+    from_tables = float(np.sum(_PRODUCT_SIGNS * _singlet_tables(bases[:2], bases[2])))
     check("q_value operator route vs pair-table route", abs(sandwich - from_tables), 1e-12)
     return sandwich
 
 
 def f_jkl(alpha: float, alpha_prime: float, beta: float) -> QuasiPmf3:
     """The eight-cell quasi-probability table at the given angles."""
-    table = _cells(
-        _pair_amplitudes(SINGLET, alpha, beta),
-        _overlaps(alpha, alpha_prime),
-        _pair_amplitudes(SINGLET, alpha_prime, beta),
-    )
+    table = _quasi_cells(*basis_matrix(np.array((alpha, alpha_prime, beta))))
     return QuasiPmf3(table, alpha, alpha_prime, beta)
 
 
@@ -124,10 +133,7 @@ def q_reconstruct(alpha: float, alpha_prime: float, beta: float) -> float:
     sum over (j, k, l) of (x_j + x_k) y_l F[j, k, l]; agrees with
     :func:`q_value` identically.
     """
-    table = f_jkl(alpha, alpha_prime, beta).values
-    v = OUTCOME_VALUES
-    weights = (v[:, None] + v[None, :])[:, :, None] * v[None, None, :]
-    return float(np.sum(weights * table))
+    return float(np.sum(_Q_WEIGHTS * f_jkl(alpha, alpha_prime, beta).values))
 
 
 def f_jk(alpha: float, alpha_prime: float) -> QuasiPmf2:
@@ -138,11 +144,7 @@ def f_jk(alpha: float, alpha_prime: float) -> QuasiPmf2:
     construction is broken.  The surviving table equals half the squared
     overlap of the two Alice bases, so every cell here is non-negative.
     """
-    tables = _cells(
-        _pair_amplitudes(SINGLET, alpha, _BETA_PROBES),
-        _overlaps(alpha, alpha_prime),
-        _pair_amplitudes(SINGLET, alpha_prime, _BETA_PROBES),
-    )
+    tables = _quasi_cells(*basis_matrix(np.array((alpha, alpha_prime))), _BETA_PROBE_BASES)
     summed = tables.sum(axis=-1)
     check("f_jk spread over Bob's angle", np.abs(summed[1:] - summed[0]), _IMAG_TOL)
     return QuasiPmf2(summed[0], alpha, alpha_prime)
@@ -168,8 +170,9 @@ def find_negativity(grid_step: float, threshold: float = -1e-12) -> np.recarray:
         raise ValueError("threshold must not be NaN")
     grid = np.arange(0.0, np.pi, grid_step)
     size = grid.size
-    amps = _pair_amplitudes(SINGLET, grid[:, None], grid)  # [alpha, beta, j, l]
-    overlap = _overlaps(grid[:, None], grid)  # [alpha, alpha', j, k]
+    bases = basis_matrix(grid)
+    amps = _pair_amplitudes(SINGLET, bases[:, None], bases)  # [alpha, beta, j, l]
+    overlap = _overlaps(bases[:, None], bases)  # [alpha, alpha', j, k]
     block = max(1, _CHUNK_CELLS // (8 * size * size))
     found = []
     for start in range(0, size, block):

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import _PRODUCT_SIGNS, SINGLET, _experiment_angles, _singlet_tables
+from .born import _PRODUCT_SIGNS, SINGLET, _experiment_bases, _singlet_tables
 from .errors import check
 from .linalg import _kron
-from .polarization import AngleConfig, basis_matrix
+from .polarization import AngleConfig
 
 BLOCK_SIZE = 1 << 16
 
@@ -102,9 +102,9 @@ class EstimatorResult:
             raise ValueError("stderr must be non-negative and finite")
 
 
-def _pair_cdf(alpha, beta) -> np.ndarray:
-    """Cumulative cell probabilities in the fixed CELL_VALUES order, along the last axis; angles broadcast."""
-    p = _singlet_tables(alpha, beta)
+def _pair_cdf(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Cumulative cell probabilities in the fixed CELL_VALUES order, along the last axis; basis stacks broadcast."""
+    p = _singlet_tables(alice, bob)
     return np.cumsum(p.reshape(p.shape[:-2] + (4,)), axis=-1)
 
 
@@ -162,7 +162,7 @@ def run_experiments(
     """
     _check_draw_count(n)
     estimates = []
-    for idx, cdf in enumerate(_pair_cdf(*_experiment_angles(cfg)), start=1):
+    for idx, cdf in enumerate(_pair_cdf(*_experiment_bases(cfg)), start=1):
         # x*y is -1 on cells 1 and 2, the draws with cdf[0] <= u < cdf[2].
         estimates.append(_two_point_estimate(1.0, cdf[0], cdf[2], seed, idx, n))
     signs = (1.0, 1.0, 1.0, -1.0)
@@ -216,15 +216,15 @@ def tensor_joint_pmf(cfg: AngleConfig) -> np.ndarray:
     contracted with its own conjugated 4x4 pair basis.  That is the
     Born rule on the whole state without forming the 256x256 matrix.
     """
-    alphas, betas = _experiment_angles(cfg)
+    alice, bob = _experiment_bases(cfg)
     amps = tensor_state().reshape(4, 64)
-    for pair_basis in _kron(basis_matrix(alphas), basis_matrix(betas)).conj():
+    for pair_basis in _kron(alice, bob).conj():
         # Contract the leading pair axis and move it last; after all four
         # pairs the axes are back in pair order.
         amps = (pair_basis @ amps).T.reshape(4, 64)
     born_route = (np.abs(amps) ** 2).reshape((2,) * 8)
 
-    factored = np.einsum("ab,cd,ef,gh->abcdefgh", *_singlet_tables(alphas, betas))
+    factored = np.einsum("ab,cd,ef,gh->abcdefgh", *_singlet_tables(alice, bob))
     check("full Born route vs factored route", np.abs(born_route - factored), 1e-12)
     return born_route
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bellcheck.born import (
     JointPmf2x2,
     Pmf2,
+    _experiment_bases,
     chsh_expectation,
     chsh_expectations,
     correlation,
@@ -191,6 +192,31 @@ def test_pmf2_and_joint_validation():
         JointPmf2x2(np.array([[0.5, 0.5], [1e-9, -1e-9]]))
     with pytest.raises(ValueError, match="sums"):
         JointPmf2x2(np.full((2, 2), 0.3))
+
+
+def test_noisy_tables_clamp_as_the_per_table_stack_rule():
+    # reference: the clamp written once for a whole stack, each table with
+    # a negative cell renormalized alone and every other table kept as is
+    rng = np.random.default_rng(2718)
+    tables = rng.random((20_000, 2, 2))
+    tables[rng.random(tables.shape) < 0.4] = 0.0
+    tables[tables.sum(axis=(1, 2)) == 0.0, 0, 0] = 1.0
+    tables /= tables.sum(axis=(1, 2), keepdims=True)
+    tables += rng.uniform(-2.5e-13, 2.5e-13, tables.shape)
+    negative = (tables < 0.0).any(axis=(1, 2), keepdims=True)
+    clamped = np.maximum(tables, 0.0)
+    want = np.where(negative, clamped / clamped.sum(axis=(1, 2), keepdims=True), tables)
+    assert negative.sum() > 10_000
+    assert np.array_equal(np.array([JointPmf2x2(t).p for t in tables]), want)
+
+
+def test_experiment_bases_equal_per_angle_matrices():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        cfg = AngleConfig(*(float(angle) for angle in rng.uniform(-10.0, 10.0, 4)))
+        alice, bob = _experiment_bases(cfg)
+        for (alpha, beta), a, b in zip(cfg.experiment_angles(), alice, bob):
+            assert np.array_equal(a, basis_matrix(alpha)) and np.array_equal(b, basis_matrix(beta))
 
 
 def test_pmf2_admits_a_certain_outcome_rounded_above_one():

@@ -255,12 +255,14 @@ def test_manifest_replay_simulate(tmp_path, capsys):
     assert replayed == manifest["sha256"]
 
 
-def test_workers_env_does_not_change_output(capsys, monkeypatch):
-    argv = ["chsh", "0", "45", "22.5", "-22.5", "--sweep", "10"]
-    _, solo = run_cli(capsys, *argv)
-    monkeypatch.setenv("BELLCHECK_WORKERS", "4")
-    _, pooled = run_cli(capsys, *argv)
-    assert solo == pooled
+# Near t0 = 0 the closed form for t0 cancels and the projector check is
+# ill-conditioned, so these valid inputs exit 3 (ROADMAP item 2); 45.005
+# and 45.000000001 exit 0 and are not listed.
+@pytest.mark.xfail(strict=True, reason="CHSH spectrum checks fail on valid input near t0 = 0")
+@pytest.mark.parametrize("beta2", ["45.003", "45.001", "45.0001", "45.00001", "45.000001", "45.0000001"])
+def test_chsh_accepts_settings_near_t0_zero(capsys, beta2):
+    code, _ = run_cli(capsys, "chsh", "0", "45", "0", beta2)
+    assert code == 0
 
 
 def test_canonical_json_formatting():

@@ -7,9 +7,9 @@ held at legal values.  Bad input must raise ValueError: an
 InternalCheckError would mean a bug, and a result computed from a
 non-finite input is never right.  ``__all__`` is derived from the
 package's imports, so a new export is covered as soon as the package
-imports it.  Inputs are validated once, at the public entry: the
-internal builders behind the per-configuration quantities make a pinned
-number of calls to the validating helpers.
+imports it.  Inputs are validated once per call, at the public entry:
+each public builder makes a pinned number of calls to the validating
+helpers.
 """
 
 import dataclasses
@@ -180,18 +180,32 @@ def test_stacked_spectrum_rejects_one_nan_entry(field):
         bellcheck.ChshSpectrum(**legal)
 
 
-# The helpers that validate their arguments, and the calls each builder
-# makes to them for one configuration.  Settings are checked once, by
-# AngleConfig, and angles once, by basis_matrix, where they enter the
-# Hilbert space; operators built from them are not checked again.
-VALIDATING = ("as_operator", "basis_matrix")
-CALLS_PER_CONFIG = {
-    "chsh_spectrum": ({"as_operator": 1, "basis_matrix": 1}, lambda cfg: bellcheck.chsh_spectrum(cfg)),
-    "run_experiments": ({"as_operator": 0, "basis_matrix": 2}, lambda cfg: bellcheck.run_experiments(cfg, 1, 0)),
-    "quantum_pair_marginals": (
-        {"as_operator": 0, "basis_matrix": 2}, lambda cfg: bellcheck.quantum_pair_marginals(cfg)
-    ),
-    "tensor_joint_pmf": ({"as_operator": 0, "basis_matrix": 4}, lambda cfg: bellcheck.tensor_joint_pmf(cfg)),
+# The helpers that validate their arguments, and the calls each public
+# builder makes to them.  Settings are checked once, by AngleConfig, angles
+# once, by one basis_matrix call, where they enter the Hilbert space, and
+# tables by the record a caller hands them to; what the library builds
+# from them is not checked again.  q_value's operator route converts its
+# three angles on its own: it is the route the table route is checked
+# against.
+VALIDATING = ("as_operator", "basis_matrix", "_checked_table")
+CFG = AngleConfig(*FLOATS)
+FEASIBLE = AngleConfig.from_degrees(0.0, 45.0, 22.5, 112.5)
+
+
+def _feasible_verdict():
+    assert bellcheck.fine_feasibility(bellcheck.quantum_pair_marginals(FEASIBLE)).feasible
+
+
+CALLS_PER_BUILDER = {
+    "chsh_spectrum": ((1, 1, 0), lambda: bellcheck.chsh_spectrum(CFG)),
+    "run_experiments": ((0, 1, 0), lambda: bellcheck.run_experiments(CFG, 1, 0)),
+    "quantum_pair_marginals": ((0, 1, 0), lambda: bellcheck.quantum_pair_marginals(CFG)),
+    "tensor_joint_pmf": ((0, 1, 0), lambda: bellcheck.tensor_joint_pmf(CFG)),
+    "f_jkl": ((0, 1, 1), lambda: bellcheck.f_jkl(*FLOATS[:3])),
+    "f_jk": ((0, 1, 1), lambda: bellcheck.f_jk(*FLOATS[:2])),
+    "find_negativity": ((0, 1, 0), lambda: bellcheck.find_negativity(math.radians(30.0))),
+    "q_value": ((0, 4, 0), lambda: bellcheck.q_value(*FLOATS[:3])),
+    "fine_feasibility": ((0, 1, 1), _feasible_verdict),
 }
 
 
@@ -200,6 +214,7 @@ def _count_validating_calls(monkeypatch, call):
     originals = {
         "as_operator": importlib.import_module("bellcheck.linalg").as_operator,
         "basis_matrix": importlib.import_module("bellcheck.polarization").basis_matrix,
+        "_checked_table": importlib.import_module("bellcheck.born")._checked_table,
     }
     counts = dict.fromkeys(VALIDATING, 0)
 
@@ -219,8 +234,7 @@ def _count_validating_calls(monkeypatch, call):
     return counts
 
 
-@pytest.mark.parametrize("builder", list(CALLS_PER_CONFIG))
+@pytest.mark.parametrize("builder", list(CALLS_PER_BUILDER))
 def test_each_builder_validates_once(monkeypatch, builder):
-    expected, call = CALLS_PER_CONFIG[builder]
-    cfg = AngleConfig(*FLOATS)
-    assert _count_validating_calls(monkeypatch, lambda: call(cfg)) == expected
+    expected, call = CALLS_PER_BUILDER[builder]
+    assert _count_validating_calls(monkeypatch, call) == dict(zip(VALIDATING, expected))

@@ -15,8 +15,9 @@ import pytest
 
 import bellcheck
 from bellcheck.errors import InternalCheckError, check
-from bellcheck.polarization import AngleConfig
+from bellcheck.polarization import AngleConfig, basis_matrix
 
+born = importlib.import_module("bellcheck.born")
 chsh_mod = importlib.import_module("bellcheck.chsh_operator")
 counterfactual = importlib.import_module("bellcheck.counterfactual")
 quasiprob = importlib.import_module("bellcheck.quasiprob")
@@ -102,6 +103,11 @@ def _expectation_below_t0(mp):
     return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
 
 
+def _scaled_pair_probabilities(mp):
+    _wrap(mp, born, "_pair_probabilities", lambda p: p * 1.001)
+    return lambda: counterfactual.quantum_pair_marginals(OPTIMAL)
+
+
 def _rolled_tensor_state(mp):
     _wrap(mp, realworld, "tensor_state", lambda state: np.roll(state, 1))
     return lambda: realworld.tensor_joint_pmf(OPTIMAL)
@@ -146,11 +152,14 @@ def _turned_bob_operator(mp):
 
 def _bob_basis_differs_between_brackets(mp):
     real = quasiprob._pair_amplitudes
+    # basis_matrix(a) @ basis_matrix(b) == basis_matrix(a + b), so every
+    # second bracket sees Bob's probe angles scaled by 1.3.
+    turn = basis_matrix(0.3 * quasiprob._BETA_PROBES)
     calls = []
 
-    def skewed(psi, alpha, beta):
-        calls.append(alpha)
-        return real(psi, alpha, beta * 1.3 if len(calls) % 2 == 0 else beta)
+    def skewed(psi, alice, bob):
+        calls.append(alice)
+        return real(psi, alice, turn @ bob if len(calls) % 2 == 0 else bob)
 
     mp.setattr(quasiprob, "_pair_amplitudes", skewed)
     return lambda: quasiprob.f_jk(0.2, 0.9)
@@ -162,6 +171,7 @@ SITES = {
     "singlet weight outside the outcome atoms": _basis_eigenvectors,
     "|E| above t0": _expectation_above_t0,
     "projector weight vs closed form": _expectation_below_t0,
+    "singlet pair table total": _scaled_pair_probabilities,
     "full Born route vs factored route": _rolled_tensor_state,
     "simplex verdict vs CHSH criterion (feasible)": _chsh_variant_says_infeasible,
     "simplex verdict vs CHSH criterion (infeasible)": _chsh_variant_says_feasible,

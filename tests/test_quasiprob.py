@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bellcheck.born import joint_pmf
-from bellcheck.polarization import singlet_state
+from bellcheck.polarization import basis_matrix, singlet_state
 from bellcheck.quasiprob import f_jk, f_jkl, find_negativity, q_reconstruct, q_value
 
 DEG = math.radians
@@ -126,6 +126,18 @@ def test_f_jk_matches_summed_f_jkl_at_every_probe():
 
 
 def test_beta_probes_are_the_seeded_draws():
-    from bellcheck.quasiprob import _BETA_PROBES
+    from bellcheck.quasiprob import _BETA_PROBE_BASES, _BETA_PROBES
 
     assert np.array_equal(_BETA_PROBES, np.random.default_rng(1278).uniform(0.0, np.pi, 10))
+    assert not _BETA_PROBE_BASES.flags.writeable
+    for beta, basis in zip(_BETA_PROBES, _BETA_PROBE_BASES, strict=True):
+        assert np.array_equal(basis, basis_matrix(float(beta)))
+
+
+def test_q_reconstruct_weights_are_the_outcome_sums():
+    from bellcheck.quasiprob import _Q_WEIGHTS
+
+    assert _Q_WEIGHTS.shape == (2, 2, 2) and not _Q_WEIGHTS.flags.writeable
+    x = (1, -1)
+    for j, k, l in np.ndindex(2, 2, 2):
+        assert _Q_WEIGHTS[j, k, l] == (x[j] + x[k]) * x[l]

@@ -8,7 +8,7 @@ from bellcheck import realworld
 from bellcheck.born import chsh_expectation, joint_pmf
 from bellcheck.chsh_operator import chsh_spectrum, sample_outcomes
 from bellcheck.errors import InternalCheckError
-from bellcheck.polarization import AngleConfig, singlet_state
+from bellcheck.polarization import AngleConfig, basis_matrix, singlet_state
 from bellcheck.realworld import (
     BLOCK_SIZE,
     CELL_VALUES,
@@ -26,6 +26,11 @@ from bellcheck.realworld import (
 from bellcheck.realworld import _pair_cdf, _two_point_estimate, _uniform_blocks  # the counting path under test
 
 OPTIMAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5)
+
+
+def _cdf(alpha, beta):
+    """The cell cdf of one angle pair, through the kernel the samplers use."""
+    return _pair_cdf(basis_matrix(alpha), basis_matrix(beta))
 
 
 def _stream_uniforms(seed, stream, n):
@@ -84,8 +89,8 @@ def test_cross_experiment_independence():
     # joint frequency across two experiments factorizes into the product
     cfg = AngleConfig.from_degrees(0.0, 30.0, 10.0, 70.0)
     n = 40_000
-    cells_1 = _cell_rule(_stream_uniforms(5, 1, n), _pair_cdf(*cfg.experiment_angles()[0]))
-    cells_2 = _cell_rule(_stream_uniforms(5, 2, n), _pair_cdf(*cfg.experiment_angles()[1]))
+    cells_1 = _cell_rule(_stream_uniforms(5, 1, n), _cdf(*cfg.experiment_angles()[0]))
+    cells_2 = _cell_rule(_stream_uniforms(5, 2, n), _cdf(*cfg.experiment_angles()[1]))
     p1 = np.mean(cells_1 == 0)
     p2 = np.mean(cells_2 == 0)
     p12 = np.mean((cells_1 == 0) & (cells_2 == 0))
@@ -96,7 +101,7 @@ def test_cross_experiment_independence():
 def _stream_cells(seed, stream, n, alpha, beta):
     """Cells of the first n draws (n <= BLOCK_SIZE) of a stream at one angle pair."""
     (u,) = _uniform_blocks(seed, stream, n)
-    return _cell_rule(u, _pair_cdf(alpha, beta))
+    return _cell_rule(u, _cdf(alpha, beta))
 
 
 def test_stream_cells_are_uniform_at_45_degrees():
@@ -118,9 +123,9 @@ def _searchsorted_cell(u, cdf):
 
 
 @pytest.mark.parametrize("cdf", [
-    _pair_cdf(0.2, 0.9),
-    _pair_cdf(0.0, math.pi / 4),
-    _pair_cdf(0.4, 0.4),  # equal settings: two zero cells
+    _cdf(0.2, 0.9),
+    _cdf(0.0, math.pi / 4),
+    _cdf(0.4, 0.4),  # equal settings: two zero cells
     np.array([0.0, 0.5, 1.0, 1.0]),
     np.array([0.5, 0.5, 0.5, 1.0]),
     np.array([0.0, 0.0, 0.0, 1.0]),
@@ -155,7 +160,7 @@ def test_block_counts_match_the_per_draw_samplers(n):
     cfg = AngleConfig.from_degrees(0.0, 30.0, 15.0, 75.0)
     per_exp, _ = run_experiments(cfg, n, seed=31)
     for idx, ((a, b), est) in enumerate(zip(cfg.experiment_angles(), per_exp), start=1):
-        cells = _searchsorted_cell(_stream_uniforms(31, idx, n), _pair_cdf(a, b))
+        cells = _searchsorted_cell(_stream_uniforms(31, idx, n), _cdf(a, b))
         assert est == _moment_estimate(np.array([1.0, -1.0, -1.0, 1.0])[cells])
     spectrum = chsh_spectrum(cfg)
     k_plus = int(np.count_nonzero(_stream_uniforms(31, 0, n) < spectrum.w_plus))
