@@ -42,27 +42,30 @@ class ChshSpectrum:
 
     ``t0`` is the magnitude of the two outcome atoms (closed form),
     ``t1`` the magnitude of the remaining eigenvalue pair, which carries
-    no weight in the singlet.  ``w_plus``/``w_minus`` are the outcome
-    probabilities of +t0 and -t0.  ``eigenvalues`` holds the numeric
-    spectrum in descending order.  :func:`chsh_spectra` returns the same
-    record for a stack of configurations, each field an array along it.
-    Every field must be finite, and the weights within [0, 1] summing to 1.
+    no weight in the singlet.  ``w_plus`` is the outcome probability of
+    +t0, and the derived ``w_minus = 1 - w_plus`` that of -t0.
+    ``eigenvalues`` holds the numeric spectrum in descending order.
+    :func:`chsh_spectra` returns the same record for a stack of
+    configurations, each field an array along it.  Every field must be
+    finite, and ``w_plus`` within [0, 1].
     """
 
     t0: float | np.ndarray
     t1: float | np.ndarray
     w_plus: float | np.ndarray
-    w_minus: float | np.ndarray
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
         # Every comparison here is False for NaN, so a NaN field fails it.
-        w_plus, w_minus = self.w_plus, self.w_minus
-        if not np.all((np.abs(w_plus + w_minus - 1.0) <= 1e-12) & (w_plus >= -1e-12) & (w_plus <= 1.0 + 1e-12)):
-            raise ValueError(f"outcome weights {w_plus}, {w_minus} must lie in [0, 1] and sum to 1")
+        if not np.all((self.w_plus >= -1e-12) & (self.w_plus <= 1.0 + 1e-12)):
+            raise ValueError(f"outcome weight w_plus = {self.w_plus} must lie in [0, 1]")
         finite = (np.abs(self.t0) < math.inf) & (np.abs(self.t1) < math.inf)
         if not (np.all(finite) and np.all(np.abs(self.eigenvalues) < math.inf)):
             raise ValueError("t0, t1 and the eigenvalues must be finite")
+
+    @property
+    def w_minus(self) -> float | np.ndarray:
+        return 1.0 - self.w_plus
 
 
 def _chsh_operators(alpha1, alpha2, beta1, beta2) -> np.ndarray:
@@ -126,7 +129,7 @@ def chsh_spectra(
 
 
 def _spectrum_fields(a1, a2, b1, b2) -> tuple:
-    """(t0, t1, w_plus, w_minus, eigenvalues) over four angles or angle arrays of one shape.
+    """(t0, t1, w_plus, eigenvalues) over four angles or angle arrays of one shape.
 
     The angles must obey the rules of AngleConfig; nothing here checks them.
     """
@@ -154,7 +157,7 @@ def _spectrum_fields(a1, a2, b1, b2) -> tuple:
     plus_space = np.abs(evals - t0[..., None]) <= 1e-8
     gap = np.where(live, np.abs(np.sum(overlaps * plus_space, axis=-1) - w_plus), 0.0)
     check("projector weight vs closed form", gap, 1e-9)
-    return t0, t1, w_plus, 1.0 - w_plus, evals
+    return t0, t1, w_plus, evals
 
 
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
@@ -165,8 +168,8 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     on the +-t0 eigenspaces.  Disagreement raises InternalCheckError.
     The settings are not checked again: AngleConfig already has.
     """
-    t0, t1, w_plus, w_minus, evals = _spectrum_fields(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
-    return ChshSpectrum(float(t0), float(t1), float(w_plus), float(w_minus), evals)
+    t0, t1, w_plus, evals = _spectrum_fields(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
+    return ChshSpectrum(float(t0), float(t1), float(w_plus), evals)
 
 
 def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:

@@ -19,8 +19,9 @@ object with sorted keys for JSON.  ``--format`` takes ``json`` or
 ``csv`` for ``correlate``, ``chsh``/``t-spectrum`` and ``enumerate``,
 and only ``json`` for ``simulate``, ``fine`` and ``quasiprob``.
 
-Exit codes: 0 success, 2 usage or validation error, 3 internal
-cross-check failure.
+Exit codes: 0 success, 2 usage or validation error (an ``--out`` path
+that cannot be written and a grid too fine to allocate included), 3
+internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -288,14 +289,10 @@ def cmd_quasiprob(args: argparse.Namespace) -> str:
     if point_mode == (args.scan_deg is not None):
         raise ValueError("give either three angles or --scan <step_deg>")
     if point_mode:
-        table = f_jkl(
-            math.radians(args.alpha_deg),
-            math.radians(args.alpha_prime_deg),
-            math.radians(args.beta_deg),
-        )
-        pair = joint_pmf(singlet_state(), table.alpha, table.beta).p
-        pair_prime = joint_pmf(singlet_state(), table.alpha_prime, table.beta).p
-        values = table.values
+        alpha, alpha_prime, beta = (math.radians(angle) for angle in given)
+        values = f_jkl(alpha, alpha_prime, beta).values
+        pair = joint_pmf(singlet_state(), alpha, beta).p
+        pair_prime = joint_pmf(singlet_state(), alpha_prime, beta).p
         negative = values < -1e-12
         j, k, l = np.nonzero(negative)
         payload = {
@@ -421,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _emit(args.func(args), args)
         return EXIT_OK
-    except ValueError as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalCheckError as exc:

@@ -172,21 +172,25 @@ def quantum_pair_marginals(cfg: AngleConfig) -> PairMarginals:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
-    """Fine's verdict, its witness and residual when feasible, and the largest CHSH variant; all finite."""
+    """Fine's witness and its marginal residual (both None when infeasible), and the largest CHSH variant.
 
-    feasible: bool
+    The verdict ``feasible`` is derived: a witness exists.  Every float is finite.
+    """
+
     witness: CfPmf | None
     chsh_value: float
     marginal_residual: float | None
 
     def __post_init__(self) -> None:
-        if self.feasible and self.witness is None:
-            raise ValueError("feasible verdict requires a witness")
         # Both comparisons below are False for NaN, so a NaN field fails them.
         if not abs(self.chsh_value) < math.inf:
             raise ValueError("chsh_value must be finite")
         if self.marginal_residual is not None and not 0.0 <= self.marginal_residual < math.inf:
             raise ValueError("marginal_residual must be non-negative and finite")
+
+    @property
+    def feasible(self) -> bool:
+        return self.witness is not None
 
 
 # Fine's linear system: row (pair, cell) of the 16 marginal equations,
@@ -273,7 +277,7 @@ def fine_feasibility(marginals: PairMarginals) -> FeasibilityResult:
     check("simplex verdict vs CHSH criterion", chsh - 2.0 if feasible else 2.0 - chsh, 1e-7)
 
     if not feasible:
-        return FeasibilityResult(False, None, chsh, None)
+        return FeasibilityResult(None, chsh, None)
 
     check("witness negativity", -x.min(), 1e-12)
     x = np.maximum(x, 0.0)
@@ -283,4 +287,4 @@ def fine_feasibility(marginals: PairMarginals) -> FeasibilityResult:
         for axes, table in zip(_PAIR_AXES, marginals.tables())
     )
     check("witness marginal residual", residual, 1e-9)
-    return FeasibilityResult(True, witness, chsh, residual)
+    return FeasibilityResult(witness, chsh, residual)

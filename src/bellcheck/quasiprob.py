@@ -48,36 +48,23 @@ _Q_WEIGHTS.flags.writeable = False
 _CHUNK_CELLS = 1 << 20
 
 
-def _check_angles(*angles: float) -> None:
-    # abs(nan) < inf is False, so the comparison rejects NaN too.
-    if not all(abs(angle) < math.inf for angle in angles):
-        raise ValueError("angle must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class QuasiPmf3:
-    """Quasi-probability table over (j, k, l); cells may be negative.  The angles must be finite."""
+    """Quasi-probability table over (j, k, l); cells may be negative."""
 
     values: np.ndarray
-    alpha: float
-    alpha_prime: float
-    beta: float
 
     def __post_init__(self) -> None:
-        _check_angles(self.alpha, self.alpha_prime, self.beta)
         object.__setattr__(self, "values", _checked_table(self.values, (2, 2, 2)))
 
 
 @dataclass(frozen=True, eq=False)
 class QuasiPmf2:
-    """Setting-overlap table over (j, k); both marginals are uniform.  The angles must be finite."""
+    """Setting-overlap table over (j, k); both marginals are uniform."""
 
     values: np.ndarray
-    alpha: float
-    alpha_prime: float
 
     def __post_init__(self) -> None:
-        _check_angles(self.alpha, self.alpha_prime)
         v = _checked_table(self.values, (2, 2))
         for sums in (v.sum(axis=0), v.sum(axis=1)):
             if np.max(np.abs(sums - 0.5)) > 1e-12:
@@ -124,7 +111,7 @@ def q_value(alpha: float, alpha_prime: float, beta: float) -> float:
 def f_jkl(alpha: float, alpha_prime: float, beta: float) -> QuasiPmf3:
     """The eight-cell quasi-probability table at the given angles."""
     table = _quasi_cells(*basis_matrix(np.array((alpha, alpha_prime, beta))))
-    return QuasiPmf3(table, alpha, alpha_prime, beta)
+    return QuasiPmf3(table)
 
 
 def q_reconstruct(alpha: float, alpha_prime: float, beta: float) -> float:
@@ -147,7 +134,7 @@ def f_jk(alpha: float, alpha_prime: float) -> QuasiPmf2:
     tables = _quasi_cells(*basis_matrix(np.array((alpha, alpha_prime))), _BETA_PROBE_BASES)
     summed = tables.sum(axis=-1)
     check("f_jk spread over Bob's angle", np.abs(summed[1:] - summed[0]), _IMAG_TOL)
-    return QuasiPmf2(summed[0], alpha, alpha_prime)
+    return QuasiPmf2(summed[0])
 
 
 def find_negativity(grid_step: float, threshold: float = -1e-12) -> np.recarray:

@@ -23,6 +23,7 @@ follow exactly from that count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -67,16 +68,17 @@ class ExperimentOutcome:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcomes of one joint run of all four experiments."""
+    """Outcomes of one joint run of all four experiments; ``statistic`` is derived from them."""
 
     outcomes: tuple[ExperimentOutcome, ...]
-    statistic: int
 
     def __post_init__(self) -> None:
         if len(self.outcomes) != 4 or [o.experiment_index for o in self.outcomes] != [1, 2, 3, 4]:
             raise ValueError("need one outcome per experiment, ordered E1..E4")
-        if self.statistic != run_statistic(self.outcomes):
-            raise ValueError("statistic does not match the outcomes")
+
+    @property
+    def statistic(self) -> int:
+        return run_statistic(self.outcomes)
 
 
 def run_statistic(outcomes: tuple[ExperimentOutcome, ...]) -> int:
@@ -173,13 +175,10 @@ def run_experiments(
 
 def enumerate_total_sample_space() -> list[RunRecord]:
     """All 256 joint elementary outcomes of the four experiments."""
-    records = []
-    for cells in itertools.product(range(4), repeat=4):
-        outcomes = tuple(
-            ExperimentOutcome(idx, *CELL_VALUES[cell]) for idx, cell in enumerate(cells, start=1)
-        )
-        records.append(RunRecord(outcomes, run_statistic(outcomes)))
-    return records
+    return [
+        RunRecord(tuple(ExperimentOutcome(idx, *CELL_VALUES[cell]) for idx, cell in enumerate(cells, start=1)))
+        for cells in itertools.product(range(4), repeat=4)
+    ]
 
 
 def statistic_histogram(records: list[RunRecord] | None = None) -> dict[int, int]:
@@ -192,13 +191,14 @@ def statistic_histogram(records: list[RunRecord] | None = None) -> dict[int, int
     return dict(sorted(hist.items()))
 
 
+# The four-pair product state ((psi (x) psi) (x) psi) (x) psi, built once.
+_TENSOR_STATE = functools.reduce(_kron, [SINGLET.reshape(4, 1)] * 4).reshape(-1)
+_TENSOR_STATE.flags.writeable = False
+
+
 def tensor_state() -> np.ndarray:
-    """Product state of the four identically prepared singlet pairs (dim 256)."""
-    psi = SINGLET.reshape(4, 1)
-    state = psi
-    for _ in range(3):
-        state = _kron(state, psi)
-    return state.reshape(-1)
+    """Product state of the four identically prepared singlet pairs (dim 256), read-only."""
+    return _TENSOR_STATE
 
 
 def tensor_joint_pmf(cfg: AngleConfig) -> np.ndarray:

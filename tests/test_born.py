@@ -234,8 +234,8 @@ def test_pmf2_admits_a_certain_outcome_rounded_above_one():
     [
         (JointPmf2x2, (2, 2)),
         (CfPmf, (2, 2, 2, 2)),
-        (lambda v: QuasiPmf3(v, 0.0, 0.5, 1.0), (2, 2, 2)),
-        (lambda v: QuasiPmf2(v, 0.0, 0.5), (2, 2)),
+        (QuasiPmf3, (2, 2, 2)),
+        (QuasiPmf2, (2, 2)),
     ],
     ids=["JointPmf2x2", "CfPmf", "QuasiPmf3", "QuasiPmf2"],
 )
@@ -259,6 +259,6 @@ def test_table_sign_policies():
     p[:2] = (-1e-13, 2.0 / 16.0 + 1e-13)
     with pytest.raises(ValueError, match="negative"):
         CfPmf(p.reshape(2, 2, 2, 2))
-    assert QuasiPmf3([[[0.5, -0.25], [0.25, 0.0]], [[0.0, 0.25], [0.0, 0.25]]], 0.0, 0.5, 1.0).values.min() == -0.25
+    assert QuasiPmf3([[[0.5, -0.25], [0.25, 0.0]], [[0.0, 0.25], [0.0, 0.25]]]).values.min() == -0.25
     with pytest.raises(ValueError, match="marginals"):
-        QuasiPmf2([[0.6, 0.0], [0.0, 0.4]], 0.0, 0.5)
+        QuasiPmf2([[0.6, 0.0], [0.0, 0.4]])

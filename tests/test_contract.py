@@ -130,15 +130,11 @@ def test_angle_config_rejects_non_finite_fields(field, bad):
 
 # Legal field values of each result record.
 RECORDS = {
-    bellcheck.ChshSpectrum: {
-        "t0": 2.0, "t1": 2.0, "w_plus": 0.25, "w_minus": 0.75, "eigenvalues": np.array([2.0, 2.0, -2.0, -2.0])
-    },
+    bellcheck.ChshSpectrum: {"t0": 2.0, "t1": 2.0, "w_plus": 0.25, "eigenvalues": np.array([2.0, 2.0, -2.0, -2.0])},
     bellcheck.EstimatorResult: {"mean": -0.5, "stderr": 0.1, "n": 10},
-    bellcheck.FeasibilityResult: {
-        "feasible": True, "witness": bellcheck.CfPmf.uniform(), "chsh_value": 0.0, "marginal_residual": 0.0
-    },
-    bellcheck.QuasiPmf2: {"values": np.full((2, 2), 0.25), "alpha": 0.1, "alpha_prime": 0.7},
-    bellcheck.QuasiPmf3: {"values": np.full((2, 2, 2), 0.125), "alpha": 0.1, "alpha_prime": 0.7, "beta": 0.4},
+    bellcheck.FeasibilityResult: {"witness": bellcheck.CfPmf.uniform(), "chsh_value": 0.0, "marginal_residual": 0.0},
+    bellcheck.QuasiPmf2: {"values": np.full((2, 2), 0.25)},
+    bellcheck.QuasiPmf3: {"values": np.full((2, 2, 2), 0.125)},
 }
 RECORD_CASES = [
     (record, field.name, bad)
@@ -151,12 +147,49 @@ RECORD_CASES = [
 
 def test_the_record_walk_reaches_every_float_field():
     assert {(record.__name__, name) for record, name, _ in RECORD_CASES} == {
-        ("ChshSpectrum", "t0"), ("ChshSpectrum", "t1"), ("ChshSpectrum", "w_plus"), ("ChshSpectrum", "w_minus"),
+        ("ChshSpectrum", "t0"), ("ChshSpectrum", "t1"), ("ChshSpectrum", "w_plus"),
         ("EstimatorResult", "mean"), ("EstimatorResult", "stderr"),
         ("FeasibilityResult", "chsh_value"), ("FeasibilityResult", "marginal_residual"),
-        ("QuasiPmf2", "alpha"), ("QuasiPmf2", "alpha_prime"),
-        ("QuasiPmf3", "alpha"), ("QuasiPmf3", "alpha_prime"), ("QuasiPmf3", "beta"),
     }
+
+
+# Each record stores only facts that are independent of one another; what
+# follows from them (feasible, w_minus, statistic) is a derived property.
+STORED_FIELDS = {
+    bellcheck.FeasibilityResult: ("witness", "chsh_value", "marginal_residual"),
+    bellcheck.ChshSpectrum: ("t0", "t1", "w_plus", "eigenvalues"),
+    bellcheck.RunRecord: ("outcomes",),
+    bellcheck.QuasiPmf3: ("values",),
+    bellcheck.QuasiPmf2: ("values",),
+}
+
+
+@pytest.mark.parametrize("record", list(STORED_FIELDS), ids=lambda record: record.__name__)
+def test_records_store_each_fact_once(record):
+    assert tuple(field.name for field in dataclasses.fields(record)) == STORED_FIELDS[record]
+
+
+# The fields the records no longer store, each with a value it once held:
+# a caller that still passes one gets a TypeError, never a copy stored
+# beside the fact it repeats.
+REMOVED_FIELDS = [
+    (bellcheck.FeasibilityResult, "feasible", True),
+    (bellcheck.ChshSpectrum, "w_minus", 0.75),
+    (bellcheck.RunRecord, "statistic", 0),
+    (bellcheck.QuasiPmf2, "alpha", 0.1),
+    (bellcheck.QuasiPmf2, "alpha_prime", 0.7),
+    (bellcheck.QuasiPmf3, "alpha", 0.1),
+    (bellcheck.QuasiPmf3, "alpha_prime", 0.7),
+    (bellcheck.QuasiPmf3, "beta", 0.4),
+]
+
+
+@pytest.mark.parametrize("record, field, value", REMOVED_FIELDS, ids=str)
+def test_records_reject_a_removed_field(record, field, value):
+    legal = RECORDS.get(record) or {"outcomes": bellcheck.enumerate_total_sample_space()[0].outcomes}
+    record(**legal)
+    with pytest.raises(TypeError):
+        record(**legal, **{field: value})
 
 
 @pytest.mark.parametrize("record", list(RECORDS), ids=lambda record: record.__name__)
@@ -178,6 +211,19 @@ def test_stacked_spectrum_rejects_one_nan_entry(field):
     legal[field].flat[-1] = math.nan
     with pytest.raises(ValueError):
         bellcheck.ChshSpectrum(**legal)
+
+
+# w_plus is the one stored weight, so its range check is all that keeps
+# the derived w_minus = 1 - w_plus within [0, 1] as well.
+@pytest.mark.parametrize("w_plus", [-0.5, 1.5])
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
+def test_spectrum_rejects_w_plus_outside_the_unit_interval(stacked, w_plus):
+    fields = dict(RECORDS[bellcheck.ChshSpectrum], w_plus=w_plus)
+    if stacked:
+        fields = {name: np.stack([value, value]) for name, value in fields.items()}
+        fields["w_plus"][0] = 0.25
+    with pytest.raises(ValueError, match="w_plus"):
+        bellcheck.ChshSpectrum(**fields)
 
 
 # The helpers that validate their arguments, and the calls each public
@@ -238,3 +284,13 @@ def _count_validating_calls(monkeypatch, call):
 def test_each_builder_validates_once(monkeypatch, builder):
     expected, call = CALLS_PER_BUILDER[builder]
     assert _count_validating_calls(monkeypatch, call) == dict(zip(VALIDATING, expected))
+
+
+def test_derived_record_properties():
+    scalar = bellcheck.chsh_spectrum(CFG)
+    assert scalar.w_minus == 1.0 - scalar.w_plus and type(scalar.w_minus) is float
+    stack = bellcheck.chsh_spectra(*np.array([FLOATS, [0.0, math.pi / 4, math.pi / 8, -math.pi / 8]]).T)
+    assert np.array_equal(stack.w_minus, 1.0 - stack.w_plus)
+    infeasible, feasible = (bellcheck.fine_feasibility(bellcheck.quantum_pair_marginals(cfg)) for cfg in (CFG, FEASIBLE))
+    assert infeasible.witness is None and infeasible.feasible is False
+    assert feasible.witness is not None and feasible.feasible is True

@@ -76,10 +76,7 @@ def test_cfpmf_validation():
 
 
 def _run(x, y):
-    return RunRecord(
-        tuple(ExperimentOutcome(i + 1, x[i], y[i]) for i in range(4)),
-        statistic=x[0] * y[0] + x[1] * y[1] + x[2] * y[2] - x[3] * y[3],
-    )
+    return RunRecord(tuple(ExperimentOutcome(i + 1, x[i], y[i]) for i in range(4)))
 
 
 def test_identify_run():

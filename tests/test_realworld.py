@@ -233,9 +233,8 @@ def test_enumeration_histogram_matches_combinatorial_oracle():
 
 
 def test_record_validation():
-    outcomes = tuple(ExperimentOutcome(i, 1, 1) for i in range(1, 5))
-    with pytest.raises(ValueError, match="statistic"):
-        RunRecord(outcomes, statistic=0)
+    with pytest.raises(ValueError, match="ordered E1..E4"):
+        RunRecord(tuple(ExperimentOutcome(i, 1, 1) for i in (1, 2, 4, 3)))
     with pytest.raises(ValueError):
         ExperimentOutcome(5, 1, 1)
     with pytest.raises(ValueError):
