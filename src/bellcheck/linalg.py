@@ -5,8 +5,9 @@ Vectors are 1-d arrays, operators are 2-d arrays, and a stack of
 operators is an array of shape ``(..., n, n)``; every function below
 accepts a stack and acts on its trailing two axes.  The dimensions that
 actually occur in this package are 2, 4 and 256; the eigensolver is a
-cyclic Jacobi iteration intended for the 4x4 operators it is used on,
-and ``eig_hermitian`` diagonalizes a whole ``(..., n, n)`` stack in one
+Jacobi iteration that visits the (p, q) pairs in round-robin tournament
+order, intended for the 4x4 operators it is used on, and
+``eig_hermitian`` diagonalizes a whole ``(..., n, n)`` stack in one
 call, so an angle sweep costs one solve rather than one per point.
 Stacks and lone matrices run the same sweep; only the 2x2 rotation
 differs, computed in Python floats while one matrix is active.  The
@@ -129,8 +130,29 @@ def _rotation_alone(m: np.ndarray, p: int, q: int, skip: float) -> np.ndarray:
     return np.array([[c, complex(s_re, s_im)], [complex(-s_re, s_im), c]])
 
 
+def _round_robin_pairs(n: int) -> list[tuple[int, int]]:
+    """Every index pair (p, q), p < q, of an n x n matrix in round-robin tournament order.
+
+    The first round pairs i with n - 1 - i.  Each later round keeps index 0
+    in place and moves the others one seat round the table, so every pair
+    meets exactly once in n - 1 rounds (n rounds for odd n, where a
+    dummy seat beside the middle index sits each index out once).
+    """
+    seats: list[int | None] = list(range(n))
+    if n % 2:
+        seats.insert((n + 1) // 2, None)
+    pairs = []
+    for _ in range(len(seats) - 1):
+        for i in range(len(seats) // 2):
+            p, q = seats[i], seats[-1 - i]
+            if p is not None and q is not None:
+                pairs.append((min(p, q), max(p, q)))
+        seats[1:] = seats[-1:] + seats[1:-1]
+    return pairs
+
+
 def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, or a stack, by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix, or a stack, by round-robin Jacobi sweeps.
 
     Parameters
     ----------
@@ -148,9 +170,16 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     descending order, shape ``(..., n)``, eigenvectors as the matching
     orthonormal columns, shape ``(..., n, n)``.
 
-    Every matrix of a stack gets its own rotations, in the same cyclic
-    (p, q) order, touching only rows and columns p and q; a matrix whose
-    off-diagonal norm is below 2.5e-14 of its Frobenius norm is frozen.
+    Every matrix of a stack gets its own rotations, in the same
+    round-robin (p, q) order (:func:`_round_robin_pairs`; for n = 4,
+    (0,3), (1,2), (0,2), (1,3), (0,1), (2,3)), one at a time, touching
+    only rows and columns p and q; a matrix whose off-diagonal norm is
+    below 2.5e-14 of its Frobenius norm is frozen.  The order keeps
+    cyclic Jacobi's convergence (Brent & Luk 1985; Luk & Park 1989).  A
+    CHSH operator, a sum of Z(a) (x) Z(b), has equal diagonal entries 0
+    and 3, and 1 and 2; the first round rotates exactly those pairs, and
+    one sweep then typically diagonalizes it, where the row-cyclic order
+    took four.
     Each result is bit-identical to solving that matrix alone, and to
     solving it scaled by any power of two that keeps it normal.  While
     one matrix is active (always, for a lone matrix), its rotations come
@@ -184,7 +213,7 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     norm_sq = (work.real**2 + work.imag**2).reshape(len(work), n * n).sum(axis=1)
     target_sq = _OFF_TOL**2 * norm_sq
     skip = _SKIP * np.sqrt(norm_sq)
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    pairs = _round_robin_pairs(n)
 
     active = np.flatnonzero(_off_diagonal_sq(both, n) > target_sq)
     for _ in range(_MAX_SWEEPS):

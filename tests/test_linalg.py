@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcheck.linalg import _kron, commutator, eig_hermitian
+from bellcheck import linalg
+from bellcheck.cli import main
+from bellcheck.linalg import _kron, _round_robin_pairs, commutator, eig_hermitian
 from bellcheck.polarization import AngleConfig, singlet_state, z_operator
 from bellcheck.chsh_operator import chsh_operator
 
@@ -328,3 +330,68 @@ def test_eig_rejects_a_tiny_matrix_far_from_hermitian():
     # absolute defect 1e-26, relative 1e-6
     with pytest.raises(ValueError, match="Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]) * 1e-20)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_round_robin_order_meets_each_pair_once(n):
+    pairs = _round_robin_pairs(n)
+    assert sorted(pairs) == [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    assert pairs[: n // 2] == [(i, n - 1 - i) for i in range(n // 2)]
+    # Each round of n // 2 pairs touches every index at most once.
+    for start in range(0, len(pairs), n // 2):
+        rnd = pairs[start : start + n // 2]
+        assert len({i for pair in rnd for i in pair}) == 2 * len(rnd)
+
+
+def test_round_robin_order_for_four():
+    assert _round_robin_pairs(4) == [(0, 3), (1, 2), (0, 2), (1, 3), (0, 1), (2, 3)]
+
+
+@pytest.fixture
+def rotation_calls(monkeypatch):
+    """Counts of lone (``_rotation_alone``) and stacked (``_jacobi_rotations``) rotation calls."""
+    calls = {"alone": 0, "stacked": 0}
+
+    def counted(kind, rotation):
+        def count(*args):
+            calls[kind] += 1
+            return rotation(*args)
+
+        return count
+
+    monkeypatch.setattr(linalg, "_rotation_alone", counted("alone", linalg._rotation_alone))
+    monkeypatch.setattr(linalg, "_jacobi_rotations", counted("stacked", linalg._jacobi_rotations))
+    return calls
+
+
+# The Z(a) (x) Z(b) symmetry of the CHSH operator makes its diagonal
+# entries 0 and 3, and 1 and 2, equal; the round-robin order's first
+# round rotates exactly those pairs, and one sweep of six rotations
+# then diagonalizes it (the row-cyclic order needed four at most angles).
+@pytest.mark.parametrize(
+    "degrees",
+    [
+        (0, 45, 22.5, -22.5),
+        (0, 45, 20, -22.5),
+        (10.5, 50.25, 20.125, 30),
+        (105.528, 109.043, 92.049, 177.716),
+        (0, 90, 22.5, -22.5),  # t0 = t1
+        (0, 45, 22.5, 112.5),
+    ],
+)
+def test_lone_chsh_operator_takes_one_sweep(rotation_calls, degrees):
+    eig_hermitian(chsh_operator(AngleConfig.from_degrees(*degrees)))
+    assert rotation_calls == {"alone": 6, "stacked": 0}
+
+
+def test_diagonal_chsh_operator_takes_no_rotation(rotation_calls):
+    # At 0 90 0 90 (t0 = t1 = 2) the off-diagonal entries are sin(pi)
+    # rounding, already below the stop target.
+    eig_hermitian(chsh_operator(AngleConfig.from_degrees(0, 90, 0, 90)))
+    assert rotation_calls == {"alone": 0, "stacked": 0}
+
+
+def test_chsh_sweep_stack_takes_one_stacked_sweep(rotation_calls, capsys):
+    assert main(["chsh", "0", "45", "22.5", "-22.5", "--sweep", "10"]) == 0
+    capsys.readouterr()
+    assert rotation_calls == {"alone": 0, "stacked": 6}
