@@ -210,7 +210,8 @@ def cmd_correlate(args: argparse.Namespace) -> str:
 
 def _spectrum_table(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: np.ndarray) -> Table:
     """One row per beta2 value (degrees, replacing cfg's): echoed angles, e_qm and spectrum."""
-    beta2 = np.radians(beta2_deg)
+    # Reduced like AngleConfig.from_degrees, so the closed forms see small angles.
+    beta2 = np.radians(np.fmod(beta2_deg, 180.0))
     echoed = [np.full(beta2.shape, angle) for angle in (args.alpha1_deg, args.alpha2_deg, args.beta1_deg)]
     e_qm = chsh_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
     spectra = chsh_spectra(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)

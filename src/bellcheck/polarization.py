@@ -62,7 +62,14 @@ class AngleConfig:
 
     @classmethod
     def from_degrees(cls, alpha1: float, alpha2: float, beta1: float, beta2: float) -> "AngleConfig":
-        return cls(*(math.radians(v) for v in (alpha1, alpha2, beta1, beta2)))
+        """The settings given in degrees, each reduced mod 180 (exactly, by ``math.fmod``) first.
+
+        The reduction keeps the closed forms' angle differences exact at
+        any magnitude, and leaves every angle below 180 degrees as it is;
+        a NaN or infinite angle passes through, for ``__post_init__`` to reject.
+        """
+        degrees = (alpha1, alpha2, beta1, beta2)
+        return cls(*(math.radians(math.fmod(v, 180.0) if math.isfinite(v) else v) for v in degrees))
 
     def experiment_angles(self) -> tuple[tuple[float, float], ...]:
         """Angle pair (Alice, Bob) for each of the four experiments E1..E4."""

@@ -350,9 +350,9 @@ def test_grid_too_fine_to_allocate_exits_2(capsys, argv):
     assert captured.out == ""
 
 
-# The closed forms take differences of raw radians, which lose digits at
-# these magnitudes, so these valid inputs exit 3 ("numeric t0 vs closed form").
-@pytest.mark.xfail(strict=True, reason="closed-form t0 loses digits for angles of large magnitude")
+# The closed forms take angle differences, which lose digits when taken
+# of raw radians at these magnitudes (exit 3, "numeric t0 vs closed form");
+# degrees are reduced mod 180 before they become radians.
 @pytest.mark.parametrize("angles", [
     ("3e8", "45", "22.5", "-22.5"),
     ("1e9", "45", "22.5", "-22.5"),
