@@ -178,8 +178,7 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     cyclic Jacobi's convergence (Brent & Luk 1985; Luk & Park 1989).  A
     CHSH operator, a sum of Z(a) (x) Z(b), has equal diagonal entries 0
     and 3, and 1 and 2; the first round rotates exactly those pairs, and
-    one sweep then typically diagonalizes it, where the row-cyclic order
-    took four.
+    one sweep of six rotations then typically diagonalizes it.
     Each result is bit-identical to solving that matrix alone, and to
     solving it scaled by any power of two that keeps it normal.  While
     one matrix is active (always, for a lone matrix), its rotations come

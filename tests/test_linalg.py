@@ -367,7 +367,7 @@ def rotation_calls(monkeypatch):
 # The Z(a) (x) Z(b) symmetry of the CHSH operator makes its diagonal
 # entries 0 and 3, and 1 and 2, equal; the round-robin order's first
 # round rotates exactly those pairs, and one sweep of six rotations
-# then diagonalizes it (the row-cyclic order needed four at most angles).
+# then diagonalizes it.
 @pytest.mark.parametrize(
     "degrees",
     [
