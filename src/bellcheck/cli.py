@@ -1,11 +1,16 @@
 """Command-line interface.
 
 Angles are degrees at this boundary and radians everywhere inside the
-library.  Every command prints to stdout by default; with ``--out`` it
-writes the same bytes to a file and drops a ``<out>.manifest.json``
-beside it recording the command, all parameters, the package version
-and a sha256 of the output, so any published number can be regenerated
-(see :func:`replay`).
+library.  Every setting a command reads goes through one conversion,
+``polarization._setting_radians``, which reduces it mod 180 first; the
+``--sweep`` and ``--scan`` grid steps are steps, not settings, and are
+converted unreduced.
+
+Every command prints to stdout by default; with ``--out`` it writes the
+same bytes to a file and drops a ``<out>.manifest.json`` beside it
+recording the command, all parameters, the package version and a sha256
+of the output, so any published number can be regenerated (see
+:func:`replay`).
 
 Serialization is deliberately rigid for reproducibility: JSON objects
 have sorted keys, integers are printed exactly and floats with 9
@@ -38,11 +43,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .born import chsh_expectations, correlation, joint_pmf
-from .chsh_operator import chsh_spectra
+from .born import SINGLET, chsh_expectations, correlation, joint_pmf
+from .chsh_operator import _closed_form_expectations, chsh_spectra
 from .counterfactual import fine_feasibility, outcome_statistic, outcome_values, quantum_pair_marginals, sample_space
-from .errors import InternalCheckError
-from .polarization import AngleConfig, same_setting, singlet_state
+from .errors import InternalCheckError, check
+from .polarization import AngleConfig, _setting_radians, same_setting
 from .quasiprob import f_jkl, find_negativity
 from .realworld import enumerate_total_sample_space, run_experiments, statistic_histogram
 
@@ -199,21 +204,22 @@ def _config_from_args(args: argparse.Namespace) -> AngleConfig:
 
 
 def cmd_correlate(args: argparse.Namespace) -> str:
-    alpha, beta = math.radians(args.alpha_deg), math.radians(args.beta_deg)
-    table = joint_pmf(singlet_state(), alpha, beta)
+    alpha, beta = _setting_radians(args.alpha_deg), _setting_radians(args.beta_deg)
+    table = joint_pmf(SINGLET, alpha, beta)
     corr = correlation(alpha, beta)
+    check("correlation vs closed form", abs(corr + math.cos(2.0 * (alpha - beta))), 1e-12)
     if (args.format or "json") == "json":
         return canonical_json({**_echo(args), "correlation": corr, "pmf": table.p})
     header = ["alpha_deg", "beta_deg", "correlation", "p_pp", "p_pm", "p_mp", "p_mm"]
     return canonical_csv(Table(header, [[args.alpha_deg], [args.beta_deg], [corr], *table.p.reshape(4, 1)]))
 
 
-def _spectrum_table(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: np.ndarray) -> Table:
-    """One row per beta2 value (degrees, replacing cfg's): echoed angles, e_qm and spectrum."""
-    # Reduced like AngleConfig.from_degrees, so the closed forms see small angles.
-    beta2 = np.radians(np.fmod(beta2_deg, 180.0))
+def _spectrum_table(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: np.ndarray, beta2: np.ndarray) -> Table:
+    """One row per beta2, in degrees to echo and radians to compute (replacing cfg's): echoed angles, e_qm, spectrum."""
     echoed = [np.full(beta2.shape, angle) for angle in (args.alpha1_deg, args.alpha2_deg, args.beta1_deg)]
     e_qm = chsh_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
+    closed_form = _closed_form_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
+    check("e_qm vs closed form", np.abs(e_qm - closed_form), 1e-12)
     spectra = chsh_spectra(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
     return Table(
         ["alpha1", "alpha2", "beta1", "beta2", "e_qm", "t0", "t1", "w_plus", "w_minus"],
@@ -224,13 +230,15 @@ def _spectrum_table(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: np.nd
 def cmd_chsh(args: argparse.Namespace) -> str:
     cfg = _config_from_args(args)
     if args.sweep_deg is None:
-        table = _spectrum_table(args, cfg, np.array([args.beta2_deg]))
+        table = _spectrum_table(args, cfg, np.array([args.beta2_deg]), np.array([cfg.beta2]))
         # A single configuration prints as the JSON object of its one row.
         return canonical_csv(table) if args.format == "csv" else _rows(table, keyed=True)[0] + "\n"
     # Sweep iterates beta2 over [0, 180); points colliding with beta1
     # (mod 180) are skipped because the configuration is degenerate there.
     grid = np.arange(0.0, 180.0, args.sweep_deg)
-    table = _spectrum_table(args, cfg, grid[~same_setting(np.radians(grid), cfg.beta1)])
+    radians = np.radians(grid)
+    keep = ~same_setting(radians, cfg.beta1)
+    table = _spectrum_table(args, cfg, grid[keep], radians[keep])
     return canonical_json({"rows": table}) if args.format == "json" else canonical_csv(table)
 
 
@@ -290,10 +298,10 @@ def cmd_quasiprob(args: argparse.Namespace) -> str:
     if point_mode == (args.scan_deg is not None):
         raise ValueError("give either three angles or --scan <step_deg>")
     if point_mode:
-        alpha, alpha_prime, beta = (math.radians(angle) for angle in given)
+        alpha, alpha_prime, beta = map(_setting_radians, given)
         values = f_jkl(alpha, alpha_prime, beta).values
-        pair = joint_pmf(singlet_state(), alpha, beta).p
-        pair_prime = joint_pmf(singlet_state(), alpha_prime, beta).p
+        pair = joint_pmf(SINGLET, alpha, beta).p
+        pair_prime = joint_pmf(SINGLET, alpha_prime, beta).p
         negative = values < -1e-12
         j, k, l = np.nonzero(negative)
         payload = {

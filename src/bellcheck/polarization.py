@@ -33,6 +33,11 @@ def reduce_mod_pi(angle: float | np.ndarray) -> float | np.ndarray:
     return angle % math.pi
 
 
+def _setting_radians(degrees: float) -> float:
+    """A setting typed in degrees as radians, reduced mod 180 exactly by ``math.fmod``; NaN and +-inf pass through."""
+    return math.radians(math.fmod(degrees, 180.0) if math.isfinite(degrees) else degrees)
+
+
 def same_setting(a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndarray:
     """True when two angles are the same polarizer setting mod pi (to ANGLE_EQUALITY_TOL), elementwise."""
     d = abs(reduce_mod_pi(a) - reduce_mod_pi(b))
@@ -62,14 +67,13 @@ class AngleConfig:
 
     @classmethod
     def from_degrees(cls, alpha1: float, alpha2: float, beta1: float, beta2: float) -> "AngleConfig":
-        """The settings given in degrees, each reduced mod 180 (exactly, by ``math.fmod``) first.
+        """The settings given in degrees, each converted by :func:`_setting_radians`.
 
-        The reduction keeps the closed forms' angle differences exact at
-        any magnitude, and leaves every angle below 180 degrees as it is;
-        a NaN or infinite angle passes through, for ``__post_init__`` to reject.
+        Reducing mod 180 keeps the closed forms' angle differences exact at
+        any magnitude and leaves every angle below 180 degrees as it is; a
+        NaN or infinite angle passes through, for ``__post_init__`` to reject.
         """
-        degrees = (alpha1, alpha2, beta1, beta2)
-        return cls(*(math.radians(math.fmod(v, 180.0) if math.isfinite(v) else v) for v in degrees))
+        return cls(*map(_setting_radians, (alpha1, alpha2, beta1, beta2)))
 
     def experiment_angles(self) -> tuple[tuple[float, float], ...]:
         """Angle pair (Alice, Bob) for each of the four experiments E1..E4."""

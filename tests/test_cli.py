@@ -365,6 +365,68 @@ def test_chsh_accepts_angles_of_large_magnitude(capsys, angles):
     assert code == 0
 
 
+# A polarizer setting has period 180 degrees, so theta and theta + 180k are
+# the same settings; k takes theta's sign, which makes math.fmod give theta
+# back exactly, and theta + 180k is exact in float64.  The first pair turns
+# every angle; the other two are correlate's 1e15 ~ 100 and 1e300 ~ 0.
+_TURNS = [
+    (("10", "55", "22.5", "-22.5"), ("370", "197912092999735", "562.5", "-1282.5")),  # k = 2, 2**40, 3, -7
+    (("100", "0", "22.5", "-22.5"), ("1e15", "0", "22.5", "-22.5")),
+    (("0", "22.5", "45", "-22.5"), ("1e300", "22.5", "45", "-22.5")),
+]
+_FOUR_ECHOED = ("alpha1_deg", "alpha2_deg", "beta1_deg", "beta2_deg")
+
+# name -> (command, number of angles it takes, trailing flags, fields that echo the typed degrees)
+_ANGLE_COMMANDS = {
+    "correlate": ("correlate", 2, (), ("alpha_deg", "beta_deg")),
+    "correlate-csv": ("correlate", 2, ("--format", "csv"), ("alpha_deg", "beta_deg")),
+    "quasiprob": ("quasiprob", 3, (), ("alpha_deg", "alpha_prime_deg", "beta_deg")),
+    "chsh": ("chsh", 4, (), ("alpha1", "alpha2", "beta1", "beta2")),
+    "chsh-csv": ("chsh", 4, ("--format", "csv"), ("alpha1", "alpha2", "beta1", "beta2")),
+    "chsh-sweep": ("chsh", 4, ("--sweep", "15"), ("alpha1", "alpha2", "beta1")),
+    "chsh-sweep-csv": ("chsh", 4, ("--sweep", "15", "--format", "csv"), ("alpha1", "alpha2", "beta1")),
+    "fine": ("fine", 4, (), _FOUR_ECHOED),
+    "simulate": ("simulate", 4, ("--n", "2000", "--seed", "7"), _FOUR_ECHOED),
+}
+
+
+def _without_echo(out, echoed):
+    """The fields of a JSON or CSV output, with the echoed ones left out."""
+    if out.startswith("{"):
+        def strip(value):
+            if isinstance(value, dict):
+                return {k: strip(v) for k, v in value.items() if k not in echoed}
+            return [strip(v) for v in value] if isinstance(value, list) else value
+        return strip(json.loads(out))
+    rows = [line.split(",") for line in out.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in echoed]
+    return [[row[i] for i in keep] for row in rows]
+
+
+@pytest.mark.parametrize("turn", _TURNS, ids=["mixed-k", "1e15", "1e300"])
+@pytest.mark.parametrize("name", list(_ANGLE_COMMANDS))
+def test_every_angle_command_reads_settings_mod_180(capsys, name, turn):
+    command, count, flags, echoed = _ANGLE_COMMANDS[name]
+    outputs = []
+    for angles in turn:
+        code, out = run_cli(capsys, command, *angles[:count], *flags)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] != outputs[1]
+    assert _without_echo(outputs[0], echoed) == _without_echo(outputs[1], echoed)
+
+
+def test_manifest_of_a_large_angle_replays(tmp_path, capsys):
+    out = tmp_path / "correlate.json"
+    assert main(["correlate", "1e15", "0", "--out", str(out)]) == 0
+    manifest_path = tmp_path / "correlate.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["parameters"]["alpha_deg"] == 1e15
+    assert replay(str(manifest_path), str(tmp_path / "again.json")) == manifest["sha256"]
+    assert (tmp_path / "again.json").read_bytes() == out.read_bytes()
+    assert json.loads(out.read_text())["correlation"] == run_json(capsys, "correlate", "100", "0")["correlation"]
+
+
 def test_importing_the_cli_does_not_load_numpy_random():
     probe = "import sys, bellcheck.cli; print('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}

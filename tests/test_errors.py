@@ -19,6 +19,7 @@ from bellcheck.polarization import AngleConfig, basis_matrix
 
 born = importlib.import_module("bellcheck.born")
 chsh_mod = importlib.import_module("bellcheck.chsh_operator")
+cli = importlib.import_module("bellcheck.cli")
 counterfactual = importlib.import_module("bellcheck.counterfactual")
 quasiprob = importlib.import_module("bellcheck.quasiprob")
 realworld = importlib.import_module("bellcheck.realworld")
@@ -189,6 +190,23 @@ def test_each_cross_check_fires_and_names_itself(monkeypatch, site):
     name = site.split(" (")[0]
     with pytest.raises(InternalCheckError, match="^" + re.escape(name) + ": gap "):
         call()
+
+
+# The CLI compares each printed Born number with its closed form; a Born
+# route scaled by 1.001 makes the check fire, and main exits 3 naming it.
+CLI_SITES = {
+    "correlation vs closed form": ("correlation", ["correlate", "0", "22.5"]),
+    "e_qm vs closed form": ("chsh_expectations", ["chsh", "0", "45", "22.5", "-22.5", "--sweep", "30"]),
+}
+
+
+@pytest.mark.parametrize("site", list(CLI_SITES))
+def test_each_cli_cross_check_fires_and_names_itself(monkeypatch, capsys, site):
+    route, argv = CLI_SITES[site]
+    _wrap(monkeypatch, cli, route, lambda value: value * 1.001)
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"internal check failed: {site}: gap ")
 
 
 def test_cross_checks_raise_only_through_check():

@@ -8,6 +8,7 @@ from bellcheck.born import correlation, joint_pmf
 from bellcheck.linalg import commutator
 from bellcheck.polarization import (
     AngleConfig,
+    _setting_radians,
     basis_matrix,
     reduce_mod_pi,
     same_setting,
@@ -126,13 +127,13 @@ def test_from_degrees_reduces_mod_180_and_keeps_smaller_angles():
     rng = np.random.default_rng(180)
     for degrees in rng.uniform(-179.999, 179.999, (200, 4)).tolist() + [[-0.0, 45.0, 22.5, -22.5]]:
         cfg = AngleConfig.from_degrees(*degrees)
-        got = (cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
         want = tuple(math.radians(v) for v in degrees)
-        assert got == want and [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
-    big = AngleConfig.from_degrees(1e300, 45.0 + 180.0 * 2**40, 22.5 - 540.0, 1e15)
-    assert (big.alpha1, big.alpha2, big.beta1, big.beta2) == tuple(
-        math.radians(v) for v in (math.fmod(1e300, 180.0), 45.0, -157.5, 100.0)
-    )
+        for got in ((cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2), tuple(map(_setting_radians, degrees))):
+            assert got == want and [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+    big = (1e300, 45.0 + 180.0 * 2**40, 22.5 - 540.0, 1e15)
+    want = tuple(math.radians(v) for v in (math.fmod(1e300, 180.0), 45.0, -157.5, 100.0))
+    cfg = AngleConfig.from_degrees(*big)
+    assert (cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2) == want == tuple(map(_setting_radians, big))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
