@@ -4,13 +4,14 @@ Angles are degrees at this boundary and radians everywhere inside the
 library.  Every setting a command reads goes through one conversion,
 ``polarization._setting_radians``, which reduces it mod 180 first; the
 ``--sweep`` and ``--scan`` grid steps are steps, not settings, and are
-converted unreduced.
+converted unreduced.  argparse reads a negative angle in exponent
+notation as an option, so type it after ``--``: ``correlate -- -1e15 0``.
 
 Every command prints to stdout by default; with ``--out`` it writes the
 same bytes to a file and drops a ``<out>.manifest.json`` beside it
-recording the command, all parameters, the package version and a sha256
-of the output, so any published number can be regenerated (see
-:func:`replay`).
+recording the command, all parameters (a float that 9 digits would round
+as its repr), the package version and a sha256 of the output, so any
+published number can be regenerated (see :func:`replay`).
 
 Serialization is deliberately rigid for reproducibility: JSON objects
 have sorted keys, integers are printed exactly and floats with 9
@@ -93,7 +94,8 @@ def _rows(table: Table, keyed: bool) -> list[str]:
     return [template % row for row in zip(*(values for _, _, values in fields))]
 
 
-def _json_fragment(value) -> str:
+def _json_fragment(value, exact: bool = False) -> str:
+    """``value`` as canonical JSON; ``exact`` writes a float that 9 digits would round as its repr."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -101,12 +103,13 @@ def _json_fragment(value) -> str:
     if isinstance(value, int):
         return _INT_CELL % value
     if isinstance(value, float):
-        return _FLOAT_CELL % (value + 0.0)
+        text = _FLOAT_CELL % (value + 0.0)
+        return repr(value) if exact and float(text) != value else text
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
         items = sorted(value.items())
-        inner = ", ".join(f"{json.dumps(str(k))}: {_json_fragment(v)}" for k, v in items)
+        inner = ", ".join(f"{json.dumps(str(k))}: {_json_fragment(v, exact)}" for k, v in items)
         return "{" + inner + "}"
     if isinstance(value, Table):
         return "[" + ", ".join(_rows(value, keyed=True)) + "]"
@@ -130,29 +133,10 @@ def canonical_csv(table: Table, footer: list[str] | None = None) -> str:
 # ---------------------------------------------------------------------------
 # manifests
 
-_POSITIONALS: dict[str, tuple[str, ...]] = {
-    "correlate": ("alpha_deg", "beta_deg"),
-    "chsh": ("alpha1_deg", "alpha2_deg", "beta1_deg", "beta2_deg"),
-    "t-spectrum": ("alpha1_deg", "alpha2_deg", "beta1_deg", "beta2_deg"),
-    "simulate": ("alpha1_deg", "alpha2_deg", "beta1_deg", "beta2_deg"),
-    "enumerate": ("target",),
-    "fine": ("alpha1_deg", "alpha2_deg", "beta1_deg", "beta2_deg"),
-    "quasiprob": ("alpha_deg", "alpha_prime_deg", "beta_deg"),
-}
-
-_FLAGS: dict[str, str] = {
-    "n": "--n",
-    "seed": "--seed",
-    "shards": "--shards",
-    "sweep_deg": "--sweep",
-    "scan_deg": "--scan",
-    "format": "--format",
-}
-
-
 def _echo(args: argparse.Namespace, *flags: str) -> dict:
     """The command's positional arguments, then the named flags, as given: name -> value."""
-    return {name: getattr(args, name) for name in (*_POSITIONALS[args.command], *flags)}
+    positionals = (dest for dest, option in _ARGUMENTS[args.command] if option is None)
+    return {name: getattr(args, name) for name in (*positionals, *flags)}
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -162,35 +146,38 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         return
     data = text.encode("utf-8")
     Path(out).write_bytes(data)
+    given = (dest for dest, option in _ARGUMENTS[args.command] if option and getattr(args, dest) is not None)
     manifest = {
         "artifact_version": __version__,
         "command": args.command,
         "output": os.path.basename(out),
-        "parameters": _echo(args, *(name for name in _FLAGS if getattr(args, name, None) is not None)),
+        "parameters": _echo(args, *given),
         "sha256": hashlib.sha256(data).hexdigest(),
     }
-    Path(str(out) + ".manifest.json").write_text(canonical_json(manifest), encoding="utf-8")
+    Path(str(out) + ".manifest.json").write_text(_json_fragment(manifest, exact=True) + "\n", encoding="utf-8")
 
 
 def replay(manifest_path: str, out_path: str) -> str:
     """Re-run the command recorded in a manifest, writing to ``out_path``.
 
     Returns the sha256 of the regenerated output; equal to the recorded
-    checksum whenever the manifest and package version still match.
+    checksum whenever the manifest and package version still match.  A
+    manifest from another package version raises ValueError and is not run.
     """
     manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    command = manifest["command"]
-    params = manifest["parameters"]
-    argv = [command]
-    for name in _POSITIONALS[command]:
-        if params.get(name) is not None:
-            argv.append(repr(params[name]) if isinstance(params[name], float) else str(params[name]))
-    for name, flag in _FLAGS.items():
-        if params.get(name) is not None:
-            value = params[name]
-            argv.extend([flag, repr(value) if isinstance(value, float) else str(value)])
-    argv.extend(["--out", out_path])
-    code = main(argv)
+    if manifest["artifact_version"] != __version__:
+        raise ValueError(f"manifest is from bellcheck {manifest['artifact_version']}, this is {__version__}")
+    command, params = manifest["command"], manifest["parameters"]
+    options, positionals = [], []
+    _parser()  # builds _ARGUMENTS
+    for dest, option in _ARGUMENTS[command]:
+        if (value := params.get(dest)) is not None:
+            if option:
+                options.extend([option, str(value)])
+            else:
+                positionals.append(str(value))
+    # Positionals go after "--", where argparse cannot mistake -1e+16 for an option.
+    code = main([command, *options, "--out", out_path, "--", *positionals])
     if code != EXIT_OK:
         raise RuntimeError(f"replay of {command} exited with code {code}")
     return hashlib.sha256(Path(out_path).read_bytes()).hexdigest()
@@ -410,18 +397,28 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sp).choices = ("json",)
     sp.set_defaults(func=cmd_quasiprob)
 
+    for name, sp in sub.choices.items():
+        actions = [action for action in sp._actions if action.dest not in ("help", "out")]
+        _ARGUMENTS[name] = tuple((action.dest, (action.option_strings or [None])[0]) for action in actions)
     return parser
 
 
 _PARSER: argparse.ArgumentParser | None = None
+# Command name (aliases too) -> (dest, option string or None for a positional) of each argument but --help and
+# --out, read by build_parser from the parser's own actions: the one list that _echo, manifests and replay use.
+_ARGUMENTS: dict[str, tuple[tuple[str, str | None], ...]] = {}
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
+    return _PARSER
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -1,12 +1,17 @@
+import hashlib
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bellcheck
 from bellcheck.cli import canonical_json, main, replay
@@ -263,8 +268,87 @@ def test_manifest_replay_simulate(tmp_path, capsys):
     assert replayed == manifest["sha256"]
 
 
+# One of each command form; some angles and steps have more than 9
+# significant digits, and -1e16 must be typed after "--".
+_ROUND_TRIPS = {
+    "correlate-json": ("correlate", "--", "-1e16", "52.99104926281041"),
+    "correlate-csv": ("correlate", "--format", "csv", "45.0", "52.99104926281041"),
+    "chsh": ("chsh", "0", "45", "22.5", "-22.5"),
+    "t-spectrum": ("t-spectrum", "0.1234567890123", "45", "22.5", "-22.5"),
+    "chsh-sweep": ("chsh", "0", "45", "22.5", "-22.5", "--sweep", "7.77777777777"),
+    "simulate-shards": ("simulate", "0", "45", "22.5", "-22.5", "--n", "3000", "--seed", "11", "--shards", "3"),
+    "enumerate-realworld": ("enumerate", "realworld", "--format", "json"),
+    "enumerate-counterfactual": ("enumerate", "counterfactual", "--format", "csv"),
+    "fine": ("fine", "0", "45", "22.5", "-22.5"),
+    "quasiprob": ("quasiprob", "0", "60.000000000123", "30"),
+    "quasiprob-scan": ("quasiprob", "--scan", "33.3333333333"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_ROUND_TRIPS.values()), ids=list(_ROUND_TRIPS))
+def test_every_command_form_replays_its_out_file(tmp_path, argv):
+    out = tmp_path / "out.txt"
+    assert main([argv[0], "--out", str(out), *argv[1:]]) == 0
+    manifest_path = tmp_path / "out.txt.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+    assert replay(str(manifest_path), str(tmp_path / "again.txt")) == manifest["sha256"]
+    assert (tmp_path / "again.txt").read_bytes() == out.read_bytes()
+
+
+def test_manifest_writes_a_float_exactly_only_where_nine_digits_round_it(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["correlate", "--out", str(out), "--", "45.0", "52.99104926281041"]) == 0
+    manifest = (tmp_path / "c.json.manifest.json").read_text()
+    assert '"parameters": {"alpha_deg": 45, "beta_deg": 52.99104926281041}' in manifest
+
+
+def test_negative_exponent_angle_is_typed_after_double_dash(capsys):
+    code, out = run_cli(capsys, "correlate", "--", "-1e15", "0")
+    assert code == 0
+    assert out == run_cli(capsys, "correlate", "-1000000000000000", "0")[1]
+
+
+def test_replay_refuses_a_manifest_from_another_version(tmp_path):
+    assert main(["correlate", "0", "22.5", "--out", str(tmp_path / "c.json")]) == 0
+    manifest_path = tmp_path / "c.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["artifact_version"] = "0.0.1"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"0\.0\.1.*{re.escape(bellcheck.__version__)}"):
+        replay(str(manifest_path), str(tmp_path / "again.json"))
+    assert not (tmp_path / "again.json").exists()
+
+
+# Command -> (number of angles, other flags).
+_ANGLE_FORMS = {
+    "correlate": (2, ()),
+    "chsh": (4, ()),
+    "fine": (4, ()),
+    "simulate": (4, ("--n", "100", "--seed", "3")),
+    "quasiprob": (3, ()),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(list(_ANGLE_FORMS)),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+)
+def test_any_typed_angle_replays_to_its_recorded_sha256(command, angles):
+    count, flags = _ANGLE_FORMS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "out.txt"
+        # Invalid settings and the t0 = 0 defect exit non-zero; their own tests cover them.
+        assume(main([command, *flags, "--out", str(out), "--", *map(repr, angles[:count])]) == 0)
+        manifest_path = pathlib.Path(tmp) / "out.txt.manifest.json"
+        recorded = json.loads(manifest_path.read_text())["sha256"]
+        assert replay(str(manifest_path), str(pathlib.Path(tmp) / "again.txt")) == recorded
+
+
 # Near t0 = 0 the closed form for t0 cancels and the projector check is
-# ill-conditioned, so these valid inputs exit 3 (ROADMAP item 2); 45.005
+# ill-conditioned, so these valid inputs exit 3 (ROADMAP item 3); 45.005
 # and 45.000000001 exit 0 and are not listed.
 @pytest.mark.xfail(strict=True, reason="CHSH spectrum checks fail on valid input near t0 = 0")
 @pytest.mark.parametrize("beta2", ["45.003", "45.001", "45.0001", "45.00001", "45.000001", "45.0000001"])
