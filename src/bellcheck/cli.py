@@ -116,7 +116,7 @@ def _json_fragment(value, exact: bool = False) -> str:
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_fragment(v) for v in value) + "]"
+        return "[" + ", ".join(_json_fragment(v, exact) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
