@@ -57,10 +57,15 @@ class ChshSpectrum:
 
     def __post_init__(self) -> None:
         # Every comparison here is False for NaN, so a NaN field fails it.
-        if not np.all((self.w_plus >= -1e-12) & (self.w_plus <= 1.0 + 1e-12)):
+        if isinstance(self.t0, float) and isinstance(self.t1, float) and isinstance(self.w_plus, float):
+            in_range = -1e-12 <= self.w_plus <= 1.0 + 1e-12
+            finite = abs(self.t0) < math.inf and abs(self.t1) < math.inf
+        else:
+            in_range = np.all((self.w_plus >= -1e-12) & (self.w_plus <= 1.0 + 1e-12))
+            finite = np.all((np.abs(self.t0) < math.inf) & (np.abs(self.t1) < math.inf))
+        if not in_range:
             raise ValueError(f"outcome weight w_plus = {self.w_plus} must lie in [0, 1]")
-        finite = (np.abs(self.t0) < math.inf) & (np.abs(self.t1) < math.inf)
-        if not (np.all(finite) and np.all(np.abs(self.eigenvalues) < math.inf)):
+        if not (finite and np.all(np.abs(self.eigenvalues) < math.inf)):
             raise ValueError("t0, t1 and the eigenvalues must be finite")
 
     @property
@@ -120,19 +125,13 @@ def chsh_spectra(
     of four for ``eigenvalues``.  Each configuration obeys the rules of
     :class:`~bellcheck.polarization.AngleConfig`.  All operators are
     diagonalized by one stacked Jacobi call, and every check of
-    :func:`chsh_spectrum` runs on the whole stack.
+    :func:`chsh_spectrum` runs on the whole stack, with the same names
+    and tolerances; each result is bit for bit the one
+    :func:`chsh_spectrum` gives for its configuration.
     """
     a1, a2, b1, b2 = np.broadcast_arrays(alpha1, alpha2, beta1, beta2)
     if np.any(same_setting(a1, a2)) or np.any(same_setting(b1, b2)):
         raise ValueError("the two settings on one side coincide mod pi")
-    return ChshSpectrum(*_spectrum_fields(a1, a2, b1, b2))
-
-
-def _spectrum_fields(a1, a2, b1, b2) -> tuple:
-    """(t0, t1, w_plus, eigenvalues) over four angles or angle arrays of one shape.
-
-    The angles must obey the rules of AngleConfig; nothing here checks them.
-    """
     evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
     t0 = _atom_magnitudes(a1, a2, b1, b2)
     expectation = _closed_form_expectations(a1, a2, b1, b2)
@@ -157,7 +156,7 @@ def _spectrum_fields(a1, a2, b1, b2) -> tuple:
     plus_space = np.abs(evals - t0[..., None]) <= 1e-8
     gap = np.where(live, np.abs(np.sum(overlaps * plus_space, axis=-1) - w_plus), 0.0)
     check("projector weight vs closed form", gap, 1e-9)
-    return t0, t1, w_plus, evals
+    return ChshSpectrum(t0, t1, w_plus, evals)
 
 
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
@@ -167,9 +166,41 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     (to 1e-9), and the singlet's Born weight is verified to sit entirely
     on the +-t0 eigenspaces.  Disagreement raises InternalCheckError.
     The settings are not checked again: AngleConfig already has.
+
+    This is the lone-configuration route of :func:`chsh_spectra`: the same
+    checks, names and tolerances, and bit for bit the same fields, but
+    after the eigensolve every value is a Python float.  On four
+    eigenvalues, numpy's per-call cost outweighs the arithmetic, and
+    Monte Carlo callers such as :func:`sample_outcomes` call this once
+    per configuration.  Sums run left to right, as numpy's reductions of
+    four or fewer values do.
     """
-    t0, t1, w_plus, evals = _spectrum_fields(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
-    return ChshSpectrum(float(t0), float(t1), float(w_plus), evals)
+    a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
+    evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
+    t0 = float(_atom_magnitudes(a1, a2, b1, b2))
+    expectation = float(_closed_form_expectations(a1, a2, b1, b2))
+    ev = evals.tolist()
+
+    # The two eigenvalues nearest +-t0 in magnitude are the atoms, and the
+    # second of them has the larger distance, which the check judges; the
+    # stable sort keeps ties in index order, as argsort's does.
+    distance = [abs(abs(e) - t0) for e in ev]
+    _, atom, d0, d1 = sorted(range(4), key=distance.__getitem__)
+    check("numeric t0 vs closed form", distance[atom], 1e-9)
+    t1 = (abs(ev[d0]) + abs(ev[d1])) / 2
+
+    overlaps = (np.abs(evecs.conj().T @ SINGLET) ** 2).tolist()
+    dark_weight = 0.0 if abs(t0 - t1) <= 1e-9 else overlaps[d0] + overlaps[d1]
+    check("singlet weight outside the outcome atoms", dark_weight, 1e-12)
+    check("|E| above t0", abs(expectation) - t0, 1e-9)
+    w_plus, gap = 0.5, 0.0
+    if t0 >= _T0_FLOOR:
+        w_plus = min(max((1.0 + expectation / t0) / 2.0, 0.0), 1.0)
+        # A NaN overlap outside the +t0 eigenspace still fails the check, as in the stacked route.
+        plus = [w * (abs(e - t0) <= 1e-8) for w, e in zip(overlaps, ev)]
+        gap = abs(plus[0] + plus[1] + plus[2] + plus[3] - w_plus)
+    check("projector weight vs closed form", gap, 1e-9)
+    return ChshSpectrum(t0, t1, w_plus, evals)
 
 
 def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:

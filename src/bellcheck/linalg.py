@@ -9,10 +9,14 @@ Jacobi iteration that visits the (p, q) pairs in round-robin tournament
 order, intended for the 4x4 operators it is used on, and
 ``eig_hermitian`` diagonalizes a whole ``(..., n, n)`` stack in one
 call, so an angle sweep costs one solve rather than one per point.
-Stacks and lone matrices run the same sweep; only the 2x2 rotation
-differs, computed in Python floats while one matrix is active.  The
-builders form Kronecker products with the private, unchecked ``_kron``:
-their factors come from angles already checked at the public entry.
+Stacks and lone matrices run the same sweep.  A lone matrix takes its own
+route through it: its 2x2 rotations are computed in Python floats and its
+result is sorted by plain indexing, since a lone CHSH spectrum, computed
+twice per Monte Carlo configuration, would otherwise spend more time on
+numpy's per-call costs than on arithmetic; the bits are the same either
+way.  The builders form Kronecker products with the private, unchecked
+``_kron``: their factors come from angles already checked at the public
+entry.
 """
 
 from __future__ import annotations
@@ -151,6 +155,9 @@ def _round_robin_pairs(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
+_PAIRS_4 = _round_robin_pairs(4)
+
+
 def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or a stack, by round-robin Jacobi sweeps.
 
@@ -205,14 +212,17 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     stack = np.ldexp(parts, -exponent[:, None, None]).view(np.complex128)
     if not hermiticity_defect(stack) <= tol:
         raise ValueError(f"matrix is not Hermitian within tol={tol} relative to its largest entry")
-    work = (stack + stack.conj().swapaxes(-1, -2)) / 2.0
     # Rows :n hold the matrix, rows n: the eigenvectors, so a single
     # product applies each rotation's column update to both.
-    both = np.concatenate([work, np.broadcast_to(np.eye(n, dtype=np.complex128), work.shape)], axis=1)
+    both = np.empty((len(stack), 2 * n, n), dtype=np.complex128)
+    work = both[:, :n]
+    np.add(stack, stack.conj().swapaxes(-1, -2), out=work)
+    work /= 2.0
+    both[:, n:] = np.eye(n)
     norm_sq = (work.real**2 + work.imag**2).reshape(len(work), n * n).sum(axis=1)
     target_sq = _OFF_TOL**2 * norm_sq
     skip = _SKIP * np.sqrt(norm_sq)
-    pairs = _round_robin_pairs(n)
+    pairs = _PAIRS_4 if n == 4 else _round_robin_pairs(n)
 
     active = np.flatnonzero(_off_diagonal_sq(both, n) > target_sq)
     for _ in range(_MAX_SWEEPS):
@@ -236,7 +246,12 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     if active.size:
         raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
 
-    vals = np.diagonal(both[:, :n], axis1=1, axis2=2).real
+    if len(both) == 1:
+        # A lone matrix is sorted by plain indexing, the same values as the stacked gather.
+        vals = both[0, :n].diagonal().real
+        order = np.argsort(-vals, kind="stable")
+        return np.ldexp(vals[order], exponent[0]).reshape(a.shape[:-1]), both[0, n:][:, order].reshape(a.shape)
+    vals = np.diagonal(work, axis1=1, axis2=2).real
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.ldexp(np.take_along_axis(vals, order, axis=1), exponent[:, None])
     vecs = np.take_along_axis(both[:, n:], order[:, None, :], axis=2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bellcheck.chsh_operator import (
     closed_form_expectation,
     sample_outcomes,
 )
+from bellcheck.errors import InternalCheckError
 from bellcheck.linalg import eig_hermitian, hermiticity_defect
 from bellcheck.polarization import AngleConfig, singlet_state
 
@@ -136,8 +138,26 @@ def angle_columns(configs):
     return [np.array([getattr(cfg, name) for cfg in configs]) for name in ("alpha1", "alpha2", "beta1", "beta2")]
 
 
+# The rotation-count degrees of tests/test_linalg.py, with t0 = t1 at
+# 0 90 22.5 -22.5, then E = +-t0 (w_plus 0 and 1), a w_plus that the clip
+# raises from -1.1e-16 to 0, and t0 = 0 (w_plus 0.5).
+PINNED_DEGREES = [
+    (0, 45, 22.5, -22.5),
+    (0, 45, 20, -22.5),
+    (10.5, 50.25, 20.125, 30),
+    (105.528, 109.043, 92.049, 177.716),
+    (0, 90, 22.5, -22.5),
+    (0, 45, 22.5, 112.5),
+    (0, 135, 67.5, -67.5),
+    (0, 22.5, 22.5, 112.5),
+    (0, 45, 22.5, 67.5),
+]
+
+
 def test_stacked_spectra_equal_single_spectra_bitwise():
-    configs = random_configs(41, 40) + [OPTIMAL, AngleConfig.from_degrees(0, 45, 22.5, 67.5)]
+    # chsh_spectrum has its own Python-float route for one configuration;
+    # chsh_spectra must give the same bits, and fail the same check.
+    configs = random_configs(41, 2000) + [AngleConfig.from_degrees(*degrees) for degrees in PINNED_DEGREES]
     columns = angle_columns(configs)
     stacked = chsh_spectra(*columns)
     expectations = chsh_expectations(*columns)
@@ -145,8 +165,21 @@ def test_stacked_spectra_equal_single_spectra_bitwise():
         single = chsh_spectrum(cfg)
         for name in ("t0", "t1", "w_plus", "w_minus"):
             assert getattr(stacked, name)[i] == getattr(single, name), name
+            assert type(getattr(single, name)) is float, name
         assert np.array_equal(stacked.eigenvalues[i], single.eigenvalues)
         assert expectations[i] == chsh_expectation(cfg)
+    assert stacked.w_plus[-3:].tolist() == [1.0, 0.0, 0.5]
+
+    # ROADMAP item 3's open t0 ~ 0 defect: both routes fail on the same
+    # check, with the same gap to the last bit.
+    for beta2, name in ((45.003, "projector weight vs closed form"), (45.0000001, "numeric t0 vs closed form")):
+        near_zero = AngleConfig.from_degrees(0, 45, 0, beta2)
+        messages = []
+        for call in (lambda: chsh_spectrum(near_zero), lambda: chsh_spectra(*angle_columns([near_zero]))):
+            with pytest.raises(InternalCheckError, match="^" + re.escape(name) + ": gap ") as info:
+                call()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 def test_stacked_operators_equal_single_operators():

@@ -61,7 +61,19 @@ def test_tensor_joint_pmf_rejects_a_nan_route(monkeypatch):
         realworld.tensor_joint_pmf(OPTIMAL)
 
 
-def test_chsh_spectrum_rejects_nan_eigenvectors(monkeypatch):
+# chsh_spectrum has its own route for one configuration, and chsh_spectra
+# the stacked one; each spectrum check must fire on both.  The stack holds
+# OPTIMAL, where the perturbations below show, among two other configs.
+SPECTRUM_ROUTES = {
+    "chsh_spectrum": lambda: chsh_mod.chsh_spectrum(OPTIMAL),
+    "chsh_spectra": lambda: chsh_mod.chsh_spectra(
+        *np.radians([[0.0, 45.0, 22.5, -22.5], [0.0, 45.0, 20.0, -22.5], [10.5, 50.25, 20.125, 30.0]]).T
+    ),
+}
+
+
+@pytest.mark.parametrize("route", list(SPECTRUM_ROUTES))
+def test_chsh_spectrum_rejects_nan_eigenvectors(monkeypatch, route):
     real = chsh_mod.eig_hermitian
 
     def nan_vectors(a, tol):
@@ -70,7 +82,7 @@ def test_chsh_spectrum_rejects_nan_eigenvectors(monkeypatch):
 
     monkeypatch.setattr(chsh_mod, "eig_hermitian", nan_vectors)
     with pytest.raises(InternalCheckError):
-        chsh_mod.chsh_spectrum(OPTIMAL)
+        SPECTRUM_ROUTES[route]()
 
 
 def _wrap(monkeypatch, module, name, change):
@@ -81,27 +93,39 @@ def _wrap(monkeypatch, module, name, change):
 
 def _non_hermitian_factors(mp):
     _wrap(mp, chsh_mod, "z_operator", lambda z: z + 1j * np.eye(2))
-    return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
 
 
 def _shifted_t0(mp):
     _wrap(mp, chsh_mod, "_atom_magnitudes", lambda t0: t0 * (1.0 + 1e-6))
-    return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
 
 
 def _basis_eigenvectors(mp):
     _wrap(mp, chsh_mod, "eig_hermitian", lambda res: (res[0], np.broadcast_to(np.eye(4), res[1].shape)))
-    return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
 
 
 def _expectation_above_t0(mp):
     _wrap(mp, chsh_mod, "_closed_form_expectations", lambda e: e * 1.001)
-    return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
 
 
 def _expectation_below_t0(mp):
     _wrap(mp, chsh_mod, "_closed_form_expectations", lambda e: e * 0.999)
-    return lambda: chsh_mod.chsh_spectrum(OPTIMAL)
+
+
+SPECTRUM_SITES = {
+    "CHSH operator hermiticity": _non_hermitian_factors,
+    "numeric t0 vs closed form": _shifted_t0,
+    "singlet weight outside the outcome atoms": _basis_eigenvectors,
+    "|E| above t0": _expectation_above_t0,
+    "projector weight vs closed form": _expectation_below_t0,
+}
+
+
+def _on_route(perturb, route):
+    def site(mp):
+        perturb(mp)
+        return SPECTRUM_ROUTES[route]
+
+    return site
 
 
 def _scaled_pair_probabilities(mp):
@@ -167,11 +191,7 @@ def _bob_basis_differs_between_brackets(mp):
 
 
 SITES = {
-    "CHSH operator hermiticity": _non_hermitian_factors,
-    "numeric t0 vs closed form": _shifted_t0,
-    "singlet weight outside the outcome atoms": _basis_eigenvectors,
-    "|E| above t0": _expectation_above_t0,
-    "projector weight vs closed form": _expectation_below_t0,
+    **{f"{name} ({route})": _on_route(perturb, route) for name, perturb in SPECTRUM_SITES.items() for route in SPECTRUM_ROUTES},
     "singlet pair table total": _scaled_pair_probabilities,
     "full Born route vs factored route": _rolled_tensor_state,
     "simplex verdict vs CHSH criterion (feasible)": _chsh_variant_says_infeasible,
