@@ -9,11 +9,17 @@ Jacobi iteration that visits the (p, q) pairs in round-robin tournament
 order, intended for the 4x4 operators it is used on, and
 ``eig_hermitian`` diagonalizes a whole ``(..., n, n)`` stack in one
 call, so an angle sweep costs one solve rather than one per point.
-Stacks and lone matrices run the same sweep.  A lone matrix takes its own
-route through it: its 2x2 rotations are computed in Python floats and its
-result is sorted by plain indexing, since a lone CHSH spectrum, computed
-twice per Monte Carlo configuration, would otherwise spend more time on
-numpy's per-call costs than on arithmetic; the bits are the same either
+A sweep takes the rotations of each round's disjoint pairs from the
+matrix as it stands at the start of the round, then applies all their
+row updates, then all their column updates (Brent & Luk's parallel
+order).  No rotation goes through BLAS: every product is a float64
+operation or a complex number times a factor with an exactly zero real
+or imaginary part, each rounded on its own, so the bits do not depend on
+the BLAS kernel or on fused multiply-adds.  A lone matrix runs the sweep
+on Python complex lists, since a lone CHSH spectrum, computed twice per
+Monte Carlo configuration, would otherwise spend more time on numpy's
+per-call costs than on arithmetic; a stack runs it with elementwise
+numpy, one set of calls per round, and the bits are the same either
 way.  The builders form Kronecker products with the private, unchecked
 ``_kron``: their factors come from angles already checked at the public
 entry.
@@ -73,67 +79,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
 
 
-def _off_diagonal_sq(work: np.ndarray, n: int) -> np.ndarray:
-    """Squared off-diagonal Frobenius norm of each matrix in ``work[:, :n]``."""
-    sq = work.real[:, :n] ** 2 + work.imag[:, :n] ** 2
-    sq[:, np.arange(n), np.arange(n)] = 0.0
-    return sq.reshape(len(sq), n * n).sum(axis=1)
-
-
-def _jacobi_rotations(m: np.ndarray, p: int, q: int, skip: np.ndarray) -> np.ndarray:
-    """Stack of 2x2 unitaries, each diagonalizing the (p, q) block of one matrix of ``m``.
-
-    Each is [[c, s*phase], [-s*conj(phase), c]] with phase = apq/|apq|;
-    the tangent is chosen with the classic stable formula so the rotation
-    angle stays within +-45 degrees.  |theta| is capped at 1e150 inside
-    the square root, where theta*theta would overflow; the tangent, below
-    1e-150 there, is still right to within a factor of two.  Entries with
-    |apq| below ``skip`` get the identity.
-    """
-    apq = m[:, p, q]
-    mag = np.abs(apq)
-    safe = np.maximum(mag, skip)
-    theta = (m[:, q, q].real - m[:, p, p].real) / (2.0 * safe)
-    size = np.abs(theta)
-    capped = np.minimum(size, 1e150)
-    t = np.where(theta >= 0.0, 1.0, -1.0) / (size + np.sqrt(capped * capped + 1.0)) * (mag >= skip)
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s_phase = (t * c) * (apq / safe)
-    rot = np.empty(apq.shape + (2, 2), dtype=np.complex128)
-    rot[:, 0, 0] = c
-    rot[:, 0, 1] = s_phase
-    rot[:, 1, 0] = -np.conj(s_phase)
-    rot[:, 1, 1] = c
-    return rot
-
-
-def _rotation_alone(m: np.ndarray, p: int, q: int, skip: float) -> np.ndarray:
-    """The rotation ``_jacobi_rotations`` builds for the one matrix ``m``, from Python floats.
-
-    The same operations in the same order, at a fraction of the cost.
-    Where numpy's complex kernels round otherwise, their way is kept:
-    |apq| comes from the array ``abs`` (Python's ``abs`` and ``math.hypot``
-    differ from it in the last bit on about 30% of inputs); ``apq / safe``
-    is numpy's complex division by ``safe + 0j`` (Smith's method,
-    ``(re + im*rat) * scl``, where safe >= skip > 0 makes rat = +0.0 and
-    scl = 1/safe) and ``(t*c) * phase`` its complex product by ``t*c + 0j``.
-    """
-    apq = complex(m[p, q])
-    mag = float(np.abs(m[p, q : q + 1])[0])
-    safe = max(mag, skip)
-    theta = (float(m[q, q].real) - float(m[p, p].real)) / (2.0 * safe)
-    size = abs(theta)
-    capped = min(size, 1e150)
-    t = (1.0 if theta >= 0.0 else -1.0) / (size + math.sqrt(capped * capped + 1.0))
-    t *= 1.0 if mag >= skip else 0.0
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    scl = 1.0 / safe
-    phase_re, phase_im = (apq.real + apq.imag * 0.0) * scl, (apq.imag - apq.real * 0.0) * scl
-    tc = t * c
-    s_re, s_im = tc * phase_re - 0.0 * phase_im, tc * phase_im + 0.0 * phase_re
-    return np.array([[c, complex(s_re, s_im)], [complex(-s_re, s_im), c]])
-
-
 def _round_robin_pairs(n: int) -> list[tuple[int, int]]:
     """Every index pair (p, q), p < q, of an n x n matrix in round-robin tournament order.
 
@@ -155,7 +100,120 @@ def _round_robin_pairs(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-_PAIRS_4 = _round_robin_pairs(4)
+def _round_robin_rounds(n: int) -> list[list[tuple[int, int]]]:
+    """:func:`_round_robin_pairs` cut into its rounds of n // 2 disjoint pairs."""
+    pairs, size = _round_robin_pairs(n), max(n // 2, 1)
+    return [pairs[i : i + size] for i in range(0, len(pairs), size)]
+
+
+_ROUNDS_4 = _round_robin_rounds(4)
+
+
+def _rotation(app: float, aqq: float, apq: complex, skip: float) -> tuple[complex, complex, complex]:
+    """The Jacobi rotation that zeroes one Hermitian (p, q) block, as the factors (c, u, i*v).
+
+    The rotation is [[c, s*phase], [-s*conj(phase), c]] with phase =
+    apq/|apq| and u + i*v = s*phase.  |apq| is max(|re|, |im|) times the
+    norm of (re, im) divided by that maximum, which neither overflows nor
+    underflows.  The tangent t = s/c comes from the classic stable
+    formula, so the rotation angle stays within +-45 degrees; |theta| is
+    capped at 1e150 inside the square root, where theta*theta would
+    overflow, and the tangent, below 1e-150 there, is still right to
+    within a factor of two.  An |apq| below ``skip`` gets t = 0, the
+    identity.  :func:`_rotations` is this function on arrays, op for op.
+    """
+    re, im = apq.real, apq.imag
+    big = max(abs(re), abs(im))
+    mag = big * math.sqrt((re / big) * (re / big) + (im / big) * (im / big)) if big > 0.0 else 0.0
+    safe = max(mag, skip)
+    theta = (aqq - app) / (2.0 * safe)
+    size = abs(theta)
+    capped = min(size, 1e150)
+    t = (1.0 if theta >= 0.0 else -1.0) / (size + math.sqrt(capped * capped + 1.0))
+    t *= 1.0 if mag >= skip else 0.0
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    s = t * c
+    return complex(c), complex(s * (re / safe)), complex(0.0, s * (im / safe))
+
+
+def _rotations(m: np.ndarray, p: np.ndarray, q: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_rotation` for each matrix of the stack ``m`` and each pair (p[i], q[i]), shape (N, k).
+
+    c and u are returned as float64, which numpy multiplies as c + 0j.
+    """
+    apq = m[:, p, q]
+    re, im = apq.real, apq.imag
+    big = np.maximum(np.abs(re), np.abs(im))
+    scale = np.where(big > 0.0, big, 1.0)
+    re_big, im_big = re / scale, im / scale
+    mag = big * np.sqrt(re_big * re_big + im_big * im_big)
+    safe = np.maximum(mag, skip)
+    theta = (m[:, q, q].real - m[:, p, p].real) / (2.0 * safe)
+    size = np.abs(theta)
+    capped = np.minimum(size, 1e150)
+    t = np.where(theta >= 0.0, 1.0, -1.0) / (size + np.sqrt(capped * capped + 1.0)) * (mag >= skip)
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    iv = np.zeros(c.shape, dtype=np.complex128)
+    iv.imag = s * (im / safe)
+    return c, s * (re / safe), iv
+
+
+def _sweep_lone(cols: list, n: int, rounds: list, skip: float) -> list:
+    """One round-parallel sweep of a lone matrix, held as the columns of [A; V], Python complex lists.
+
+    Every round takes its rotations from A as it stands at the start of
+    the round, applies all of their row updates to A, then all of their
+    column updates to A and V.  :func:`_sweep_stacked` is this function on
+    stacks, op for op.
+    """
+    for rnd in rounds:
+        rows = list(zip(*cols))
+        rots = [(p, q, *_rotation(rows[p][p].real, rows[q][q].real, rows[p][q], skip)) for p, q in rnd]
+        for p, q, c, u, iv in rots:
+            x, y = rows[p], rows[q]
+            rows[p] = [c * xj - (u * yj + iv * yj) for xj, yj in zip(x, y)]
+            rows[q] = [(u * xj - iv * xj) + c * yj for xj, yj in zip(x, y)]
+        cols = list(zip(*rows))
+        for p, q, c, u, iv in rots:
+            x, y = cols[p], cols[q]
+            cols[p] = [c * xj - (u * yj - iv * yj) for xj, yj in zip(x, y)]
+            cols[q] = [(u * xj + iv * xj) + c * yj for xj, yj in zip(x, y)]
+    return cols
+
+
+def _sweep_stacked(m: np.ndarray, rounds: list, skip: np.ndarray) -> None:
+    """:func:`_sweep_lone` on a stack ``m`` of [A; V], shape (N, 2n, n), in place, one set of calls per round."""
+    for p, q in rounds:
+        c, u, iv = _rotations(m, p, q, skip)
+        c, u, iv = c[:, :, None], u[:, :, None], iv[:, :, None]
+        x, y = m[:, p], m[:, q]
+        m[:, p] = c * x - (u * y + iv * y)
+        m[:, q] = (u * x - iv * x) + c * y
+        c, u, iv = c.swapaxes(1, 2), u.swapaxes(1, 2), iv.swapaxes(1, 2)
+        x, y = m[:, :, p], m[:, :, q]
+        m[:, :, p] = c * x - (u * y - iv * y)
+        m[:, :, q] = (u * x + iv * x) + c * y
+
+
+def _sum_sq_lone(cols: list, n: int, off: bool) -> float:
+    """Left-to-right sum of |a_ij|^2 over A in row-major order, the diagonal left out if ``off``."""
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if not (off and i == j):
+                z = cols[j][i]
+                total += z.real * z.real + z.imag * z.imag
+    return total
+
+
+def _sum_sq_stacked(m: np.ndarray, n: int, off: bool) -> np.ndarray:
+    """:func:`_sum_sq_lone` for each matrix of the stack ``m[:, :n]``; a cumulative sum adds left to right."""
+    a = m[:, :n]
+    sq = a.real * a.real + a.imag * a.imag
+    if off:
+        sq[:, range(n), range(n)] = 0.0
+    return np.cumsum(sq.reshape(len(sq), n * n), axis=1)[:, -1]
 
 
 def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -177,19 +235,29 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     descending order, shape ``(..., n)``, eigenvectors as the matching
     orthonormal columns, shape ``(..., n, n)``.
 
-    Every matrix of a stack gets its own rotations, in the same
-    round-robin (p, q) order (:func:`_round_robin_pairs`; for n = 4,
-    (0,3), (1,2), (0,2), (1,3), (0,1), (2,3)), one at a time, touching
-    only rows and columns p and q; a matrix whose off-diagonal norm is
-    below 2.5e-14 of its Frobenius norm is frozen.  The order keeps
-    cyclic Jacobi's convergence (Brent & Luk 1985; Luk & Park 1989).  A
-    CHSH operator, a sum of Z(a) (x) Z(b), has equal diagonal entries 0
-    and 3, and 1 and 2; the first round rotates exactly those pairs, and
-    one sweep of six rotations then typically diagonalizes it.
-    Each result is bit-identical to solving that matrix alone, and to
-    solving it scaled by any power of two that keeps it normal.  While
-    one matrix is active (always, for a lone matrix), its rotations come
-    from Python floats (``_rotation_alone``), bit for bit the same.
+    A sweep runs the round-robin rounds of :func:`_round_robin_pairs`
+    (for n = 4, (0,3) and (1,2), then (0,2) and (1,3), then (0,1) and
+    (2,3)) in Brent & Luk's parallel order: each round takes the
+    rotations of its disjoint pairs from the matrix as it stands at the
+    start of the round, then applies all of their row updates, then all
+    of their column updates.  The order keeps cyclic Jacobi's convergence
+    (Brent & Luk 1985; Luk & Park 1989).  A matrix whose off-diagonal
+    norm is below 2.5e-14 of its Frobenius norm is frozen.  A CHSH
+    operator, a sum of Z(a) (x) Z(b), has equal diagonal entries 0 and 3,
+    and 1 and 2; the first round rotates exactly those pairs, and one
+    sweep then typically diagonalizes it.
+
+    Rounding model: every rotation is computed from float64 operations,
+    and every update product is a complex number times a factor with an
+    exactly zero real or imaginary part (c, u or i*v of :func:`_rotation`),
+    summed by complex additions; squared norms are summed left to right.
+    No product goes through BLAS, and each rounds on its own, so a fused
+    multiply-add can change no bit.  A lone matrix runs the sweep on
+    Python complex lists (:func:`_sweep_lone`), a stack with elementwise
+    numpy, one set of calls per round (:func:`_sweep_stacked`), and both
+    make the same admission and convergence decisions.  Each result of a
+    stack is therefore bit-identical to solving that matrix alone, and to
+    solving it scaled by any power of two that keeps it normal.
 
     Raises
     ------
@@ -212,46 +280,46 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     stack = np.ldexp(parts, -exponent[:, None, None]).view(np.complex128)
     if not hermiticity_defect(stack) <= tol:
         raise ValueError(f"matrix is not Hermitian within tol={tol} relative to its largest entry")
-    # Rows :n hold the matrix, rows n: the eigenvectors, so a single
-    # product applies each rotation's column update to both.
-    both = np.empty((len(stack), 2 * n, n), dtype=np.complex128)
-    work = both[:, :n]
-    np.add(stack, stack.conj().swapaxes(-1, -2), out=work)
-    work /= 2.0
-    both[:, n:] = np.eye(n)
-    norm_sq = (work.real**2 + work.imag**2).reshape(len(work), n * n).sum(axis=1)
-    target_sq = _OFF_TOL**2 * norm_sq
-    skip = _SKIP * np.sqrt(norm_sq)
-    pairs = _PAIRS_4 if n == 4 else _round_robin_pairs(n)
+    work = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    rounds = _ROUNDS_4 if n == 4 else _round_robin_rounds(n)
 
-    active = np.flatnonzero(_off_diagonal_sq(both, n) > target_sq)
+    if len(work) == 1:
+        # The columns of [A; I], with A the scaled input and I where the eigenvectors gather.
+        cols = [col + [0j] * i + [1 + 0j] + [0j] * (n - 1 - i) for i, col in enumerate(work[0].T.tolist())]
+        norm_sq = _sum_sq_lone(cols, n, off=False)
+        target_sq, skip = _OFF_TOL**2 * norm_sq, _SKIP * math.sqrt(norm_sq)
+        for _ in range(_MAX_SWEEPS):
+            if not _sum_sq_lone(cols, n, off=True) > target_sq:
+                break
+            cols = _sweep_lone(cols, n, rounds, skip)
+        else:
+            if _sum_sq_lone(cols, n, off=True) > target_sq:
+                raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
+        # A stable sort, as argsort's on the stacked route.
+        order = sorted(range(n), key=lambda i: cols[i][i].real, reverse=True)
+        vals = [math.ldexp(cols[i][i].real, int(exponent[0])) for i in order]
+        vecs = [[cols[j][n + i] for j in order] for i in range(n)]
+        return np.array(vals).reshape(a.shape[:-1]), np.array(vecs).reshape(a.shape)
+
+    # Rows :n hold the matrix, rows n: the eigenvectors, so one column update applies to both.
+    both = np.empty((len(work), 2 * n, n), dtype=np.complex128)
+    both[:, :n] = work
+    both[:, n:] = np.eye(n)
+    norm_sq = _sum_sq_stacked(both, n, off=False)
+    target_sq, skip = _OFF_TOL**2 * norm_sq, _SKIP * np.sqrt(norm_sq)
+    index_rounds = [np.array(rnd).T for rnd in rounds]
+    active = np.flatnonzero(_sum_sq_stacked(both, n, off=True) > target_sq)
     for _ in range(_MAX_SWEEPS):
         if active.size == 0:
             break
-        m, m_skip = both[active], skip[active]
-        # A lone matrix is rotated as the 2-D m[0], which costs less than a stack of one.
-        alone = len(m) == 1
-        target = m[0] if alone else m
-        for p, q in pairs:
-            rot = _rotation_alone(target, p, q, float(m_skip[0])) if alone else _jacobi_rotations(m, p, q, m_skip)
-            # The same BLAS products in both cases, as BLAS fuses multiply-adds
-            # and rounds unlike numpy's own loops: rows p and q are a strided
-            # view BLAS reads in place, and columns p and q are copied, since
-            # numpy multiplies a strided column pair without BLAS.
-            pq = slice(p, q + 1, q - p)
-            target[..., pq, :] = rot.conj().swapaxes(-1, -2) @ target[..., pq, :]
-            target[..., :, pq] = target[..., :, pq].copy() @ rot
+        m = both[active]
+        _sweep_stacked(m, index_rounds, skip[active, None])
         both[active] = m
-        active = active[_off_diagonal_sq(m, n) > target_sq[active]]
+        active = active[_sum_sq_stacked(m, n, off=True) > target_sq[active]]
     if active.size:
         raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
 
-    if len(both) == 1:
-        # A lone matrix is sorted by plain indexing, the same values as the stacked gather.
-        vals = both[0, :n].diagonal().real
-        order = np.argsort(-vals, kind="stable")
-        return np.ldexp(vals[order], exponent[0]).reshape(a.shape[:-1]), both[0, n:][:, order].reshape(a.shape)
-    vals = np.diagonal(work, axis1=1, axis2=2).real
+    vals = np.diagonal(both[:, :n], axis1=1, axis2=2).real
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.ldexp(np.take_along_axis(vals, order, axis=1), exponent[:, None])
     vecs = np.take_along_axis(both[:, n:], order[:, None, :], axis=2)

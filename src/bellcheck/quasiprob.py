@@ -169,7 +169,9 @@ def find_negativity(grid_step: float, threshold: float = -1e-12) -> np.recarray:
         alpha_idx, *rest = np.nonzero(negative)
         found.append((table[negative], alpha_idx + start, *rest))
     values, *index = (np.concatenate(column) for column in zip(*found))
-    order = np.lexsort((*index[::-1], values))
+    # np.nonzero yields each block's cells in (alpha', beta, j, k, l) order and the
+    # blocks run in alpha order, so a stable sort by value breaks ties as documented.
+    order = np.argsort(values, kind="stable")
     a, ap, b, j, k, l = (column[order] for column in index)
     return np.rec.fromarrays(
         [grid[a], grid[ap], grid[b], j + 1, k + 1, l + 1, values[order]],

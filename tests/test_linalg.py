@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -5,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bellcheck
 from bellcheck import linalg
 from bellcheck.cli import main
 from bellcheck.linalg import _kron, _round_robin_pairs, commutator, eig_hermitian
@@ -348,25 +353,25 @@ def test_round_robin_order_for_four():
 
 
 @pytest.fixture
-def rotation_calls(monkeypatch):
-    """Counts of lone (``_rotation_alone``) and stacked (``_jacobi_rotations``) rotation calls."""
-    calls = {"alone": 0, "stacked": 0}
+def sweep_calls(monkeypatch):
+    """Counts of lone (``_sweep_lone``) and stacked (``_sweep_stacked``) Jacobi sweeps."""
+    calls = {"lone": 0, "stacked": 0}
 
-    def counted(kind, rotation):
+    def counted(kind, sweep):
         def count(*args):
             calls[kind] += 1
-            return rotation(*args)
+            return sweep(*args)
 
         return count
 
-    monkeypatch.setattr(linalg, "_rotation_alone", counted("alone", linalg._rotation_alone))
-    monkeypatch.setattr(linalg, "_jacobi_rotations", counted("stacked", linalg._jacobi_rotations))
+    monkeypatch.setattr(linalg, "_sweep_lone", counted("lone", linalg._sweep_lone))
+    monkeypatch.setattr(linalg, "_sweep_stacked", counted("stacked", linalg._sweep_stacked))
     return calls
 
 
 # The Z(a) (x) Z(b) symmetry of the CHSH operator makes its diagonal
 # entries 0 and 3, and 1 and 2, equal; the round-robin order's first
-# round rotates exactly those pairs, and one sweep of six rotations
+# round rotates exactly those pairs, and one sweep of three rounds
 # then diagonalizes it.
 @pytest.mark.parametrize(
     "degrees",
@@ -379,19 +384,82 @@ def rotation_calls(monkeypatch):
         (0, 45, 22.5, 112.5),
     ],
 )
-def test_lone_chsh_operator_takes_one_sweep(rotation_calls, degrees):
+def test_lone_chsh_operator_takes_one_sweep(sweep_calls, degrees):
     eig_hermitian(chsh_operator(AngleConfig.from_degrees(*degrees)))
-    assert rotation_calls == {"alone": 6, "stacked": 0}
+    assert sweep_calls == {"lone": 1, "stacked": 0}
 
 
-def test_diagonal_chsh_operator_takes_no_rotation(rotation_calls):
+def test_diagonal_chsh_operator_takes_no_rotation(sweep_calls):
     # At 0 90 0 90 (t0 = t1 = 2) the off-diagonal entries are sin(pi)
     # rounding, already below the stop target.
     eig_hermitian(chsh_operator(AngleConfig.from_degrees(0, 90, 0, 90)))
-    assert rotation_calls == {"alone": 0, "stacked": 0}
+    assert sweep_calls == {"lone": 0, "stacked": 0}
 
 
-def test_chsh_sweep_stack_takes_one_stacked_sweep(rotation_calls, capsys):
+def test_chsh_sweep_stack_takes_one_stacked_sweep(sweep_calls, capsys):
     assert main(["chsh", "0", "45", "22.5", "-22.5", "--sweep", "10"]) == 0
     capsys.readouterr()
-    assert rotation_calls == {"alone": 0, "stacked": 6}
+    assert sweep_calls == {"lone": 0, "stacked": 1}
+
+
+# Run in a subprocess under one OpenBLAS kernel: prints the sha256 of a
+# probe `@` product, then that of the lone and stacked eig_hermitian
+# results for n = 2..8 and of the chsh_spectrum and chsh_spectra fields
+# over 2,000 seeded configurations.
+_KERNEL_DIGESTS = """
+import hashlib, math
+import numpy as np
+from bellcheck.chsh_operator import chsh_spectra, chsh_spectrum
+from bellcheck.linalg import eig_hermitian
+from bellcheck.polarization import AngleConfig
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+rng = np.random.default_rng(2024)
+a = rng.standard_normal((64, 4, 4)) + 1j * rng.standard_normal((64, 4, 4))
+print(digest([a @ a.conj().swapaxes(-1, -2) @ a]))
+results = []
+for n in range(2, 9):
+    m = rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n))
+    m = m + m.conj().swapaxes(-1, -2)
+    results += [*eig_hermitian(m), *(part for one in m for part in eig_hermitian(one))]
+configs = []
+while len(configs) < 2000:
+    try:
+        configs.append(AngleConfig(*rng.uniform(0.0, math.pi, 4)))
+    except ValueError:
+        pass
+for cfg in configs:
+    s = chsh_spectrum(cfg)
+    results += [np.array([s.t0, s.t1, s.w_plus]), s.eigenvalues]
+s = chsh_spectra(*(np.array([getattr(c, k) for c in configs]) for k in ("alpha1", "alpha2", "beta1", "beta2")))
+results += [s.t0, s.t1, s.w_plus, s.eigenvalues]
+print(digest(results))
+"""
+
+
+def test_eigensolver_bits_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks a kernel for the host CPU; Sandybridge has no fused
+    # multiply-add, Haswell has.  The solver makes no BLAS call, so its bits
+    # must not depend on the choice.
+    src = str(pathlib.Path(bellcheck.__file__).parents[1])
+    runs = []
+    for kernel in ("Sandybridge", "Haswell"):
+        env = {
+            **os.environ,
+            "OPENBLAS_CORETYPE": kernel,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        command = [sys.executable, "-c", _KERNEL_DIGESTS]
+        runs.append(subprocess.Popen(command, stdout=subprocess.PIPE, text=True, env=env))
+    outputs = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    (probe_sandybridge, sandybridge), (probe_haswell, haswell) = (output.split() for output in outputs)
+    if probe_sandybridge == probe_haswell:
+        pytest.skip("OPENBLAS_CORETYPE changed no BLAS product on this host")
+    assert sandybridge == haswell
