@@ -159,7 +159,7 @@ def _rotations(m: np.ndarray, p: np.ndarray, q: np.ndarray, skip: np.ndarray) ->
     return c, s * (re / safe), iv
 
 
-def _sweep_lone(cols: list, n: int, rounds: list, skip: float) -> list:
+def _sweep_lone(cols: list, rounds: list, skip: float) -> list:
     """One round-parallel sweep of a lone matrix, held as the columns of [A; V], Python complex lists.
 
     Every round takes its rotations from A as it stands at the start of
@@ -288,17 +288,16 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
         cols = [col + [0j] * i + [1 + 0j] + [0j] * (n - 1 - i) for i, col in enumerate(work[0].T.tolist())]
         norm_sq = _sum_sq_lone(cols, n, off=False)
         target_sq, skip = _OFF_TOL**2 * norm_sq, _SKIP * math.sqrt(norm_sq)
-        for _ in range(_MAX_SWEEPS):
-            if not _sum_sq_lone(cols, n, off=True) > target_sq:
-                break
-            cols = _sweep_lone(cols, n, rounds, skip)
-        else:
-            if _sum_sq_lone(cols, n, off=True) > target_sq:
+        sweeps = 0
+        while _sum_sq_lone(cols, n, off=True) > target_sq:
+            if sweeps == _MAX_SWEEPS:
                 raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
+            cols = _sweep_lone(cols, rounds, skip)
+            sweeps += 1
         # A stable sort, as argsort's on the stacked route.
         order = sorted(range(n), key=lambda i: cols[i][i].real, reverse=True)
         vals = [math.ldexp(cols[i][i].real, int(exponent[0])) for i in order]
-        vecs = [[cols[j][n + i] for j in order] for i in range(n)]
+        vecs = [cols[j][n + i] for i in range(n) for j in order]
         return np.array(vals).reshape(a.shape[:-1]), np.array(vecs).reshape(a.shape)
 
     # Rows :n hold the matrix, rows n: the eigenvectors, so one column update applies to both.

@@ -337,6 +337,15 @@ def test_eig_rejects_a_tiny_matrix_far_from_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]) * 1e-20)
 
 
+def test_eig_raises_when_the_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 0)
+    a = random_hermitian(np.random.default_rng(4), 4)
+    for m in (a, np.stack([a, a])):
+        with pytest.raises(RuntimeError, match="did not converge within 0 sweeps"):
+            eig_hermitian(m)
+    assert np.array_equal(eig_hermitian(np.diag([1.0, 2.0]))[0], [2.0, 1.0])
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_round_robin_order_meets_each_pair_once(n):
     pairs = _round_robin_pairs(n)
