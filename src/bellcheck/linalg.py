@@ -38,11 +38,14 @@ import numpy as np
 # (tests/test_golden.py) were computed with.
 _OFF_TOL = 2.5e-14
 # Off-diagonal entries below _SKIP * ||A||_F are left alone: they are far
-# below the stop target, and dividing by them could overflow.  Matrices
-# are scaled so that ||A||_F >= 1/2, where this threshold is a normal
-# float whose reciprocal is finite.
-_SKIP = 1e-300
+# below the stop target.  Matrices are scaled so that 1/2 <= ||A||_F <=
+# n * sqrt(2), so every rotated entry apq has re^2 + im^2 a normal float,
+# and theta = (aqq - app) / (2 |apq|) is at most 1e150, so theta^2 is
+# finite: |apq| and theta need no further scaling.
+_SKIP = 1e-150
 _MAX_SWEEPS = 100
+# The factors of (-v, v) by which the stacked sweep multiplies (im, re) to multiply by i*v.
+_SWAP_SIGNS = np.array([-1.0, 1.0])[:, None, None]
 
 
 def as_operator(a: np.ndarray) -> np.ndarray:
@@ -100,63 +103,60 @@ def _round_robin_pairs(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _round_robin_rounds(n: int) -> list[list[tuple[int, int]]]:
-    """:func:`_round_robin_pairs` cut into its rounds of n // 2 disjoint pairs."""
+def _round_robin_rounds(n: int) -> list[tuple]:
+    """:func:`_round_robin_pairs` cut into its rounds of n // 2 disjoint pairs.
+
+    Each round is (pairs, p, q, p + q, q + p): its pairs, and as index
+    arrays their first and second indices and both concatenated.
+    """
     pairs, size = _round_robin_pairs(n), max(n // 2, 1)
-    return [pairs[i : i + size] for i in range(0, len(pairs), size)]
+    rounds = []
+    for start in range(0, len(pairs), size):
+        rnd = pairs[start : start + size]
+        p, q = ([pair[side] for pair in rnd] for side in (0, 1))
+        rounds.append((rnd, *(np.array(index) for index in (p, q, p + q, q + p))))
+    return rounds
 
 
 _ROUNDS_4 = _round_robin_rounds(4)
 
 
-def _rotation(app: float, aqq: float, apq: complex, skip: float) -> tuple[complex, complex, complex]:
-    """The Jacobi rotation that zeroes one Hermitian (p, q) block, as the factors (c, u, i*v).
+def _rotation(app: float, aqq: float, apq: complex, skip: float) -> tuple[float, float, float]:
+    """The Jacobi rotation that zeroes one Hermitian (p, q) block, as the floats (c, u, v).
 
     The rotation is [[c, s*phase], [-s*conj(phase), c]] with phase =
-    apq/|apq| and u + i*v = s*phase.  |apq| is max(|re|, |im|) times the
-    norm of (re, im) divided by that maximum, which neither overflows nor
-    underflows.  The tangent t = s/c comes from the classic stable
-    formula, so the rotation angle stays within +-45 degrees; |theta| is
-    capped at 1e150 inside the square root, where theta*theta would
-    overflow, and the tangent, below 1e-150 there, is still right to
-    within a factor of two.  An |apq| below ``skip`` gets t = 0, the
-    identity.  :func:`_rotations` is this function on arrays, op for op.
+    apq/|apq| and u + i*v = s*phase.  The tangent t = s/c comes from the
+    classic stable formula, so the rotation angle stays within +-45
+    degrees.  An |apq| below ``skip`` gets t = 0, the identity.
+    :func:`_rotations` is this function on arrays, op for op.
     """
     re, im = apq.real, apq.imag
-    big = max(abs(re), abs(im))
-    mag = big * math.sqrt((re / big) * (re / big) + (im / big) * (im / big)) if big > 0.0 else 0.0
+    mag = math.sqrt(re * re + im * im)
     safe = max(mag, skip)
     theta = (aqq - app) / (2.0 * safe)
     size = abs(theta)
-    capped = min(size, 1e150)
-    t = (1.0 if theta >= 0.0 else -1.0) / (size + math.sqrt(capped * capped + 1.0))
-    t *= 1.0 if mag >= skip else 0.0
+    t = (1.0 if theta >= 0.0 else -1.0) / (size + math.sqrt(theta * theta + 1.0)) * (1.0 if mag >= skip else 0.0)
     c = 1.0 / math.sqrt(t * t + 1.0)
     s = t * c
-    return complex(c), complex(s * (re / safe)), complex(0.0, s * (im / safe))
+    return c, s * (re / safe), s * (im / safe)
 
 
-def _rotations(m: np.ndarray, p: np.ndarray, q: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_rotation` for each matrix of the stack ``m`` and each pair (p[i], q[i]), shape (N, k).
+def _rotations(f: np.ndarray, p: np.ndarray, q: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_rotation` for each pair (p[i], q[i]) and each matrix of the stack ``f``, as arrays (k, N).
 
-    c and u are returned as float64, which numpy multiplies as c + 0j.
+    ``f`` holds the real and imaginary parts on its first axis and the
+    stack on its last.
     """
-    apq = m[:, p, q]
-    re, im = apq.real, apq.imag
-    big = np.maximum(np.abs(re), np.abs(im))
-    scale = np.where(big > 0.0, big, 1.0)
-    re_big, im_big = re / scale, im / scale
-    mag = big * np.sqrt(re_big * re_big + im_big * im_big)
+    parts = f[:, p, q]
+    squares = parts * parts
+    mag = np.sqrt(squares[0] + squares[1])
     safe = np.maximum(mag, skip)
-    theta = (m[:, q, q].real - m[:, p, p].real) / (2.0 * safe)
+    theta = (f[0, q, q] - f[0, p, p]) / (2.0 * safe)
     size = np.abs(theta)
-    capped = np.minimum(size, 1e150)
-    t = np.where(theta >= 0.0, 1.0, -1.0) / (size + np.sqrt(capped * capped + 1.0)) * (mag >= skip)
+    t = np.where(theta >= 0.0, 1.0, -1.0) / (size + np.sqrt(theta * theta + 1.0)) * (mag >= skip)
     c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-    iv = np.zeros(c.shape, dtype=np.complex128)
-    iv.imag = s * (im / safe)
-    return c, s * (re / safe), iv
+    u, v = (t * c) * (parts / safe)
+    return c, u, v
 
 
 def _sweep_lone(cols: list, rounds: list, skip: float) -> list:
@@ -164,36 +164,45 @@ def _sweep_lone(cols: list, rounds: list, skip: float) -> list:
 
     Every round takes its rotations from A as it stands at the start of
     the round, applies all of their row updates to A, then all of their
-    column updates to A and V.  :func:`_sweep_stacked` is this function on
-    stacks, op for op.
+    column updates to A and V.  Rows p and q become c*x - (u*y + iv*y)
+    and c*y - (-u*x + iv*x), with x, y rows p, q and iv = i*v; columns
+    the same with iv negated.  :func:`_sweep_stacked` is this function on
+    stacks.
     """
-    for rnd in rounds:
+    for pairs, *_ in rounds:
         rows = list(zip(*cols))
-        rots = [(p, q, *_rotation(rows[p][p].real, rows[q][q].real, rows[p][q], skip)) for p, q in rnd]
-        for p, q, c, u, iv in rots:
+        rots = []
+        for p, q in pairs:
+            c, u, v = _rotation(rows[p][p].real, rows[q][q].real, rows[p][q], skip)
+            rots.append((p, q, c, u, -u, complex(0.0, v)))
+        for p, q, c, u, nu, iv in rots:
             x, y = rows[p], rows[q]
             rows[p] = [c * xj - (u * yj + iv * yj) for xj, yj in zip(x, y)]
-            rows[q] = [(u * xj - iv * xj) + c * yj for xj, yj in zip(x, y)]
+            rows[q] = [c * yj - (nu * xj + iv * xj) for xj, yj in zip(x, y)]
         cols = list(zip(*rows))
-        for p, q, c, u, iv in rots:
+        for p, q, c, u, nu, iv in rots:
             x, y = cols[p], cols[q]
             cols[p] = [c * xj - (u * yj - iv * yj) for xj, yj in zip(x, y)]
-            cols[q] = [(u * xj + iv * xj) + c * yj for xj, yj in zip(x, y)]
+            cols[q] = [c * yj - (nu * xj - iv * xj) for xj, yj in zip(x, y)]
     return cols
 
 
-def _sweep_stacked(m: np.ndarray, rounds: list, skip: np.ndarray) -> None:
-    """:func:`_sweep_lone` on a stack ``m`` of [A; V], shape (N, 2n, n), in place, one set of calls per round."""
-    for p, q in rounds:
-        c, u, iv = _rotations(m, p, q, skip)
-        c, u, iv = c[:, :, None], u[:, :, None], iv[:, :, None]
-        x, y = m[:, p], m[:, q]
-        m[:, p] = c * x - (u * y + iv * y)
-        m[:, q] = (u * x - iv * x) + c * y
-        c, u, iv = c.swapaxes(1, 2), u.swapaxes(1, 2), iv.swapaxes(1, 2)
-        x, y = m[:, :, p], m[:, :, q]
-        m[:, :, p] = c * x - (u * y - iv * y)
-        m[:, :, q] = (u * x + iv * x) + c * y
+def _sweep_stacked(f: np.ndarray, rounds: list, skip: np.ndarray) -> None:
+    """:func:`_sweep_lone` on a stack, in place, one set of array calls per round.
+
+    ``f`` has shape (2, 2n, n, N): the real and imaginary parts of [A; V]
+    for each of N matrices, the stack last so that every call loops over
+    it.  Rows (or columns) p and q are updated together, each from its
+    partner q or p: c*x - (w*y +- iv*y) with w = u for p and -u for q.  A
+    product by i*v is a product by (-v, v) of the parts swapped.
+    """
+    for _, p, q, pq, qp in rounds:
+        c, u, v = _rotations(f, p, q, skip)
+        c, w, v = np.concatenate((c, c)), np.concatenate((u, -u)), np.concatenate((v, v)) * _SWAP_SIGNS
+        x, y = f[:, pq], f[:, qp]
+        f[:, pq] = c[:, None] * x - (w[:, None] * y + v[:, :, None] * y[::-1])
+        x, y = f[:, :, pq], f[:, :, qp]
+        f[:, :, pq] = c * x - (w * y - v[:, None] * y[::-1])
 
 
 def _sum_sq_lone(cols: list, n: int, off: bool) -> float:
@@ -207,13 +216,16 @@ def _sum_sq_lone(cols: list, n: int, off: bool) -> float:
     return total
 
 
-def _sum_sq_stacked(m: np.ndarray, n: int, off: bool) -> np.ndarray:
-    """:func:`_sum_sq_lone` for each matrix of the stack ``m[:, :n]``; a cumulative sum adds left to right."""
-    a = m[:, :n]
-    sq = a.real * a.real + a.imag * a.imag
+def _sum_sq_stacked(f: np.ndarray, n: int, off: bool) -> np.ndarray:
+    """:func:`_sum_sq_lone` for each matrix of the stack ``f`` (laid out as in :func:`_sweep_stacked`).
+
+    A cumulative sum adds left to right.
+    """
+    parts_sq = f[:, :n] * f[:, :n]
+    sq = parts_sq[0] + parts_sq[1]
     if off:
-        sq[:, range(n), range(n)] = 0.0
-    return np.cumsum(sq.reshape(len(sq), n * n), axis=1)[:, -1]
+        sq[range(n), range(n)] = 0.0
+    return np.cumsum(sq.reshape(n * n, -1), axis=0)[-1]
 
 
 def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -296,30 +308,30 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
             sweeps += 1
         # A stable sort, as argsort's on the stacked route.
         order = sorted(range(n), key=lambda i: cols[i][i].real, reverse=True)
-        vals = [math.ldexp(cols[i][i].real, int(exponent[0])) for i in order]
-        vecs = [cols[j][n + i] for i in range(n) for j in order]
+        vals = [math.ldexp(cols[i][i].real, int(exponent[0])) + 0.0 for i in order]
+        vecs = [cols[j][n + i] + 0j for i in range(n) for j in order]
         return np.array(vals).reshape(a.shape[:-1]), np.array(vecs).reshape(a.shape)
 
-    # Rows :n hold the matrix, rows n: the eigenvectors, so one column update applies to both.
-    both = np.empty((len(work), 2 * n, n), dtype=np.complex128)
-    both[:, :n] = work
-    both[:, n:] = np.eye(n)
-    norm_sq = _sum_sq_stacked(both, n, off=False)
+    # Rows :n hold the matrix, rows n: the eigenvectors, so one column update
+    # applies to both.
+    f = np.zeros((2, 2 * n, n, len(work)))
+    f[0, :n], f[1, :n] = work.real.transpose(1, 2, 0), work.imag.transpose(1, 2, 0)
+    f[0, n:] = np.eye(n)[:, :, None]
+    norm_sq = _sum_sq_stacked(f, n, off=False)
     target_sq, skip = _OFF_TOL**2 * norm_sq, _SKIP * np.sqrt(norm_sq)
-    index_rounds = [np.array(rnd).T for rnd in rounds]
-    active = np.flatnonzero(_sum_sq_stacked(both, n, off=True) > target_sq)
+    active = np.flatnonzero(_sum_sq_stacked(f, n, off=True) > target_sq)
     for _ in range(_MAX_SWEEPS):
         if active.size == 0:
             break
-        m = both[active]
-        _sweep_stacked(m, index_rounds, skip[active, None])
-        both[active] = m
+        m = f[..., active]
+        _sweep_stacked(m, rounds, skip[active])
+        f[..., active] = m
         active = active[_sum_sq_stacked(m, n, off=True) > target_sq[active]]
     if active.size:
         raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
 
-    vals = np.diagonal(both[:, :n], axis1=1, axis2=2).real
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.ldexp(np.take_along_axis(vals, order, axis=1), exponent[:, None])
-    vecs = np.take_along_axis(both[:, n:], order[:, None, :], axis=2)
+    order = np.argsort(-f[0, range(n), range(n)], axis=0, kind="stable")
+    stack_index = np.arange(len(work))
+    vals = np.ldexp(f[0, order, order, stack_index].T, exponent[:, None]) + 0.0
+    vecs = np.ascontiguousarray(f[:, n:, order, stack_index].transpose(3, 1, 2, 0)).view(np.complex128) + 0.0
     return vals.reshape(a.shape[:-1]), vecs.reshape(a.shape)
