@@ -12,17 +12,15 @@ call, so an angle sweep costs one solve rather than one per point.
 A sweep takes the rotations of each round's disjoint pairs from the
 matrix as it stands at the start of the round, then applies all their
 row updates, then all their column updates (Brent & Luk's parallel
-order).  No rotation goes through BLAS: every product is a float64
-operation or a complex number times a factor with an exactly zero real
-or imaginary part, each rounded on its own, so the bits do not depend on
-the BLAS kernel or on fused multiply-adds.  A lone matrix runs the sweep
-on Python complex lists, since a lone CHSH spectrum, computed twice per
-Monte Carlo configuration, would otherwise spend more time on numpy's
-per-call costs than on arithmetic; a stack runs it with elementwise
-numpy, one set of calls per round, and the bits are the same either
-way.  The builders form Kronecker products with the private, unchecked
-``_kron``: their factors come from angles already checked at the public
-entry.
+order).  No rotation goes through BLAS, and every product is rounded on
+its own, so the bits do not depend on the BLAS kernel or on fused
+multiply-adds.  A lone matrix runs the sweep on Python complex lists,
+since a lone CHSH spectrum, computed twice per Monte Carlo
+configuration, would otherwise spend more time on numpy's per-call
+costs than on arithmetic; a stack runs it on float arrays, one set of
+calls per round, and the bits are the same either way.  The builders
+form Kronecker products with the private, unchecked ``_kron``: their
+factors come from angles already checked at the public entry.
 """
 
 from __future__ import annotations
@@ -259,17 +257,19 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     and 1 and 2; the first round rotates exactly those pairs, and one
     sweep then typically diagonalizes it.
 
-    Rounding model: every rotation is computed from float64 operations,
-    and every update product is a complex number times a factor with an
-    exactly zero real or imaginary part (c, u or i*v of :func:`_rotation`),
-    summed by complex additions; squared norms are summed left to right.
-    No product goes through BLAS, and each rounds on its own, so a fused
-    multiply-add can change no bit.  A lone matrix runs the sweep on
-    Python complex lists (:func:`_sweep_lone`), a stack with elementwise
-    numpy, one set of calls per round (:func:`_sweep_stacked`), and both
-    make the same admission and convergence decisions.  Each result of a
-    stack is therefore bit-identical to solving that matrix alone, and to
-    solving it scaled by any power of two that keeps it normal.
+    Rounding model: rotations come from float64 operations, and the
+    updates multiply each entry only by a real c or u or an imaginary
+    i*v, and add.  A lone matrix runs the sweep on Python complex numbers
+    (:func:`_sweep_lone`), a stack on float planes, one set of array
+    calls per round (:func:`_sweep_stacked`).  Either way each part of a
+    product is one rounded float product, so no BLAS kernel and no fused
+    multiply-add can change a bit, and squared norms are summed left to
+    right in both.  The routes make the same admission and convergence
+    decisions and round every nonzero value alike; they may differ only
+    in the sign of a zero, which the results drop (no entry is -0.0).
+    Each result of a stack is therefore bit-identical to solving that
+    matrix alone, and to solving it scaled by any power of two that
+    keeps it normal.
 
     Raises
     ------
