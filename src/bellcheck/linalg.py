@@ -42,8 +42,10 @@ _OFF_TOL = 2.5e-14
 # finite: |apq| and theta need no further scaling.
 _SKIP = 1e-150
 _MAX_SWEEPS = 100
-# The factors of (-v, v) by which the stacked sweep multiplies (im, re) to multiply by i*v.
-_SWAP_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+# The stacked sweep's factors: (u, -u) for the p and q halves of a round,
+# and (-v, v) for the parts (im, re) of a product by i*v.
+_HALF_SIGNS = np.array([1.0, -1.0])[:, None, None]
+_SWAP_SIGNS = -_HALF_SIGNS
 
 
 def as_operator(a: np.ndarray) -> np.ndarray:
@@ -104,15 +106,15 @@ def _round_robin_pairs(n: int) -> list[tuple[int, int]]:
 def _round_robin_rounds(n: int) -> list[tuple]:
     """:func:`_round_robin_pairs` cut into its rounds of n // 2 disjoint pairs.
 
-    Each round is (pairs, p, q, p + q, q + p): its pairs, and as index
-    arrays their first and second indices and both concatenated.
+    Each round is (pairs, p, q, p + q): its pairs, and as index arrays
+    their first and second indices and both concatenated.
     """
     pairs, size = _round_robin_pairs(n), max(n // 2, 1)
     rounds = []
     for start in range(0, len(pairs), size):
         rnd = pairs[start : start + size]
         p, q = ([pair[side] for pair in rnd] for side in (0, 1))
-        rounds.append((rnd, *(np.array(index) for index in (p, q, p + q, q + p))))
+        rounds.append((rnd, *(np.array(index) for index in (p, q, p + q))))
     return rounds
 
 
@@ -125,33 +127,33 @@ def _rotation(app: float, aqq: float, apq: complex, skip: float) -> tuple[float,
     The rotation is [[c, s*phase], [-s*conj(phase), c]] with phase =
     apq/|apq| and u + i*v = s*phase.  The tangent t = s/c comes from the
     classic stable formula, so the rotation angle stays within +-45
-    degrees.  An |apq| below ``skip`` gets t = 0, the identity.
-    :func:`_rotations` is this function on arrays, op for op.
+    degrees; it takes the sign of theta, with -0.0 counted positive.  An
+    |apq| below ``skip`` gets t = 0, the identity.  :func:`_rotations` is
+    this function on arrays, op for op.
     """
     re, im = apq.real, apq.imag
     mag = math.sqrt(re * re + im * im)
     safe = max(mag, skip)
     theta = (aqq - app) / (2.0 * safe)
-    size = abs(theta)
-    t = (1.0 if theta >= 0.0 else -1.0) / (size + math.sqrt(theta * theta + 1.0)) * (1.0 if mag >= skip else 0.0)
+    t = math.copysign(1.0 if mag >= skip else 0.0, theta + 0.0) / (abs(theta) + math.sqrt(theta * theta + 1.0))
     c = 1.0 / math.sqrt(t * t + 1.0)
     s = t * c
     return c, s * (re / safe), s * (im / safe)
 
 
-def _rotations(f: np.ndarray, p: np.ndarray, q: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
+def _rotations(f: np.ndarray, p: np.ndarray, q: np.ndarray, pq: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`_rotation` for each pair (p[i], q[i]) and each matrix of the stack ``f``, as arrays (k, N).
 
     ``f`` holds the real and imaginary parts on its first axis and the
-    stack on its last.
+    stack on its last; ``pq`` is p and q concatenated.
     """
     parts = f[:, p, q]
     squares = parts * parts
     mag = np.sqrt(squares[0] + squares[1])
     safe = np.maximum(mag, skip)
-    theta = (f[0, q, q] - f[0, p, p]) / (2.0 * safe)
-    size = np.abs(theta)
-    t = np.where(theta >= 0.0, 1.0, -1.0) / (size + np.sqrt(theta * theta + 1.0)) * (mag >= skip)
+    diagonal = f[0, pq, pq]
+    theta = (diagonal[len(p) :] - diagonal[: len(p)]) / (2.0 * safe)
+    t = np.copysign(mag >= skip, theta + 0.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
     c = 1.0 / np.sqrt(t * t + 1.0)
     u, v = (t * c) * (parts / safe)
     return c, u, v
@@ -190,17 +192,21 @@ def _sweep_stacked(f: np.ndarray, rounds: list, skip: np.ndarray) -> None:
 
     ``f`` has shape (2, 2n, n, N): the real and imaginary parts of [A; V]
     for each of N matrices, the stack last so that every call loops over
-    it.  Rows (or columns) p and q are updated together, each from its
-    partner q or p: c*x - (w*y +- iv*y) with w = u for p and -u for q.  A
-    product by i*v is a product by (-v, v) of the parts swapped.
+    it.  Rows (or columns) p and q are gathered as two halves and updated
+    together, each from its partner in the other half: c*x - (w*y +- iv*y)
+    with w = u for p and -u for q.  A product by i*v is a product by
+    (-v, v) of the parts swapped.
     """
-    for _, p, q, pq, qp in rounds:
-        c, u, v = _rotations(f, p, q, skip)
-        c, w, v = np.concatenate((c, c)), np.concatenate((u, -u)), np.concatenate((v, v)) * _SWAP_SIGNS
-        x, y = f[:, pq], f[:, qp]
-        f[:, pq] = c[:, None] * x - (w[:, None] * y + v[:, :, None] * y[::-1])
-        x, y = f[:, :, pq], f[:, :, qp]
-        f[:, :, pq] = c * x - (w * y - v[:, None] * y[::-1])
+    for _, p, q, pq in rounds:
+        k = len(p)
+        c, u, v = _rotations(f, p, q, pq, skip)
+        w, v = u * _HALF_SIGNS, v * _SWAP_SIGNS
+        x = f[:, pq].reshape(2, 2, k, -1, f.shape[-1])
+        y = x[:, ::-1]
+        f[:, pq] = (c[:, None] * x - (w[:, :, None] * y + v[:, None, :, None] * y[::-1])).reshape(2, 2 * k, -1, f.shape[-1])
+        x = f[:, :, pq].reshape(2, -1, 2, k, f.shape[-1])
+        y = x[:, :, ::-1]
+        f[:, :, pq] = (c * x - (w * y - v[:, None, None] * y[::-1])).reshape(2, -1, 2 * k, f.shape[-1])
 
 
 def _sum_sq_lone(cols: list, n: int, off: bool) -> float:
@@ -330,8 +336,8 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     if active.size:
         raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
 
-    order = np.argsort(-f[0, range(n), range(n)], axis=0, kind="stable")
-    stack_index = np.arange(len(work))
-    vals = np.ldexp(f[0, order, order, stack_index].T, exponent[:, None]) + 0.0
-    vecs = np.ascontiguousarray(f[:, n:, order, stack_index].transpose(3, 1, 2, 0)).view(np.complex128) + 0.0
+    order = np.argsort(-f[0, range(n), range(n)].T, axis=1, kind="stable")
+    stack_index = np.arange(len(work))[:, None]
+    vals = np.ldexp(f[0, order, order, stack_index], exponent[:, None]) + 0.0
+    vecs = np.ascontiguousarray(f[:, n:, order, stack_index].transpose(2, 1, 3, 0)).view(np.complex128) + 0.0
     return vals.reshape(a.shape[:-1]), vecs.reshape(a.shape)
