@@ -197,16 +197,21 @@ def _sweep_stacked(f: np.ndarray, rounds: list, skip: np.ndarray) -> None:
     with w = u for p and -u for q.  A product by i*v is a product by
     (-v, v) of the parts swapped.
     """
+    _, rows, n, size = f.shape
     for _, p, q, pq in rounds:
         k = len(p)
         c, u, v = _rotations(f, p, q, pq, skip)
         w, v = u * _HALF_SIGNS, v * _SWAP_SIGNS
-        x = f[:, pq].reshape(2, 2, k, -1, f.shape[-1])
+        # Rows: axes (part, half, pair, column, matrix); y swaps the halves.
+        x = f[:, pq].reshape(2, 2, k, n, size)
         y = x[:, ::-1]
-        f[:, pq] = (c[:, None] * x - (w[:, :, None] * y + v[:, None, :, None] * y[::-1])).reshape(2, 2 * k, -1, f.shape[-1])
-        x = f[:, :, pq].reshape(2, -1, 2, k, f.shape[-1])
+        new = c[:, None] * x - (w[:, :, None] * y + v[:, None, :, None] * y[::-1])
+        f[:, pq] = new.reshape(2, 2 * k, n, size)
+        # Columns of [A; V]: axes (part, row, half, pair, matrix).
+        x = f[:, :, pq].reshape(2, rows, 2, k, size)
         y = x[:, :, ::-1]
-        f[:, :, pq] = (c * x - (w * y - v[:, None, None] * y[::-1])).reshape(2, -1, 2 * k, f.shape[-1])
+        new = c * x - (w * y - v[:, None, None] * y[::-1])
+        f[:, :, pq] = new.reshape(2, rows, 2 * k, size)
 
 
 def _sum_sq_lone(cols: list, n: int, off: bool) -> float:
