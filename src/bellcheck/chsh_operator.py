@@ -9,10 +9,18 @@ not jointly measurable.  Its spectrum is {+t0, -t0, +t1, -t1} with
 
     t0 = 2 sqrt(1 - sin 2(a1 - a2) * sin 2(b1 - b2)),
 
-and in the singlet state all outcome weight sits on the +-t0 atoms:
-the measured value is +t0 with probability (1 + E/t0)/2 and -t0
-otherwise, where E is the CHSH expectation.  At the optimal angles
-t0 = 2 sqrt(2) and the outcome is deterministic.
+and t1 = 2 sqrt(1 + sin 2(a1 - a2) * sin 2(b1 - b2)).  In the singlet
+state all outcome weight sits on the +-t0 atoms: the measured value is
++t0 with probability (1 + E/t0)/2 and -t0 otherwise, where E is the CHSH
+expectation.  At the optimal angles t0 = 2 sqrt(2) and the outcome is
+deterministic.
+
+Landau's identity, C^2 = 4 I - [A1, A2] (x) [B1, B2] for the CHSH
+operator C with Alice's observables A1, A2 and Bob's B1, B2 (L. J.
+Landau, Phys. Lett. A 120, 54 (1987)), makes the singlet an eigenvector
+of C^2 with eigenvalue t0^2.  The outcome sampler checks t0 through it,
+with no eigensolve; the spectrum routes check t0 and t1 against the
+Jacobi eigenvalues.
 """
 
 from __future__ import annotations
@@ -96,6 +104,12 @@ def _atom_magnitudes(alpha1, alpha2, beta1, beta2) -> np.ndarray:
     return 2.0 * np.sqrt(np.maximum(1.0 - product, 0.0))
 
 
+def _dark_magnitudes(alpha1, alpha2, beta1, beta2) -> np.ndarray:
+    # t1 = 2 sqrt(1 + sin x sin y), written as a sum of squares that does not cancel.
+    x, y = 2.0 * (alpha1 - alpha2), 2.0 * (beta1 - beta2)
+    return 2.0 * np.sqrt(np.cos((x - y) / 2.0) ** 2 + np.sin((x + y) / 2.0) ** 2)
+
+
 def _closed_form_expectations(alpha1, alpha2, beta1, beta2) -> np.ndarray:
     return (
         -np.cos(2.0 * (alpha1 - beta1))
@@ -103,6 +117,19 @@ def _closed_form_expectations(alpha1, alpha2, beta1, beta2) -> np.ndarray:
         - np.cos(2.0 * (alpha2 - beta1))
         + np.cos(2.0 * (alpha2 - beta2))
     )
+
+
+def _outcome_atoms(alpha1: float, alpha2: float, beta1: float, beta2: float) -> tuple[float, float, float]:
+    """Closed-form t0, E and w_plus of one configuration, as Python floats.
+
+    w_plus = (1 + E/t0)/2, clipped to [0, 1], and 0.5 below the t0 floor.
+    :func:`chsh_spectrum` and :func:`sample_outcomes` both take their
+    values from here, so a spectrum and a draw see the same bits.
+    """
+    t0 = float(_atom_magnitudes(alpha1, alpha2, beta1, beta2))
+    expectation = float(_closed_form_expectations(alpha1, alpha2, beta1, beta2))
+    w_plus = min(max((1.0 + expectation / t0) / 2.0, 0.0), 1.0) if t0 >= _T0_FLOOR else 0.5
+    return t0, expectation, w_plus
 
 
 def atom_magnitude(cfg: AngleConfig) -> float:
@@ -156,29 +183,28 @@ def chsh_spectra(
     plus_space = np.abs(evals - t0[..., None]) <= 1e-8
     gap = np.where(live, np.abs(np.sum(overlaps * plus_space, axis=-1) - w_plus), 0.0)
     check("projector weight vs closed form", gap, 1e-9)
+    check("numeric t1 vs closed form", np.abs(t1 - _dark_magnitudes(a1, a2, b1, b2)), 1e-9)
     return ChshSpectrum(t0, t1, w_plus, evals)
 
 
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     """Spectrum and singlet outcome weights of the CHSH operator.
 
-    The closed-form t0 is cross-checked against the Jacobi eigensolver
-    (to 1e-9), and the singlet's Born weight is verified to sit entirely
-    on the +-t0 eigenspaces.  Disagreement raises InternalCheckError.
-    The settings are not checked again: AngleConfig already has.
+    The closed-form t0 and t1 are cross-checked against the Jacobi
+    eigensolver (to 1e-9), and the singlet's Born weight is verified to
+    sit entirely on the +-t0 eigenspaces.  Disagreement raises
+    InternalCheckError.  The settings are not checked again: AngleConfig
+    already has.
 
     This is the lone-configuration route of :func:`chsh_spectra`: the same
     checks, names and tolerances, and bit for bit the same fields, but
     after the eigensolve every value is a Python float.  On four
-    eigenvalues, numpy's per-call cost outweighs the arithmetic, and
-    Monte Carlo callers such as :func:`sample_outcomes` call this once
-    per configuration.  Sums run left to right, as numpy's reductions of
-    four or fewer values do.
+    eigenvalues, numpy's per-call cost outweighs the arithmetic.  Sums
+    run left to right, as numpy's reductions of four or fewer values do.
     """
     a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
     evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
-    t0 = float(_atom_magnitudes(a1, a2, b1, b2))
-    expectation = float(_closed_form_expectations(a1, a2, b1, b2))
+    t0, expectation, w_plus = _outcome_atoms(a1, a2, b1, b2)
     ev = evals.tolist()
 
     # The two eigenvalues nearest +-t0 in magnitude are the atoms, and the
@@ -193,18 +219,24 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     dark_weight = 0.0 if abs(t0 - t1) <= 1e-9 else overlaps[d0] + overlaps[d1]
     check("singlet weight outside the outcome atoms", dark_weight, 1e-12)
     check("|E| above t0", abs(expectation) - t0, 1e-9)
-    w_plus, gap = 0.5, 0.0
+    gap = 0.0
     if t0 >= _T0_FLOOR:
-        w_plus = min(max((1.0 + expectation / t0) / 2.0, 0.0), 1.0)
         # A NaN overlap outside the +t0 eigenspace still fails the check, as in the stacked route.
         plus = [w * (abs(e - t0) <= 1e-8) for w, e in zip(overlaps, ev)]
         gap = abs(plus[0] + plus[1] + plus[2] + plus[3] - w_plus)
     check("projector weight vs closed form", gap, 1e-9)
+    check("numeric t1 vs closed form", abs(t1 - float(_dark_magnitudes(a1, a2, b1, b2))), 1e-9)
     return ChshSpectrum(t0, t1, w_plus, evals)
 
 
 def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     """Draw n single-shot CHSH outcomes (+-t0) and estimate their mean.
+
+    t0 and w_plus are the closed forms :func:`chsh_spectrum` reports, bit
+    for bit, but no eigensolve runs: the CHSH operator C is built, and
+    Landau's identity (C^2 psi = t0^2 psi in the singlet psi) checks t0
+    and <psi|C|psi> checks E, both to 1e-12, with |E| <= t0 as in the
+    spectrum.
 
     Draw u of stream 0 gives +t0 when u < w_plus and -t0 otherwise.  The
     stream has the counter-indexed layout of the experiment streams, and
@@ -216,8 +248,14 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     expectation.
     """
     _check_draw_count(n)
-    spectrum = chsh_spectrum(cfg)
-    if spectrum.t0 < _T0_FLOOR:
+    a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
+    op = _chsh_operators(a1, a2, b1, b2)
+    t0, expectation, w_plus = _outcome_atoms(a1, a2, b1, b2)
+    c_psi = op @ SINGLET
+    check("C^2 psi vs t0^2 psi", np.abs(op @ c_psi - (t0 * t0) * SINGLET), 1e-12)
+    check("<psi|C|psi> vs closed form", abs(SINGLET.conj() @ c_psi - expectation), 1e-12)
+    check("|E| above t0", abs(expectation) - t0, 1e-9)
+    if t0 < _T0_FLOOR:
         return EstimatorResult(0.0, 0.0, n)
     # -t0 on the band w_plus <= u < 1, which holds every draw u >= w_plus.
-    return _two_point_estimate(spectrum.t0, spectrum.w_plus, 1.0, seed, _SAMPLER_STREAM, n)
+    return _two_point_estimate(t0, w_plus, 1.0, seed, _SAMPLER_STREAM, n)

@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 
@@ -132,6 +133,38 @@ def test_sampling_statistical_case():
 def test_sampling_rejects_zero_draws():
     with pytest.raises(ValueError):
         sample_outcomes(OPTIMAL, 0, seed=1)
+
+
+def test_sampling_makes_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_outcomes must not diagonalize")
+
+    chsh_mod = importlib.import_module("bellcheck.chsh_operator")
+    monkeypatch.setattr(chsh_mod, "eig_hermitian", refuse)
+    monkeypatch.setattr(chsh_mod, "chsh_spectrum", refuse)
+    cfg = AngleConfig.from_degrees(0.0, 30.0, 15.0, 75.0)
+    assert sample_outcomes(cfg, 1_000, seed=9).stderr > 0.0
+
+
+# Near t0 = 0 the sampler checks t0 through Landau's identity, which needs
+# no eigenvector, so it returns where chsh_spectrum's eigenvector checks
+# fail.  At 45.0000001 the closed-form t0 itself cancels to 0 while
+# |E| = 3.5e-9, and "|E| above t0" fires (ROADMAP item 3).
+@pytest.mark.parametrize(
+    "beta2",
+    [
+        "45.003",
+        "45.001",
+        "45.0001",
+        "45.00001",
+        "45.000001",
+        pytest.param("45.0000001", marks=pytest.mark.xfail(raises=InternalCheckError, strict=True)),
+    ],
+)
+def test_sampling_near_t0_zero_stays_within_t0(beta2):
+    cfg = AngleConfig.from_degrees(0.0, 45.0, 0.0, float(beta2))
+    est = sample_outcomes(cfg, 1_000, seed=17)
+    assert abs(est.mean) <= atom_magnitude(cfg)
 
 
 def angle_columns(configs):

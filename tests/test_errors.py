@@ -111,13 +111,36 @@ def _expectation_below_t0(mp):
     _wrap(mp, chsh_mod, "_closed_form_expectations", lambda e: e * 0.999)
 
 
+def _shifted_t1(mp):
+    # Additive: t1 = 0 at OPTIMAL.
+    _wrap(mp, chsh_mod, "_dark_magnitudes", lambda t1: t1 + 1e-6)
+
+
 SPECTRUM_SITES = {
     "CHSH operator hermiticity": _non_hermitian_factors,
     "numeric t0 vs closed form": _shifted_t0,
     "singlet weight outside the outcome atoms": _basis_eigenvectors,
     "|E| above t0": _expectation_above_t0,
     "projector weight vs closed form": _expectation_below_t0,
+    "numeric t1 vs closed form": _shifted_t1,
 }
+
+# sample_outcomes makes no eigensolve: it checks the closed-form t0
+# through Landau's identity and E through the singlet expectation of the
+# operator it builds.
+SAMPLER_SITES = {
+    "CHSH operator hermiticity": _non_hermitian_factors,
+    "C^2 psi vs t0^2 psi": _shifted_t0,
+    "<psi|C|psi> vs closed form": _expectation_below_t0,
+}
+
+
+def _on_sampler(perturb):
+    def site(mp):
+        perturb(mp)
+        return lambda: chsh_mod.sample_outcomes(OPTIMAL, 10, 0)
+
+    return site
 
 
 def _on_route(perturb, route):
@@ -192,6 +215,7 @@ def _bob_basis_differs_between_brackets(mp):
 
 SITES = {
     **{f"{name} ({route})": _on_route(perturb, route) for name, perturb in SPECTRUM_SITES.items() for route in SPECTRUM_ROUTES},
+    **{f"{name} (sample_outcomes)": _on_sampler(perturb) for name, perturb in SAMPLER_SITES.items()},
     "singlet pair table total": _scaled_pair_probabilities,
     "full Born route vs factored route": _rolled_tensor_state,
     "simplex verdict vs CHSH criterion (feasible)": _chsh_variant_says_infeasible,
