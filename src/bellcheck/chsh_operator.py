@@ -105,9 +105,10 @@ def _atom_magnitudes(alpha1, alpha2, beta1, beta2) -> np.ndarray:
 
 
 def _dark_magnitudes(alpha1, alpha2, beta1, beta2) -> np.ndarray:
-    # t1 = 2 sqrt(1 + sin x sin y), written as a sum of squares that does not cancel.
-    x, y = 2.0 * (alpha1 - alpha2), 2.0 * (beta1 - beta2)
-    return 2.0 * np.sqrt(np.cos((x - y) / 2.0) ** 2 + np.sin((x + y) / 2.0) ** 2)
+    # t1 = 2 sqrt(1 + sin x sin y), x = 2(a1 - a2) and y = 2(b1 - b2), written
+    # as 2 sqrt(cos^2((x - y)/2) + sin^2((x + y)/2)), which does not cancel.
+    half_x, half_y = alpha1 - alpha2, beta1 - beta2
+    return 2.0 * np.hypot(np.cos(half_x - half_y), np.sin(half_x + half_y))
 
 
 def _closed_form_expectations(alpha1, alpha2, beta1, beta2) -> np.ndarray:
