@@ -135,18 +135,10 @@ SAMPLER_SITES = {
 }
 
 
-def _on_sampler(perturb):
+def _on_route(perturb, call):
     def site(mp):
         perturb(mp)
-        return lambda: chsh_mod.sample_outcomes(OPTIMAL, 10, 0)
-
-    return site
-
-
-def _on_route(perturb, route):
-    def site(mp):
-        perturb(mp)
-        return SPECTRUM_ROUTES[route]
+        return call
 
     return site
 
@@ -214,8 +206,8 @@ def _bob_basis_differs_between_brackets(mp):
 
 
 SITES = {
-    **{f"{name} ({route})": _on_route(perturb, route) for name, perturb in SPECTRUM_SITES.items() for route in SPECTRUM_ROUTES},
-    **{f"{name} (sample_outcomes)": _on_sampler(perturb) for name, perturb in SAMPLER_SITES.items()},
+    **{f"{name} ({route})": _on_route(perturb, call) for name, perturb in SPECTRUM_SITES.items() for route, call in SPECTRUM_ROUTES.items()},
+    **{f"{name} (sample_outcomes)": _on_route(perturb, lambda: chsh_mod.sample_outcomes(OPTIMAL, 10, 0)) for name, perturb in SAMPLER_SITES.items()},
     "singlet pair table total": _scaled_pair_probabilities,
     "full Born route vs factored route": _rolled_tensor_state,
     "simplex verdict vs CHSH criterion (feasible)": _chsh_variant_says_infeasible,
