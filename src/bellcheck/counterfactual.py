@@ -8,9 +8,12 @@ distribution over the space obeys the CHSH bound |E| <= 2.
 
 Fine's criterion connects this to real data: a local deterministic
 model for four measured pair distributions exists exactly when one
-joint distribution over the 16 outcomes returns all four as marginals.
-``fine_feasibility`` decides that by a small phase-1 simplex and
-cross-checks the verdict against the eight CHSH sign variants.
+joint distribution over the 16 outcomes returns all four as marginals
+(A. Fine, J. Math. Phys. 23, 1306 (1982)).  ``fine_feasibility`` decides
+that on Python floats, by asking whether the triangles (a1, a2, b1) and
+(a1, a2, b2) admit one common table p(a1, a2), and glues the two into a
+witness when they do.  It cross-checks the verdict against the eight
+CHSH sign variants.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .born import JointPmf2x2, _checked_table, _experiment_bases, _singlet_tables
-from .errors import InternalCheckError, check
+from .errors import check
 from .polarization import AngleConfig
 from .realworld import RunRecord
 
@@ -119,11 +122,24 @@ def chsh_all_variants(c11: float, c12: float, c21: float, c22: float) -> float:
     absolute values; a joint distribution with these correlations exists
     only when the maximum stays at or below 2.
     """
-    c = np.array([c11, c12, c21, c22], dtype=float)
-    if not np.all(np.abs(c) <= 1.0 + 1e-12):
+    c = (c11, c12, c21, c22)
+    # A NaN or infinite correlation fails this comparison too.
+    if not all(abs(x) <= 1.0 + 1e-12 for x in c):
         raise ValueError("correlations must lie in [-1, 1]")
-    total = c.sum()
-    return float(np.max(np.abs(total - 2.0 * c)))
+    total = c11 + c12 + c21 + c22
+    return float(max(abs(total - 2.0 * x) for x in c))
+
+
+def _marginal_gaps(tables: list) -> tuple[float, float, float, float]:
+    """How far the two tables sharing A1, A2, B1 and B2 disagree on P(+1) of that variable.
+
+    ``tables`` are the four pair tables as nested lists, in PairMarginals
+    order.  P(x = +1) is a table's first row sum and P(y = +1) its first
+    column sum.
+    """
+    x = [top[0] + top[1] for top, _ in tables]
+    y = [top[0] + bottom[0] for top, bottom in tables]
+    return abs(x[0] - x[1]), abs(x[2] - x[3]), abs(y[0] - y[2]), abs(y[1] - y[3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +157,8 @@ class PairMarginals:
     a2b2: JointPmf2x2
 
     def __post_init__(self) -> None:
-        # P(x = +1) is a table's first row sum and P(y = +1) its first column sum.
-        x_plus = [t.p[0].sum() for t in self.tables()]
-        y_plus = [t.p[:, 0].sum() for t in self.tables()]
-        for name, plus, i, j in (("A1", x_plus, 0, 1), ("A2", x_plus, 2, 3), ("B1", y_plus, 0, 2), ("B2", y_plus, 1, 3)):
-            if abs(plus[i] - plus[j]) > 1e-10:
+        for name, gap in zip(("A1", "A2", "B1", "B2"), _marginal_gaps([t.p.tolist() for t in self.tables()])):
+            if gap > 1e-10:
                 raise ValueError(f"inconsistent one-party marginal for {name}")
 
     def tables(self) -> tuple[JointPmf2x2, ...]:
@@ -193,98 +206,88 @@ class FeasibilityResult:
         return self.witness is not None
 
 
-# Fine's linear system: row (pair, cell) of the 16 marginal equations,
-# pairs as in _PAIR_AXES and cells row-major, marks the outcomes that land
-# in that cell; it is every point mass pushed through the pair sums.  The
-# system has rank 9 whatever the marginals: all of A1B1 (which carries the
-# normalisation), two cells each of A1B2 and A2B1 (their other two follow
-# from the shared A1 and B1 marginals) and one cell of A2B2.  PairMarginals
-# already holds the shared marginals to 1e-10, so the other 7 equations
-# add nothing, and the witness check re-reads all 16 cells.
-_INDEPENDENT_ROWS = [0, 1, 2, 3, 4, 6, 8, 9, 12]
-_FINE_MATRIX = np.concatenate(
-    [np.eye(16).reshape(16, 2, 2, 2, 2).sum(axis=(1 + i, 1 + j)).reshape(16, 4) for i, j in _PAIR_AXES], axis=1
-).T[_INDEPENDENT_ROWS]
+# Fine's verdict and witness glue two triangles (a1, a2, b1) and (a1, a2, b2)
+# along their shared table p(a1, a2) (Vorob'ev, Theory Probab. Appl. 7, 147
+# (1962)).  That table has one free number q = p(a1+, a2+); given q, each
+# triangle has one free cell s = t(+, +, +), and every cell is +-s plus an
+# affine function of q and the pair cells.  Each of its 16 pairs "lower bound
+# on s <= upper bound on s" is a bound on q or a test that consistent tables
+# pass, so a joint exists exactly when the q intervals of the two triangles
+# meet.  CHANGES.md derives the slack on that test and the verdict check's
+# tolerance, in units of the unit roundoff 2**-53, and the multiples of the
+# input's drift from consistency that widen both.
+_SLACK = 16 * 2.0**-53
+_VERDICT_TOL = 4 * _SLACK + 49 * 2.0**-53
 
 
-def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Minimize the artificial-variable total for a x = b, x >= 0, with b >= 0.
+def _q_interval(x: list, y: list) -> tuple[float, float]:
+    """Bounds on q that leave the triangle with (a1, b) table ``x`` and (a2, b) table ``y`` feasible."""
+    (x00, x01), (x10, x11) = x
+    (y00, y01), _ = y
+    return max(0.0, y01 - x11, y00 - x10, y00 + y01 - x10 - x11), min(x00 + x01, y00 + y01, x01 + y00, x00 + y01)
 
-    Bland's smallest-index rule on both the entering and leaving choices
-    guarantees termination despite the degenerate bases these marginal
-    systems produce.  Returns (optimal objective, x part of the basic
-    solution); the system is solvable iff the objective is ~0.
 
-    The tableau rows are lists of Python floats, which on a tableau this
-    small cost far less per pivot than numpy rows.  Each row operation is
-    the one a numpy row would do, element by element: the pivot row is
-    divided by the pivot, and every other row loses f times it, with the
-    product rounded before the difference.
+def _triangle(q: float, x: list, y: list) -> list[float]:
+    """Cells t(a1, a2, b) of that triangle, flat, with s at the middle of its interval."""
+    (x00, x01), (x10, x11) = x
+    (y00, y01), _ = y
+    s = (max(0.0, q - x01, q - y01, y00 - x10) + min(q, x00, y00, q + x11 - y01)) / 2.0
+    return [s, q - s, x00 - s, x01 - q + s, y00 - s, y01 - q + s, x10 - y00 + s, x11 - y01 + q - s]
+
+
+def _glue(t1: list[float], t2: list[float]) -> list[float]:
+    """p(a1, a2, b1, b2) = t1 t2 / p(a1, a2), flat, and 0 where p(a1, a2) = 0.
+
+    Rounding-noise cells are clamped to zero first, and p(a1, a2) is read
+    from t2, so summing over b2 returns t1 and summing over b1 returns t2
+    scaled by the ratio of the two triangles' p(a1, a2).  The cells are
+    then scaled to total 1, which tables that drift from consistency need.
     """
-    m, n = a.shape
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    tableau[m, :n] = -a.sum(axis=0)
-    tableau[m, -1] = -b.sum()
-    tableau = tableau.tolist()
-    basis = list(range(n, n + m))
+    cells = []
+    for u0, u1, v0, v1 in zip(t1[::2], t1[1::2], t2[::2], t2[1::2]):
+        u0, u1, v0, v1 = max(u0, 0.0), max(u1, 0.0), max(v0, 0.0), max(v1, 0.0)
+        m = v0 + v1
+        cells += (u0 * v0 / m, u0 * v1 / m, u1 * v0 / m, u1 * v1 / m) if m else (0.0, 0.0, 0.0, 0.0)
+    total = sum(cells)
+    return [v / total for v in cells]
 
-    while True:
-        entering = next((j for j, v in enumerate(tableau[m][:-1]) if v < -tol), None)
-        if entering is None:
-            break
-        leaving = -1
-        best = math.inf
-        for i in range(m):
-            coef = tableau[i][entering]
-            if coef > tol:
-                ratio = tableau[i][-1] / coef
-                if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
-            raise InternalCheckError("phase-1 simplex became unbounded; constraint matrix is malformed")
-        pivot = tableau[leaving][entering]
-        lead = tableau[leaving] = [v / pivot for v in tableau[leaving]]
-        for i in range(m + 1):
-            f = tableau[i][entering]
-            if i != leaving and f != 0.0:
-                tableau[i] = [v - f * w for v, w in zip(tableau[i], lead)]
-        basis[leaving] = entering
 
-    objective = -tableau[m][-1]
-    x = np.zeros(n + m)
-    for i, var in enumerate(basis):
-        x[var] = tableau[i][-1]
-    return objective, x[:n]
+def _pair_sums(t: list[float]) -> list[float]:
+    """The (a1, b) and (a2, b) tables of a triangle t(a1, a2, b), flat, one after the other."""
+    return [t[0] + t[2], t[1] + t[3], t[4] + t[6], t[5] + t[7], t[0] + t[4], t[1] + t[5], t[2] + t[6], t[3] + t[7]]
 
 
 def fine_feasibility(marginals: PairMarginals) -> FeasibilityResult:
     """Decide whether one joint distribution reproduces all four pair tables.
 
-    Solves the 16-unknown nonnegative linear system by phase-1 simplex and
-    returns a witness distribution when one exists.  The verdict is
-    cross-checked against the analytic criterion (max CHSH variant <= 2);
-    a clear disagreement raises :class:`InternalCheckError`.
+    Returns a witness distribution when one exists, glued from the two
+    triangles at the middle of the common q interval.  The verdict is
+    cross-checked against the analytic criterion (max CHSH variant <= 2),
+    and the witness against negativity and the four tables; a
+    disagreement raises :class:`InternalCheckError`.
     """
-    cells = np.concatenate([table.p.reshape(-1) for table in marginals.tables()])
-    objective, x = _phase1_simplex(_FINE_MATRIX, cells[_INDEPENDENT_ROWS])
-    feasible = objective <= 1e-9
-
-    chsh = chsh_all_variants(*marginals.correlations())
-    check("simplex verdict vs CHSH criterion", chsh - 2.0 if feasible else 2.0 - chsh, 1e-7)
+    tables = [t.p.tolist() for t in marginals.tables()]
+    a1b1, a1b2, a2b1, a2b2 = tables
+    chsh = chsh_all_variants(*(p00 - p01 - p10 + p11 for (p00, p01), (p10, p11) in tables))
+    # How far the tables miss consistency; a few 2**-53 when they are consistent to rounding.
+    drift = max(*_marginal_gaps(tables), *(abs(p00 + p01 + p10 + p11 - 1.0) for (p00, p01), (p10, p11) in tables))
+    (lo1, hi1), (lo2, hi2) = _q_interval(a1b1, a2b1), _q_interval(a1b2, a2b2)
+    lo, hi = max(lo1, lo2), min(hi1, hi2)
+    feasible = lo - hi <= _SLACK + 5.0 * drift
+    check("q interval verdict vs CHSH criterion", chsh - 2.0 if feasible else 2.0 - chsh, _VERDICT_TOL + 34.0 * drift)
 
     if not feasible:
         return FeasibilityResult(None, chsh, None)
 
-    check("witness negativity", -x.min(), 1e-12)
-    x = np.maximum(x, 0.0)
-    witness = CfPmf((x / x.sum()).reshape(2, 2, 2, 2))
-    residual = max(
-        float(np.max(np.abs(witness.probabilities.sum(axis=axes) - table.p)))
-        for axes, table in zip(_PAIR_AXES, marginals.tables())
+    q = (lo + hi) / 2.0
+    t1, t2 = _triangle(q, a1b1, a2b1), _triangle(q, a1b2, a2b2)
+    check("witness negativity", -min(*t1, *t2) - 5.0 * drift, 1e-12)
+    cells = _glue(t1, t2)
+    # Sum the witness over b2 and over b1, then each triangle over a2 and a1.
+    got = _pair_sums([u + v for u, v in zip(cells[::2], cells[1::2])]) + _pair_sums(
+        [cells[i] + cells[i + 2] for i in (0, 1, 4, 5, 8, 9, 12, 13)]
     )
+    want = [cell for table in (a1b1, a2b1, a1b2, a2b2) for row in table for cell in row]
+    residual = max(abs(u - v) for u, v in zip(got, want))
     check("witness marginal residual", residual, 1e-9)
-    return FeasibilityResult(witness, chsh, residual)
+    return FeasibilityResult(CfPmf(np.array(cells).reshape(2, 2, 2, 2)), chsh, residual)

@@ -291,6 +291,9 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     n = a.shape[-1]
     if n != a.shape[-2]:
         raise ValueError(f"eig_hermitian needs a square matrix, got {a.shape}")
+    if n == 0:
+        # Nothing to solve, and reshape(-1, 0, 0) below cannot infer a size.
+        return np.zeros(a.shape[:-1]), np.zeros(a.shape, dtype=np.complex128)
 
     # Each matrix is scaled by a power of two so that its largest real or
     # imaginary part lies in [1/2, 1).  That is exact (save for entries

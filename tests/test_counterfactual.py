@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bellcheck.born import JointPmf2x2, OUTCOME_VALUES
 from bellcheck.counterfactual import (
@@ -218,13 +220,6 @@ def test_fine_system_has_rank_nine_on_the_kept_rows():
     assert np.linalg.matrix_rank(MARGINAL_SYSTEM[KEPT_ROWS]) == 9
 
 
-def test_fine_matrix_is_the_kept_rows_of_the_marginal_system():
-    from bellcheck.counterfactual import _FINE_MATRIX, _INDEPENDENT_ROWS
-
-    assert _INDEPENDENT_ROWS == KEPT_ROWS
-    assert np.array_equal(_FINE_MATRIX, MARGINAL_SYSTEM[KEPT_ROWS])
-
-
 def test_fine_sparse_pushforward_with_rounded_certain_marginal():
     p = np.zeros(16)
     p[[9, 12, 13]] = [0.40273377526777426, 0.17794043512222393, 0.4193257896100018]
@@ -269,11 +264,42 @@ def test_fine_verdict_matches_linprog_oracle():
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6])
 def test_fine_boundary_behaviour_near_chsh_two(eps):
-    # the simplex flips between 3e-9 and 1e-8, inside the 1e-7 cross-check band
+    # every eight-variant box above 2 is infeasible, down to 1e-12 above
     for odd, sign in product(range(4), (1.0, -1.0)):
         c = np.full(4, sign * (2.0 + eps) / 4.0)
         c[odd] = -c[odd]
         above = fine_feasibility(correlation_box(*c))
-        assert above.feasible == (eps <= 3e-9)
+        assert not above.feasible
         below = fine_feasibility(correlation_box(*(c * (2.0 - eps) / (2.0 + eps))))
         assert below.feasible and below.marginal_residual <= 1e-9
+
+
+@st.composite
+def _marginals(draw):
+    """Pushforwards of joints with some zero cells, correlation boxes, and boxes with one variant near 2."""
+    kind = draw(st.sampled_from(["joint", "box", "near two"]))
+    if kind == "joint":
+        w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=16, max_size=16)))
+        assume(w.sum() > 0.0)
+        return pair_marginals(CfPmf((w / w.sum()).reshape(2, 2, 2, 2)))
+    c = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    if kind == "near two":
+        # the variant c11 + c12 + c21 - c22 at 2 +- 10^-k
+        eps = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.integers(1, 16))
+        c[3] = c[0] + c[1] + c[2] - 2.0 - eps
+        assume(abs(c[3]) <= 1.0)
+    return correlation_box(*c)
+
+
+@given(_marginals())
+@settings(max_examples=400, deadline=None)
+def test_fine_verdict_is_the_variant_criterion_and_the_witness_returns_the_tables(marginals):
+    result = fine_feasibility(marginals)
+    chsh = chsh_all_variants(*marginals.correlations())
+    assert result.chsh_value == chsh
+    # Outside the verdict check's tolerance, below 1e-13 for tables consistent to rounding
+    if abs(chsh - 2.0) > 1e-13:
+        assert result.feasible == (chsh <= 2.0)
+    if result.feasible:
+        for got, want in zip(pair_marginals(result.witness).tables(), marginals.tables()):
+            assert np.max(np.abs(got.p - want.p)) <= 1e-15

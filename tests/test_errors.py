@@ -163,19 +163,18 @@ def _chsh_variant_says_feasible(mp):
     return lambda: counterfactual.fine_feasibility(counterfactual.quantum_pair_marginals(OPTIMAL))
 
 
-def _negative_witness_entry(mp):
-    def dent(result):
-        objective, x = result
-        x = x.copy()
-        x[np.argmin(x)] -= 1e-6
-        return objective, x
+def _negative_triangle_cell(mp):
+    def dent(cells):
+        cells = list(cells)
+        cells[cells.index(min(cells))] = -1e-6
+        return cells
 
-    _wrap(mp, counterfactual, "_phase1_simplex", dent)
+    _wrap(mp, counterfactual, "_triangle", dent)
     return lambda: counterfactual.fine_feasibility(counterfactual.quantum_pair_marginals(LOCAL))
 
 
 def _rolled_witness(mp):
-    _wrap(mp, counterfactual, "_phase1_simplex", lambda result: (result[0], np.roll(result[1], 1)))
+    _wrap(mp, counterfactual, "_glue", lambda cells: cells[1:] + cells[:1])
     return lambda: counterfactual.fine_feasibility(counterfactual.quantum_pair_marginals(LOCAL))
 
 
@@ -210,9 +209,9 @@ SITES = {
     **{f"{name} (sample_outcomes)": _on_route(perturb, lambda: chsh_mod.sample_outcomes(OPTIMAL, 10, 0)) for name, perturb in SAMPLER_SITES.items()},
     "singlet pair table total": _scaled_pair_probabilities,
     "full Born route vs factored route": _rolled_tensor_state,
-    "simplex verdict vs CHSH criterion (feasible)": _chsh_variant_says_infeasible,
-    "simplex verdict vs CHSH criterion (infeasible)": _chsh_variant_says_feasible,
-    "witness negativity": _negative_witness_entry,
+    "q interval verdict vs CHSH criterion (feasible)": _chsh_variant_says_infeasible,
+    "q interval verdict vs CHSH criterion (infeasible)": _chsh_variant_says_feasible,
+    "witness negativity": _negative_triangle_cell,
     "witness marginal residual": _rolled_witness,
     "imaginary residue of quasi-probability cells": _complex_overlaps,
     "q_value operator route vs pair-table route": _turned_bob_operator,
@@ -246,8 +245,7 @@ def test_each_cli_cross_check_fires_and_names_itself(monkeypatch, capsys, site):
 
 
 def test_cross_checks_raise_only_through_check():
-    # Every route-agreement check goes through errors.check; the simplex's
-    # unbounded branch has no gap to compare and is the one exception.
+    # Every route-agreement check goes through errors.check.
     package = Path(bellcheck.__file__).parent
     raises = [
         f"{path.name}: {line.strip()}"
@@ -256,4 +254,4 @@ def test_cross_checks_raise_only_through_check():
         for line in path.read_text(encoding="utf-8").splitlines()
         if "raise InternalCheckError" in line
     ]
-    assert len(raises) == 1 and raises[0].startswith("counterfactual.py: ") and "unbounded" in raises[0], raises
+    assert raises == []

@@ -174,6 +174,13 @@ def random_hermitian_stack(rng, count, n):
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 4, 4), (2, 0, 3, 3)])
+def test_eig_of_empty_input_is_empty(shape):
+    vals, vecs = eig_hermitian(np.zeros(shape))
+    assert (vals.shape, vals.dtype) == (shape[:-1], np.float64)
+    assert (vecs.shape, vecs.dtype) == (shape, np.complex128)
+
+
 @pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
 def test_eig_converges_at_large_scale(scale):
     rng = np.random.default_rng(17)
