@@ -6,10 +6,12 @@ preceded the batched kernels; the batched sweep and scan must reproduce
 those bytes exactly, including the witness sort order and the skipped
 degenerate point.  The batched kernels must also agree bit for bit with
 the single-point functions they share code with.  The ``fine`` hashes
-were recorded from the simplex that rebuilt its constraint system and
-re-selected independent rows on every call: an infeasible verdict, a
-printed witness (including its rounding-noise digits) and a degenerate
-configuration with zero cells.  The ``simulate`` hashes were recorded
+cover an infeasible verdict, a printed witness and a degenerate
+configuration with zero cells.  The first was recorded from the simplex
+that rebuilt its constraint system on every call; the other two, and the
+library ``fine`` hash, were re-recorded at version 0.2.0, when the
+witness moved from a simplex vertex to the glued interior point of
+Fine's two triangles.  The ``simulate`` hashes were recorded
 from the sampler that built n-long uniform and cell-index arrays per
 experiment: a run over several draw blocks, a run one draw past a block
 boundary with certain (zero-probability) cells, and a single draw.  The
@@ -31,7 +33,10 @@ single ``chsh`` ``-0`` hashes, when the sweep moved to the round-parallel
 order with no BLAS product: t1 moved by at most 1.8e-15 and eigenvalues
 by at most 2.3e-15 on 20,046 configurations, and no printed 9-digit
 value of magnitude 1e-12 or more moved.  Since then these hashes are the
-same under every OpenBLAS kernel.
+same under every OpenBLAS kernel.  Every pin belongs to one package
+version: ``PIN_DIGESTS`` records a digest of all of them under the
+version they were recorded at, so a re-pin needs a new ``__version__``.
+Manifests record the version, so their hashes move with each bump.
 """
 
 import functools
@@ -39,6 +44,7 @@ import hashlib
 import math
 import pathlib
 import random
+import re
 import runpy
 
 import numpy as np
@@ -63,9 +69,9 @@ GOLDEN = {
     ("fine", "0", "45", "22.5", "-22.5"):
         "d9cc5ca0fb52c016f51ff620da3833546c221e45fd29053538086b10e4e0bb0e",
     ("fine", "0", "45", "22.5", "112.5"):
-        "ad4d01f550da38f6351df13bb3acb05a6b414956d5a495789becb59d65d81b89",
+        "cef6f97c05a30f877ff2c96397422220037687a978d4711102fca046aa061732",
     ("fine", "0", "90", "0", "90"):
-        "b6a5f47ee064cfb5e813049d0609b76108ac8814a3dfa6c5de19afccd5ca21c7",
+        "486f010c50fd6ab590ed10798eca6f7f8d5cd99fa0abab03c8a97f33b9ac570a",
     ("simulate", "0", "45", "22.5", "-22.5", "--n", "200000", "--seed", "7"):
         "64fe1ab23c61db2a7bc98e7506a2488219e4419d30b8d7cb99ac68637e7ddc9d",
     ("simulate", "0", "45", "0.001", "90", "--n", "65537", "--seed", "3"):
@@ -110,7 +116,7 @@ def test_golden_out_file_and_manifest_bytes(tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
     assert digests == {
         "spectrum.csv": "91151131db35bdd58041296f7b755e488ff430ce85811aa8c326fecba35933fd",
-        "spectrum.csv.manifest.json": "82acb8604bfeb8695479221c5325a24efde3e3d01a9162413823bfea7a645b1e",
+        "spectrum.csv.manifest.json": "0a4cdb197ba411b777942fee2ecc2f9b4c0e738fd1603de8c5c2da0887c30361",
     }
 
 
@@ -119,14 +125,14 @@ def test_golden_out_file_and_manifest_bytes(tmp_path):
         ("enumerate", "counterfactual", "--format", "csv"),
         {
             "table.txt": "e6cedfc6bbe683c1ae08820c7810bab2d91238c0ebcaf5ea6a01fcf1289bb5e7",
-            "table.txt.manifest.json": "fe48156057c087bfa8094e50e8b1b076b5d77e9aea4a8108715ee0168b247e93",
+            "table.txt.manifest.json": "7d34257146f66d99796ecbd88dc87707671b907f6af769242972494f0f5f2a53",
         },
     ),
     (
         ("quasiprob", "--scan", "30"),
         {
             "table.txt": "c8af22a688505adf13041bb02df4da50be88cd315e1438c67b0700638c79a51c",
-            "table.txt.manifest.json": "60b0a4545cda8abb63562f0166efc4e7bf2c74c28007a176d189f6bd1dcc5ec6",
+            "table.txt.manifest.json": "f3dd79547991a6c4e1ffed67e2f9edd944645c096e33722c036f00b5d87d8695",
         },
     ),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
@@ -217,8 +223,9 @@ def test_sweep_rows_match_single_config_rows(capsys, angles):
 
 # The library pin: one sha256 per kind of per-configuration output, over
 # the bytes of every output at LIBRARY_CONFIGS.  Recorded before the pair
-# tables, the CHSH operator and the Fine simplex were rebuilt from
-# stacked kernels; every byte must survive such a rebuild.
+# tables and the CHSH operator were rebuilt from stacked kernels; every
+# byte must survive such a rebuild.  The ``fine`` hash was re-recorded for
+# the glued witness at 0.2.0.
 _CONFIG_RNG = random.Random("golden/library")
 LIBRARY_CONFIGS = [
     (AngleConfig(*(_CONFIG_RNG.uniform(0.0, math.pi) for _ in range(4))), _CONFIG_RNG.getrandbits(32))
@@ -236,7 +243,7 @@ LIBRARY_GOLDEN = {
     "spectra stack": "c2d544ae99ebb84d90befee216cb3d0492c9b7b67acceb0ca71dd3864b3a5ffa",
     "chsh_operator": "a87cfe23beb8eb2d30752fc3980fd2a0c324da4f7335a4ab9fc9f3085c9fd6f6",
     "pair tables": "cc3fc57f8913e30cd9f5350822aff3596750215875c058d3cdebb78feeccf1bb",
-    "fine": "cdf2e673bf7527fac0645689a5c756b97b89fdad0a85b69b486b188160ad442c",
+    "fine": "044126f2d4a0771292d949e6e6c5e66dcb993da0da8bbba492c73f558ba6a731",
     "tensor_joint_pmf": "3d9768b7457b6a5445f75f83c06368b4dbcf66d4c6a14848db46e66ad5741989",
     "samplers": "ee089a99c5d688e292b097b3c05de3b10a26231a086c877b30553cc2c7184255",
     "quasiprob": "069ce792b6cdb843fe7c12fa2bbeb54a197df5c82ef32c1c88c7f89607c8ebcd",
@@ -284,3 +291,21 @@ def _library_digests():
 
 def test_golden_library_output_bytes():
     assert _library_digests() == LIBRARY_GOLDEN
+
+
+# The sha256 of every pin in this file, in file order, under the package
+# version it belongs to.  A changed pin fails here until __version__ is
+# bumped and the new digest recorded under it, so replay refuses the
+# manifests whose bytes the change could move.
+PIN_DIGESTS = {
+    "0.1.0": "ade27149da1b6b87cac147a1f5514a9018e9f5566f82fa043562b51bf4f45123",
+    "0.2.0": "a31e8d9607de957fb8c81869120cdd0854cb270bc3aca2c71bf8cc217b0f60c7",
+}
+
+
+def test_pins_change_only_with_the_package_version():
+    text = pathlib.Path(__file__).read_text(encoding="utf-8")
+    pins = [pin for pin in re.findall(r'"([0-9a-f]{64})"', text) if pin not in PIN_DIGESTS.values()]
+    digest = hashlib.sha256("".join(pins).encode("ascii")).hexdigest()
+    assert list(PIN_DIGESTS)[-1] == bellcheck.__version__
+    assert PIN_DIGESTS[bellcheck.__version__] == digest, f"pins changed: bump __version__ and record {digest}"
