@@ -7,7 +7,7 @@ class InternalCheckError(RuntimeError):
     """A redundant internal cross-check disagreed beyond tolerance.
 
     Raised when two independent computation routes for the same quantity
-    (e.g. a factored probability table vs. the full Born rule, or an LP
+    (e.g. a factored probability table vs. the full Born rule, or Fine's
     verdict vs. its analytic criterion) do not match.  This always means
     a bug, never bad user input; the CLI maps it to exit code 3.
     """
