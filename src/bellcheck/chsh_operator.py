@@ -120,17 +120,47 @@ def _closed_form_expectations(alpha1, alpha2, beta1, beta2) -> np.ndarray:
     )
 
 
+def _outcome_weight(t0: float, expectation: float) -> float:
+    """w_plus = (1 + E/t0)/2 of one configuration, clipped to [0, 1], and 0.5 below the t0 floor."""
+    return min(max((1.0 + expectation / t0) / 2.0, 0.0), 1.0) if t0 >= _T0_FLOOR else 0.5
+
+
 def _outcome_atoms(alpha1: float, alpha2: float, beta1: float, beta2: float) -> tuple[float, float, float]:
     """Closed-form t0, E and w_plus of one configuration, as Python floats.
 
-    w_plus = (1 + E/t0)/2, clipped to [0, 1], and 0.5 below the t0 floor.
     :func:`chsh_spectrum` and :func:`sample_outcomes` both take their
     values from here, so a spectrum and a draw see the same bits.
     """
     t0 = float(_atom_magnitudes(alpha1, alpha2, beta1, beta2))
     expectation = float(_closed_form_expectations(alpha1, alpha2, beta1, beta2))
-    w_plus = min(max((1.0 + expectation / t0) / 2.0, 0.0), 1.0) if t0 >= _T0_FLOOR else 0.5
-    return t0, expectation, w_plus
+    return t0, expectation, _outcome_weight(t0, expectation)
+
+
+def _checked_t1(ev: list, overlaps: list, t0: float, expectation: float, w_plus: float, dark: float) -> float:
+    """t1 from four eigenvalues ``ev`` and the singlet's weight on each eigenvector, after the five spectrum checks.
+
+    t0, E, w_plus and ``dark`` (t1) are the closed forms.  Both spectrum
+    routes check each configuration here, on Python floats, so they agree
+    bit for bit and fail with the same message.
+    """
+    # The two eigenvalues nearest +-t0 in magnitude are the atoms, and the second
+    # of them, the farther, is judged; the stable sort keeps ties in index order.
+    distance = [abs(abs(e) - t0) for e in ev]
+    _, atom, d0, d1 = sorted(range(4), key=distance.__getitem__)
+    check("numeric t0 vs closed form", distance[atom], 1e-9)
+    t1 = (abs(ev[d0]) + abs(ev[d1])) / 2
+    dark_weight = 0.0 if abs(t0 - t1) <= 1e-9 else overlaps[d0] + overlaps[d1]
+    check("singlet weight outside the outcome atoms", dark_weight, 1e-12)
+    check("|E| above t0", abs(expectation) - t0, 1e-9)
+    gap = 0.0
+    if t0 >= _T0_FLOOR:
+        # The weight through the +t0 eigenspace projector, well-defined even when
+        # t0 = t1; a NaN overlap outside that eigenspace still fails the check.
+        plus = [w * (abs(e - t0) <= 1e-8) for w, e in zip(overlaps, ev)]
+        gap = abs(plus[0] + plus[1] + plus[2] + plus[3] - w_plus)
+    check("projector weight vs closed form", gap, 1e-9)
+    check("numeric t1 vs closed form", abs(t1 - dark), 1e-9)
+    return t1
 
 
 def atom_magnitude(cfg: AngleConfig) -> float:
@@ -151,41 +181,24 @@ def chsh_spectra(
     The four angles (radians) broadcast against each other, and every
     field of the result has their broadcast shape, plus a trailing axis
     of four for ``eigenvalues``.  Each configuration obeys the rules of
-    :class:`~bellcheck.polarization.AngleConfig`.  All operators are
-    diagonalized by one stacked Jacobi call, and every check of
-    :func:`chsh_spectrum` runs on the whole stack, with the same names
-    and tolerances; each result is bit for bit the one
-    :func:`chsh_spectrum` gives for its configuration.
+    :class:`~bellcheck.polarization.AngleConfig`.  One stacked Jacobi
+    call diagonalizes all operators, and the closed forms and overlaps are
+    arrays; then each configuration runs the checks of
+    :func:`chsh_spectrum` in the same code, so each result is bit for bit
+    the one it gives alone.  A failing stack reports the gap of its first
+    failing configuration, not the largest gap over the stack.
     """
     a1, a2, b1, b2 = np.broadcast_arrays(alpha1, alpha2, beta1, beta2)
     if np.any(same_setting(a1, a2)) or np.any(same_setting(b1, b2)):
         raise ValueError("the two settings on one side coincide mod pi")
     evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
     t0 = _atom_magnitudes(a1, a2, b1, b2)
-    expectation = _closed_form_expectations(a1, a2, b1, b2)
-
-    # Group eigenvalues into the +-t0 pair and the +-t1 pair by magnitude.
-    distance = np.abs(np.abs(evals) - t0[..., None])
-    order = np.argsort(distance, axis=-1, kind="stable")
-    atom_idx, dark_idx = order[..., :2], order[..., 2:]
-    check("numeric t0 vs closed form", np.take_along_axis(distance, atom_idx, axis=-1), 1e-9)
-    t1 = np.mean(np.abs(np.take_along_axis(evals, dark_idx, axis=-1)), axis=-1)
-
-    overlaps = np.abs(evecs.conj().swapaxes(-1, -2) @ SINGLET) ** 2
-    degenerate = np.abs(t0 - t1) <= 1e-9
-    dark_weight = np.where(degenerate, 0.0, np.take_along_axis(overlaps, dark_idx, axis=-1).sum(axis=-1))
-    check("singlet weight outside the outcome atoms", dark_weight, 1e-12)
-    check("|E| above t0", np.abs(expectation) - t0, 1e-9)
-    live = t0 >= _T0_FLOOR
-    ratio = expectation / np.where(live, t0, 1.0)
-    w_plus = np.where(live, np.clip((1.0 + ratio) / 2.0, 0.0, 1.0), 0.5)
-    # Independent check of the weight through the +t0 eigenspace
-    # projector, which stays well-defined even when t0 = t1.
-    plus_space = np.abs(evals - t0[..., None]) <= 1e-8
-    gap = np.where(live, np.abs(np.sum(overlaps * plus_space, axis=-1) - w_plus), 0.0)
-    check("projector weight vs closed form", gap, 1e-9)
-    check("numeric t1 vs closed form", np.abs(t1 - _dark_magnitudes(a1, a2, b1, b2)), 1e-9)
-    return ChshSpectrum(t0, t1, w_plus, evals)
+    closed_forms = (t0, _closed_form_expectations(a1, a2, b1, b2), _dark_magnitudes(a1, a2, b1, b2))
+    t0s, expectations, darks = (np.ravel(f).tolist() for f in closed_forms)
+    overlaps = (np.abs(evecs.conj().swapaxes(-1, -2) @ SINGLET) ** 2).reshape(-1, 4).tolist()
+    w_plus = [_outcome_weight(t, e) for t, e in zip(t0s, expectations)]
+    t1 = [_checked_t1(*c) for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, w_plus, darks)]
+    return ChshSpectrum(t0, np.reshape(t1, np.shape(t0)), np.reshape(w_plus, np.shape(t0)), evals)
 
 
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
@@ -197,37 +210,16 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     InternalCheckError.  The settings are not checked again: AngleConfig
     already has.
 
-    This is the lone-configuration route of :func:`chsh_spectra`: the same
-    checks, names and tolerances, and bit for bit the same fields, but
-    after the eigensolve every value is a Python float.  On four
-    eigenvalues, numpy's per-call cost outweighs the arithmetic.  Sums
-    run left to right, as numpy's reductions of four or fewer values do.
+    One configuration takes one lone-route eigensolve, then the checks
+    that :func:`chsh_spectra` runs on each of its configurations, so the
+    fields are bit for bit the same; all but ``eigenvalues`` are floats.
     """
     a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
     evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
     t0, expectation, w_plus = _outcome_atoms(a1, a2, b1, b2)
-    ev = evals.tolist()
-
-    # The two eigenvalues nearest +-t0 in magnitude are the atoms, and the
-    # second of them has the larger distance, which the check judges; the
-    # stable sort keeps ties in index order, as argsort's does.
-    distance = [abs(abs(e) - t0) for e in ev]
-    _, atom, d0, d1 = sorted(range(4), key=distance.__getitem__)
-    check("numeric t0 vs closed form", distance[atom], 1e-9)
-    t1 = (abs(ev[d0]) + abs(ev[d1])) / 2
-
     overlaps = (np.abs(evecs.conj().T @ SINGLET) ** 2).tolist()
-    dark_weight = 0.0 if abs(t0 - t1) <= 1e-9 else overlaps[d0] + overlaps[d1]
-    check("singlet weight outside the outcome atoms", dark_weight, 1e-12)
-    check("|E| above t0", abs(expectation) - t0, 1e-9)
-    gap = 0.0
-    if t0 >= _T0_FLOOR:
-        # A NaN overlap outside the +t0 eigenspace still fails the check, as in the stacked route.
-        plus = [w * (abs(e - t0) <= 1e-8) for w, e in zip(overlaps, ev)]
-        gap = abs(plus[0] + plus[1] + plus[2] + plus[3] - w_plus)
-    check("projector weight vs closed form", gap, 1e-9)
-    check("numeric t1 vs closed form", abs(t1 - float(_dark_magnitudes(a1, a2, b1, b2))), 1e-9)
-    return ChshSpectrum(t0, t1, w_plus, evals)
+    dark = float(_dark_magnitudes(a1, a2, b1, b2))
+    return ChshSpectrum(t0, _checked_t1(evals.tolist(), overlaps, t0, expectation, w_plus, dark), w_plus, evals)
 
 
 def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:

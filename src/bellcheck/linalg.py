@@ -14,13 +14,14 @@ matrix as it stands at the start of the round, then applies all their
 row updates, then all their column updates (Brent & Luk's parallel
 order).  No rotation goes through BLAS, and every product is rounded on
 its own, so the bits do not depend on the BLAS kernel or on fused
-multiply-adds.  A lone matrix runs the sweep on Python complex lists,
-since a lone CHSH spectrum, computed twice per Monte Carlo
-configuration, would otherwise spend more time on numpy's per-call
-costs than on arithmetic; a stack runs it on float arrays, one set of
-calls per round, and the bits are the same either way.  The builders
-form Kronecker products with the private, unchecked ``_kron``: their
-factors come from angles already checked at the public entry.
+multiply-adds.  A lone matrix up to n = 8 runs the sweep on Python
+complex lists, since a lone CHSH spectrum, computed once per Monte
+Carlo configuration, would otherwise spend more time on numpy's
+per-call costs than on arithmetic; a stack, or a larger lone matrix,
+runs it on float arrays, one set of calls per round, and the bits are
+the same either way.  The builders form Kronecker products with the
+private, unchecked ``_kron``: their factors come from angles already
+checked at the public entry.
 """
 
 from __future__ import annotations
@@ -270,14 +271,15 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
 
     Rounding model: rotations come from float64 operations, and the
     updates multiply each entry only by a real c or u or an imaginary
-    i*v, and add.  A lone matrix runs the sweep on Python complex numbers
-    (:func:`_sweep_lone`), a stack on float planes, one set of array
-    calls per round (:func:`_sweep_stacked`).  Either way each part of a
-    product is one rounded float product, so no BLAS kernel and no fused
-    multiply-add can change a bit, and squared norms are summed left to
-    right in both.  The routes make the same admission and convergence
-    decisions and round every nonzero value alike; they may differ only
-    in the sign of a zero, which the results drop (no entry is -0.0).
+    i*v, and add.  A lone matrix up to n = 8 runs the sweep on Python
+    complex numbers (:func:`_sweep_lone`), a stack or a larger lone
+    matrix on float planes, one set of array calls per round
+    (:func:`_sweep_stacked`).  Either way each part of a product is one
+    rounded float product, so no BLAS kernel and no fused multiply-add
+    can change a bit, and squared norms are summed left to right in both.
+    The routes make the same admission and convergence decisions and
+    round every nonzero value alike; they may differ only in the sign of
+    a zero, which the results drop (no entry is -0.0).
     Each result of a stack is therefore bit-identical to solving that
     matrix alone, and to solving it scaled by any power of two that
     keeps it normal.
@@ -309,7 +311,8 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     work = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     rounds = _ROUNDS_4 if n == 4 else _round_robin_rounds(n)
 
-    if len(work) == 1:
+    # Above n = 8 the stacked sweep is the faster one even for a lone matrix.
+    if len(work) == 1 and n <= 8:
         # The columns of [A; I], with A the scaled input and I where the eigenvectors gather.
         cols = [col + [0j] * i + [1 + 0j] + [0j] * (n - 1 - i) for i, col in enumerate(work[0].T.tolist())]
         norm_sq = _sum_sq_lone(cols, n, off=False)

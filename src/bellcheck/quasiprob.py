@@ -134,7 +134,8 @@ def f_jk(alpha: float, alpha_prime: float) -> QuasiPmf2:
     tables = _quasi_cells(*basis_matrix(np.array((alpha, alpha_prime))), _BETA_PROBE_BASES)
     summed = tables.sum(axis=-1)
     check("f_jk spread over Bob's angle", np.abs(summed[1:] - summed[0]), _IMAG_TOL)
-    return QuasiPmf2(summed[0])
+    # A cell that is 0 in exact arithmetic can round to -4.8e-35, e.g. at alpha = alpha' or alpha' = alpha + pi/2.
+    return QuasiPmf2(np.maximum(summed[0], 0.0))
 
 
 def find_negativity(grid_step: float, threshold: float = -1e-12) -> np.recarray:

@@ -215,6 +215,18 @@ def test_stacked_spectra_equal_single_spectra_bitwise():
         assert messages[0] == messages[1]
 
 
+def test_failing_stack_reports_its_first_failing_configuration():
+    # ROADMAP item 3's 45.003 case, last in a stack of good configurations,
+    # fails with the message it gives alone.
+    near_zero = AngleConfig.from_degrees(0, 45, 0, 45.003)
+    configs = [AngleConfig.from_degrees(*degrees) for degrees in PINNED_DEGREES] + [near_zero]
+    with pytest.raises(InternalCheckError) as alone:
+        chsh_spectrum(near_zero)
+    with pytest.raises(InternalCheckError) as stacked:
+        chsh_spectra(*angle_columns(configs))
+    assert str(stacked.value) == str(alone.value)
+
+
 def test_stacked_operators_equal_single_operators():
     configs = random_configs(43, 10)
     stack = _chsh_operators(*angle_columns(configs))

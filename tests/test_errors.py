@@ -244,6 +244,20 @@ def test_each_cli_cross_check_fires_and_names_itself(monkeypatch, capsys, site):
     assert captured.out == "" and captured.err.startswith(f"internal check failed: {site}: gap ")
 
 
+def test_spectrum_checks_are_written_once():
+    # chsh_spectrum and chsh_spectra run each configuration through one
+    # shared block of spectrum checks, not a copy per route.
+    package = Path(bellcheck.__file__).parent
+    source = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
+    for name in (
+        "numeric t0 vs closed form",
+        "singlet weight outside the outcome atoms",
+        "projector weight vs closed form",
+        "numeric t1 vs closed form",
+    ):
+        assert len(re.findall(r'\bcheck\(\s*"' + re.escape(name) + '"', source)) == 1, name
+
+
 def test_cross_checks_raise_only_through_check():
     # Every route-agreement check goes through errors.check.
     package = Path(bellcheck.__file__).parent

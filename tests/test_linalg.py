@@ -415,6 +415,19 @@ def test_diagonal_chsh_operator_takes_no_rotation(sweep_calls):
     assert sweep_calls == {"lone": 0, "stacked": 0}
 
 
+@pytest.mark.parametrize("n, route", [(8, "lone"), (16, "stacked")])
+def test_lone_matrix_route_depends_on_size(sweep_calls, n, route):
+    # A lone CHSH operator takes the lone route (tests above); a lone
+    # matrix above n = 8 takes the stacked sweep, with the same bits.
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = m + m.conj().T
+    vals, vecs = eig_hermitian(m)
+    assert 0 < sweep_calls[route] == sum(sweep_calls.values())
+    pair_vals, pair_vecs = eig_hermitian(np.stack([m, m]))
+    assert np.array_equal(vals, pair_vals[0]) and np.array_equal(vecs, pair_vecs[0])
+
+
 def test_chsh_sweep_stack_takes_one_stacked_sweep(sweep_calls, capsys):
     assert main(["chsh", "0", "45", "22.5", "-22.5", "--sweep", "10"]) == 0
     capsys.readouterr()

@@ -73,6 +73,13 @@ def test_f_jk_examples_and_marginals():
         assert values.min() > -1e-12
 
 
+@pytest.mark.parametrize("alpha_prime", [0.3, 0.3 + math.pi / 2])
+def test_f_jk_cells_are_never_negative(alpha_prime):
+    # The cell that is 0 in exact arithmetic rounds to -4.8e-35 before the clamp.
+    values = f_jk(0.3, alpha_prime).values
+    assert not np.signbit(values).any()
+
+
 def test_find_negativity_scan():
     witnesses = find_negativity(DEG(15.0))
     assert len(witnesses) > 0
