@@ -48,9 +48,9 @@ _T0_FLOOR = 1e-9
 class ChshSpectrum:
     """Spectral data of the CHSH operator at one configuration.
 
-    ``t0`` is the magnitude of the two outcome atoms (closed form),
-    ``t1`` the magnitude of the remaining eigenvalue pair, which carries
-    no weight in the singlet.  ``w_plus`` is the outcome probability of
+    ``t0`` is the magnitude of the two outcome atoms and ``t1`` that of
+    the remaining eigenvalue pair, which carries no weight in the singlet;
+    both are closed forms, which the eigensolver only checks.  ``w_plus`` is the outcome probability of
     +t0, and the derived ``w_minus = 1 - w_plus`` that of -t0.
     ``eigenvalues`` holds the numeric spectrum in descending order.
     :func:`chsh_spectra` returns the same record for a stack of
@@ -136,12 +136,13 @@ def _outcome_atoms(alpha1: float, alpha2: float, beta1: float, beta2: float) -> 
     return t0, expectation, _outcome_weight(t0, expectation)
 
 
-def _checked_t1(ev: list, overlaps: list, t0: float, expectation: float, w_plus: float, dark: float) -> float:
-    """t1 from four eigenvalues ``ev`` and the singlet's weight on each eigenvector, after the five spectrum checks.
+def _check_spectrum(ev: list, overlaps: list, t0: float, expectation: float, w_plus: float, dark: float) -> None:
+    """The five spectrum checks of one configuration, on four eigenvalues ``ev`` and the singlet's weight on each eigenvector.
 
-    t0, E, w_plus and ``dark`` (t1) are the closed forms.  Both spectrum
-    routes check each configuration here, on Python floats, so they agree
-    bit for bit and fail with the same message.
+    t0, E, w_plus and ``dark`` (t1) are the closed forms the spectrum
+    reports; the eigensolver only checks them.  Both spectrum routes check
+    each configuration here, on Python floats, so they fail with the same
+    message.
     """
     # The two eigenvalues nearest +-t0 in magnitude are the atoms, and the second
     # of them, the farther, is judged; the stable sort keeps ties in index order.
@@ -160,7 +161,6 @@ def _checked_t1(ev: list, overlaps: list, t0: float, expectation: float, w_plus:
         gap = abs(plus[0] + plus[1] + plus[2] + plus[3] - w_plus)
     check("projector weight vs closed form", gap, 1e-9)
     check("numeric t1 vs closed form", abs(t1 - dark), 1e-9)
-    return t1
 
 
 def atom_magnitude(cfg: AngleConfig) -> float:
@@ -184,29 +184,31 @@ def chsh_spectra(
     :class:`~bellcheck.polarization.AngleConfig`.  One stacked Jacobi
     call diagonalizes all operators, and the closed forms and overlaps are
     arrays; then each configuration runs the checks of
-    :func:`chsh_spectrum` in the same code, so each result is bit for bit
-    the one it gives alone.  A failing stack reports the gap of its first
-    failing configuration, not the largest gap over the stack.
+    :func:`chsh_spectrum` in the same code.  Each result is bit for bit
+    the one it gives alone, and on all-scalar input t0, t1 and w_plus are
+    numpy scalars.  A failing stack reports the gap of its first failing
+    configuration, not the largest gap over the stack.
     """
     a1, a2, b1, b2 = np.broadcast_arrays(alpha1, alpha2, beta1, beta2)
     if np.any(same_setting(a1, a2)) or np.any(same_setting(b1, b2)):
         raise ValueError("the two settings on one side coincide mod pi")
     evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
-    t0 = _atom_magnitudes(a1, a2, b1, b2)
-    closed_forms = (t0, _closed_form_expectations(a1, a2, b1, b2), _dark_magnitudes(a1, a2, b1, b2))
-    t0s, expectations, darks = (np.ravel(f).tolist() for f in closed_forms)
+    t0, t1 = _atom_magnitudes(a1, a2, b1, b2), _dark_magnitudes(a1, a2, b1, b2)
+    t0s, expectations, darks = (np.ravel(f).tolist() for f in (t0, _closed_form_expectations(a1, a2, b1, b2), t1))
     overlaps = (np.abs(evecs.conj().swapaxes(-1, -2) @ SINGLET) ** 2).reshape(-1, 4).tolist()
     w_plus = [_outcome_weight(t, e) for t, e in zip(t0s, expectations)]
-    t1 = [_checked_t1(*c) for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, w_plus, darks)]
-    return ChshSpectrum(t0, np.reshape(t1, np.shape(t0)), np.reshape(w_plus, np.shape(t0)), evals)
+    for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, w_plus, darks):
+        _check_spectrum(*c)
+    # [()] makes a 0-d w_plus a numpy scalar, as t0 and t1 already are.
+    return ChshSpectrum(t0, t1, np.reshape(w_plus, np.shape(t0))[()], evals)
 
 
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     """Spectrum and singlet outcome weights of the CHSH operator.
 
-    The closed-form t0 and t1 are cross-checked against the Jacobi
-    eigensolver (to 1e-9), and the singlet's Born weight is verified to
-    sit entirely on the +-t0 eigenspaces.  Disagreement raises
+    The closed-form t0 and t1 it reports are cross-checked against the
+    Jacobi eigensolver (to 1e-9), and the singlet's Born weight is
+    verified to sit entirely on the +-t0 eigenspaces.  Disagreement raises
     InternalCheckError.  The settings are not checked again: AngleConfig
     already has.
 
@@ -218,8 +220,9 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
     t0, expectation, w_plus = _outcome_atoms(a1, a2, b1, b2)
     overlaps = (np.abs(evecs.conj().T @ SINGLET) ** 2).tolist()
-    dark = float(_dark_magnitudes(a1, a2, b1, b2))
-    return ChshSpectrum(t0, _checked_t1(evals.tolist(), overlaps, t0, expectation, w_plus, dark), w_plus, evals)
+    t1 = float(_dark_magnitudes(a1, a2, b1, b2))
+    _check_spectrum(evals.tolist(), overlaps, t0, expectation, w_plus, t1)
+    return ChshSpectrum(t0, t1, w_plus, evals)
 
 
 def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
@@ -234,9 +237,9 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     Draw u of stream 0 gives +t0 when u < w_plus and -t0 otherwise.  The
     stream has the counter-indexed layout of the experiment streams, and
     the draws go through the same block-counting estimator as
-    :func:`~bellcheck.realworld.run_experiments`, so results are
-    reproducible for a fixed seed regardless of sharding, and memory does
-    not grow with ``n`` (1 <= n <= 2**53).  Below t0 = 1e-9 the outcome is
+    :func:`~bellcheck.realworld.run_experiments`, so each draw depends
+    only on (seed, stream, index), and memory does not grow with ``n``
+    (1 <= n <= 2**53).  Below t0 = 1e-9 the outcome is
     exactly 0 and nothing is drawn.  The mean converges on the CHSH
     expectation.
     """

@@ -11,7 +11,10 @@ Every command prints to stdout by default; with ``--out`` it writes the
 same bytes to a file and drops a ``<out>.manifest.json`` beside it
 recording the command, all parameters (a float that 9 digits would round
 as its repr), the package version and a sha256 of the output, so any
-published number can be regenerated (see :func:`replay`).
+published number can be regenerated (see :func:`replay`).  Every
+parameter can change the output, and ``chsh`` prints t0 and t1 from
+their closed forms, which the eigensolver only checks, so no solver
+rounding reaches a printed byte.
 
 Serialization is deliberately rigid for reproducibility: JSON objects
 have sorted keys, integers are printed exactly and floats with 9
@@ -21,9 +24,10 @@ header-and-rows output -- the ``correlate`` CSV row, single and swept
 ``chsh``/``t-spectrum`` rows, both ``enumerate`` targets, and the
 negative cells and scan witnesses of ``quasiprob`` -- is one columnar
 :class:`Table`, written by one row template: comma-joined for CSV, an
-object with sorted keys for JSON.  ``--format`` takes ``json`` or
-``csv`` for ``correlate``, ``chsh``/``t-spectrum`` and ``enumerate``,
-and only ``json`` for ``simulate``, ``fine`` and ``quasiprob``.
+object with sorted keys for JSON.  Only the commands that print a
+table, ``correlate``, ``chsh``/``t-spectrum`` and ``enumerate``, have
+``--format`` (``json`` or ``csv``); ``simulate``, ``fine`` and
+``quasiprob`` print JSON.
 
 Exit codes: 0 success, 2 usage or validation error (an ``--out`` path
 that cannot be written and a grid too fine to allocate included), 3
@@ -231,11 +235,9 @@ def cmd_chsh(args: argparse.Namespace) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> str:
     cfg = _config_from_args(args)
-    # Draw streams are counter-indexed, so the shard count cannot change
-    # any sampled value; it is recorded for the manifest only.
     per_experiment, combined = run_experiments(cfg, args.n, args.seed)
     payload = {
-        **_echo(args, "n", "seed", "shards"),
+        **_echo(args, "n", "seed"),
         "e_rw": vars(combined),
         "flags": {
             "exceeds_2": abs(combined.mean) > 2.0,
@@ -344,10 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(sp: argparse.ArgumentParser) -> argparse.Action:
-        """Add --out and --format; the returned --format action lets a JSON-only command narrow its choices."""
+    def add_output(sp: argparse.ArgumentParser, table: bool = False) -> None:
+        """Add --out, and --format for a command that prints a table."""
         sp.add_argument("--out", help="write output to this path, with a .manifest.json beside it")
-        return sp.add_argument("--format", choices=("json", "csv"), default=None)
+        if table:
+            sp.add_argument("--format", choices=("json", "csv"), default=None)
 
     def add_angles4(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("alpha1_deg", type=float, help="Alice setting 1, degrees")
@@ -358,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("correlate", help="singlet pair correlation and outcome table")
     sp.add_argument("alpha_deg", type=float)
     sp.add_argument("beta_deg", type=float)
-    add_output(sp)
+    add_output(sp, table=True)
     sp.set_defaults(func=cmd_correlate)
 
     # argparse sets args.command to the name typed, so manifests record "t-spectrum" as given.
@@ -368,25 +371,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", dest="sweep_deg", type=_grid_step, default=None,
         help="sweep beta2 over [0, 180) with this step in degrees",
     )
-    add_output(sp)
+    add_output(sp, table=True)
     sp.set_defaults(func=cmd_chsh)
 
     sp = sub.add_parser("simulate", help="Monte Carlo run of the four experiments")
     add_angles4(sp)
     sp.add_argument("--n", type=_positive_int, required=True, help="pairs per experiment")
     sp.add_argument("--seed", type=_seed, required=True, help="master seed (required: no wall-clock seeding)")
-    sp.add_argument("--shards", type=_positive_int, default=1, help="worker shards; results do not depend on it")
-    add_output(sp).choices = ("json",)
+    add_output(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("enumerate", help="exhaustive sample-space tables")
     sp.add_argument("target", choices=("realworld", "counterfactual"))
-    add_output(sp)
+    add_output(sp, table=True)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("fine", help="joint-distribution feasibility of the four quantum pair tables")
     add_angles4(sp)
-    add_output(sp).choices = ("json",)
+    add_output(sp)
     sp.set_defaults(func=cmd_fine)
 
     sp = sub.add_parser("quasiprob", help="quasi-probability table or negativity scan")
@@ -394,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("alpha_prime_deg", type=float, nargs="?", default=None)
     sp.add_argument("beta_deg", type=float, nargs="?", default=None)
     sp.add_argument("--scan", dest="scan_deg", type=_grid_step, default=None, help="grid step in degrees")
-    add_output(sp).choices = ("json",)
+    add_output(sp)
     sp.set_defaults(func=cmd_quasiprob)
 
     for name, sp in sub.choices.items():

@@ -10,10 +10,10 @@ its own photon pair.  This module provides
 * the 256-dimensional four-pair product state and its full Born-rule
   outcome table, cross-checked against the factored per-pair tables.
 
-Random streams are counter-indexed: draw ``i`` of experiment ``n`` lives
-in block ``i // BLOCK_SIZE`` whose generator is seeded from
-``SeedSequence([seed, n, block])``.  Results are therefore bit-identical
-no matter how draws are sharded across workers.  Both seeded samplers,
+Random streams are counter-indexed: draw ``i`` of stream ``n`` (the
+experiment index) lives in block ``i // BLOCK_SIZE`` whose generator is
+seeded from ``SeedSequence([seed, n, block])``, so a draw's value
+depends only on (seed, stream, index).  Both seeded samplers,
 :func:`run_experiments` and :func:`~bellcheck.chsh_operator.sample_outcomes`,
 estimate the mean of a two-valued outcome with one estimator.  It counts
 the draws in one band of [0, 1) block by block instead of keeping them,

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bellcheck
-from bellcheck.cli import canonical_json, main, replay
+from bellcheck.cli import _parser, canonical_json, main, replay
 
 # The directory that holds the package under test, for subprocesses.
 SRC = str(pathlib.Path(bellcheck.__file__).parents[1])
@@ -95,12 +95,8 @@ def test_chsh_rejects_degenerate_settings(capsys):
     assert code == 2
 
 
-def test_simulate_deterministic_across_shards(capsys):
-    argv = ["simulate", "0", "45", "22.5", "-22.5", "--n", "20000", "--seed", "11"]
-    _, one = run_cli(capsys, *argv, "--shards", "1")
-    _, eight = run_cli(capsys, *argv, "--shards", "8")
-    assert one.replace('"shards": 1', '"shards": 8') == eight
-    payload = json.loads(one)
+def test_simulate_flags_the_optimal_angles(capsys):
+    payload = run_json(capsys, "simulate", "0", "45", "22.5", "-22.5", "--n", "20000", "--seed", "11")
     assert payload["flags"]["exceeds_2"] is True
     assert payload["flags"]["exceeds_4"] is False
     assert abs(payload["e_rw"]["mean"] + 2 * math.sqrt(2)) < 5 * payload["e_rw"]["stderr"]
@@ -276,7 +272,7 @@ _ROUND_TRIPS = {
     "chsh": ("chsh", "0", "45", "22.5", "-22.5"),
     "t-spectrum": ("t-spectrum", "0.1234567890123", "45", "22.5", "-22.5"),
     "chsh-sweep": ("chsh", "0", "45", "22.5", "-22.5", "--sweep", "7.77777777777"),
-    "simulate-shards": ("simulate", "0", "45", "22.5", "-22.5", "--n", "3000", "--seed", "11", "--shards", "3"),
+    "simulate": ("simulate", "0", "45", "22.5", "-22.5", "--n", "3000", "--seed", "11"),
     "enumerate-realworld": ("enumerate", "realworld", "--format", "json"),
     "enumerate-counterfactual": ("enumerate", "counterfactual", "--format", "csv"),
     "fine": ("fine", "0", "45", "22.5", "-22.5"),
@@ -392,13 +388,51 @@ def test_sweep_with_every_point_degenerate_prints_header_only(capsys):
     ("quasiprob", "0", "60", "30"),
 ], ids=lambda argv: argv[0])
 def test_json_only_commands_reject_csv(tmp_path, capsys, argv):
+    # A command that prints no table has no --format, so no value of it is legal.
     out = tmp_path / "out.txt"
-    assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
-    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    for value in ("csv", "json"):
+        assert main([*argv, "--format", value, "--out", str(out)]) == 2
+        assert f"unrecognized arguments: --format {value}" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "out.txt.manifest.json").exists()
-    # --format json stays legal, so manifests that record it still replay
-    assert main([*argv, "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)
+
+
+def test_simulate_has_no_shards_option(capsys):
+    assert main(["simulate", "0", "45", "22.5", "-22.5", "--n", "10", "--seed", "1", "--shards", "2"]) == 2
+    assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+
+
+def test_readme_synopsis_parses():
+    # Every "bellcheck ..." line of the README's subcommand synopsis, bracketed options included.
+    readme = (pathlib.Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("Subcommands:\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#")[0].replace("[", " ").replace("]", " ").split() for line in synopsis.splitlines()]
+    assert len(lines) >= 10 and all(argv[0] == "bellcheck" for argv in lines)
+    for argv in lines:
+        try:
+            _parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README synopsis does not parse: {' '.join(argv)}")
+
+
+def test_no_eigensolver_bit_reaches_stdout(capsys, monkeypatch):
+    chsh_module = sys.modules["bellcheck.chsh_operator"]  # the package's chsh_operator is the function
+    argvs = [
+        ("chsh", "0", "45", "22.5", "-22.5"),
+        ("chsh", "0", "45", "22.5", "-22.5", "--format", "csv"),
+        ("chsh", "10", "55", "20", "0", "--sweep", "5"),
+    ]
+    want = [run_cli(capsys, *argv) for argv in argvs]
+    solve, calls = chsh_module.eig_hermitian, []
+
+    def nudged(*args, **kwargs):
+        # Every eigenvalue 1e-12 away from zero, well inside each 1e-9 spectrum check.
+        evals, evecs = solve(*args, **kwargs)
+        calls.append(evals.shape)
+        return evals + np.copysign(1e-12, evals), evecs
+
+    monkeypatch.setattr(chsh_module, "eig_hermitian", nudged)
+    assert [run_cli(capsys, *argv) for argv in argvs] == want
+    assert len(calls) == len(argvs)
 
 
 @pytest.mark.parametrize(

@@ -292,6 +292,8 @@ def test_derived_record_properties():
     assert scalar.w_minus == 1.0 - scalar.w_plus and type(scalar.w_minus) is float
     stack = bellcheck.chsh_spectra(*np.array([FLOATS, [0.0, math.pi / 4, math.pi / 8, -math.pi / 8]]).T)
     assert np.array_equal(stack.w_minus, 1.0 - stack.w_plus)
+    zero_d = bellcheck.chsh_spectra(*FLOATS)  # all-scalar input: every float field is one kind of value
+    assert len({type(zero_d.t0), type(zero_d.t1), type(zero_d.w_plus)}) == 1 and np.ndim(zero_d.w_plus) == 0
     infeasible, feasible = (bellcheck.fine_feasibility(bellcheck.quantum_pair_marginals(cfg)) for cfg in (CFG, FEASIBLE))
     assert infeasible.witness is None and infeasible.feasible is False
     assert feasible.witness is not None and feasible.feasible is True

@@ -309,3 +309,11 @@ def test_pins_change_only_with_the_package_version():
     digest = hashlib.sha256("".join(pins).encode("ascii")).hexdigest()
     assert list(PIN_DIGESTS)[-1] == bellcheck.__version__
     assert PIN_DIGESTS[bellcheck.__version__] == digest, f"pins changed: bump __version__ and record {digest}"
+
+
+def test_pyproject_takes_the_version_from_the_package():
+    # So a bump is one edit, to bellcheck.__version__.
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((DEMOS.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"] and project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "bellcheck.__version__"}
