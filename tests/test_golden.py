@@ -33,9 +33,16 @@ single ``chsh`` ``-0`` hashes, when the sweep moved to the round-parallel
 order with no BLAS product: t1 moved by at most 1.8e-15 and eigenvalues
 by at most 2.3e-15 on 20,046 configurations, and no printed 9-digit
 value of magnitude 1e-12 or more moved.  Since then these hashes are the
-same under every OpenBLAS kernel.  Every pin belongs to one package
-version: ``PIN_DIGESTS`` records a digest of all of them under the
-version they were recorded at, so a re-pin needs a new ``__version__``.
+same under every OpenBLAS kernel.  At version 0.3.0, t1 became its closed
+form, which the eigensolver only checks: the four ``chsh`` hashes whose
+t1 was solver noise below 1e-15 moved (single ``chsh`` 4.4408921e-16 ->
+1.2246468e-16, the ``--sweep 5 --format json`` row beta2 = 155
+5.18145379e-16 -> 2.73839349e-16), with the ``spectrum`` and ``spectra
+stack`` library hashes; the three ``simulate`` hashes moved because the
+``shards`` key left the output, every mean and stderr unchanged.
+Every pin belongs to one package version: ``PIN_DIGESTS`` records a
+digest of all of them under the version they were recorded at, so a
+re-pin needs a new ``__version__``.
 Manifests record the version, so their hashes move with each bump.
 """
 
@@ -59,7 +66,7 @@ GOLDEN = {
     ("chsh", "0", "45", "22.5", "-22.5", "--sweep", "5"):
         "81a1a738003d3c42d8dbd16b71de30af180938fd31fa2ffc37b5cd06e5ae1742",
     ("chsh", "0", "45", "20", "-22.5", "--sweep", "5", "--format", "json"):
-        "4866d0defd20dee8a24b1e45c1c75ad02ab2d38a71a61eec513a2e024eaf2cde",
+        "91a8acee95ee48abee12d0b11133298ca3eda58945f668b2f5feeaea798b8cd3",
     ("t-spectrum", "105.528", "109.043", "92.049", "177.716", "--sweep", "1"):
         "e5fa0e470b4c63c2a0979a42b5cc1c3a1cffd2c5051590066040fb75e440a421",
     ("quasiprob", "--scan", "15"):
@@ -73,11 +80,11 @@ GOLDEN = {
     ("fine", "0", "90", "0", "90"):
         "486f010c50fd6ab590ed10798eca6f7f8d5cd99fa0abab03c8a97f33b9ac570a",
     ("simulate", "0", "45", "22.5", "-22.5", "--n", "200000", "--seed", "7"):
-        "64fe1ab23c61db2a7bc98e7506a2488219e4419d30b8d7cb99ac68637e7ddc9d",
+        "3f759eac0a6cf900080d4d0b7bf441cdfc3f3d40be93ad55e6d6c4d516a825f1",
     ("simulate", "0", "45", "0.001", "90", "--n", "65537", "--seed", "3"):
-        "fcadd6da66b15d8f7ab1cc1160615f66425452a1e4f3989315f20305414a1cf4",
+        "5e04cecdb616d1a097698a6e23eef98833976f56ac72b8d118d0422e274c6449",
     ("simulate", "0", "45", "22.5", "-22.5", "--n", "1", "--seed", "7"):
-        "7d51da9972e1d3a2e08fc662c62dc7a27da237ec67785f57ae3cd125a4605a98",
+        "70d6daae870a263dc5cedaf738f0cdf8fecd68dbdffa9211f62ff5a676deb96e",
     ("correlate", "0", "22.5"):
         "4f42f8681cb982723690fae31dbf17a2833e5730275b52322e07a2f46abc9583",
     ("correlate", "10", "40", "--format", "csv"):
@@ -93,11 +100,11 @@ GOLDEN = {
     ("enumerate", "counterfactual", "--format", "json"):
         "8d56b95a305444e8d7da7a4885ffeb1791368abaa09adbf86b45b9047dd4ee99",
     ("chsh", "0", "45", "22.5", "-22.5"):
-        "a095b8e9ccecbfa223fb99a12d4d002206833a614d2f577d1682c30a3edf2a0a",
+        "d9d9cab0289353624c77abc0b11eb5ce9d453444f3493ae0eb07932a2ff49f4f",
     ("chsh", "-0", "45", "22.5", "-22.5", "--format", "csv"):
-        "f5ff5b64ab950d38fef994753964c15b599c9398d73a59eb4a9f9c5b2639d90e",
+        "1fe6e489dcfe3506c564b307379fd1306f32b81e0abab493aea921fab7c0237c",
     ("chsh", "-0", "45", "22.5", "-22.5"):
-        "a095b8e9ccecbfa223fb99a12d4d002206833a614d2f577d1682c30a3edf2a0a",
+        "d9d9cab0289353624c77abc0b11eb5ce9d453444f3493ae0eb07932a2ff49f4f",
     ("chsh", "0", "45", "0", "10", "--sweep", "180", "--format", "json"):
         "31851727f99a25b3937454c6cf95bd6ec9f602351ca1572375f7f1bdd3baef64",
 }
@@ -116,7 +123,7 @@ def test_golden_out_file_and_manifest_bytes(tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
     assert digests == {
         "spectrum.csv": "91151131db35bdd58041296f7b755e488ff430ce85811aa8c326fecba35933fd",
-        "spectrum.csv.manifest.json": "0a4cdb197ba411b777942fee2ecc2f9b4c0e738fd1603de8c5c2da0887c30361",
+        "spectrum.csv.manifest.json": "05709015e04feddd6fb5ec24df278e8bf2e8b42c4946c7406a846191655b639f",
     }
 
 
@@ -125,14 +132,14 @@ def test_golden_out_file_and_manifest_bytes(tmp_path):
         ("enumerate", "counterfactual", "--format", "csv"),
         {
             "table.txt": "e6cedfc6bbe683c1ae08820c7810bab2d91238c0ebcaf5ea6a01fcf1289bb5e7",
-            "table.txt.manifest.json": "7d34257146f66d99796ecbd88dc87707671b907f6af769242972494f0f5f2a53",
+            "table.txt.manifest.json": "a7455416b30933816e4905aa9e51854d1c1a7e87a5bb6737fcb5d929e04ca51f",
         },
     ),
     (
         ("quasiprob", "--scan", "30"),
         {
             "table.txt": "c8af22a688505adf13041bb02df4da50be88cd315e1438c67b0700638c79a51c",
-            "table.txt.manifest.json": "f3dd79547991a6c4e1ffed67e2f9edd944645c096e33722c036f00b5d87d8695",
+            "table.txt.manifest.json": "edbdfa9d590a2d48217b0d9836e5079d72bbb00b62f0018c0e0a439d9462be7e",
         },
     ),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
@@ -239,8 +246,8 @@ SAMPLER_COUNTS = (1, 65535, 65536, 65537, 10_000)
 
 LIBRARY_GOLDEN = {
     "correlation": "720d7144ed0fcb28c004eaf3232719d6d51b963be0577f20464b3743aa51b5ff",
-    "spectrum": "fd596cf731993d564dced265f3df045d1a031c71535be6acde0ec9843d818acf",
-    "spectra stack": "c2d544ae99ebb84d90befee216cb3d0492c9b7b67acceb0ca71dd3864b3a5ffa",
+    "spectrum": "feb1e0d2e75e0c61cc57054afc7cba12acc3e54a9bfadce6bea0fa3a7cca8ba8",
+    "spectra stack": "cf8c2d0337188659d1570a66268afabe7efceba2738e036d0f2b2016afa52a2b",
     "chsh_operator": "a87cfe23beb8eb2d30752fc3980fd2a0c324da4f7335a4ab9fc9f3085c9fd6f6",
     "pair tables": "cc3fc57f8913e30cd9f5350822aff3596750215875c058d3cdebb78feeccf1bb",
     "fine": "044126f2d4a0771292d949e6e6c5e66dcb993da0da8bbba492c73f558ba6a731",
@@ -300,6 +307,7 @@ def test_golden_library_output_bytes():
 PIN_DIGESTS = {
     "0.1.0": "ade27149da1b6b87cac147a1f5514a9018e9f5566f82fa043562b51bf4f45123",
     "0.2.0": "a31e8d9607de957fb8c81869120cdd0854cb270bc3aca2c71bf8cc217b0f60c7",
+    "0.3.0": "8e583ae3c036c0da13091c4cd61760bf9577da8ce787555b39b1316e072785e8",
 }
 
 
