@@ -140,9 +140,8 @@ def _check_spectrum(ev: list, overlaps: list, t0: float, expectation: float, w_p
     """The five spectrum checks of one configuration, on four eigenvalues ``ev`` and the singlet's weight on each eigenvector.
 
     t0, E, w_plus and ``dark`` (t1) are the closed forms the spectrum
-    reports; the eigensolver only checks them.  Both spectrum routes check
-    each configuration here, on Python floats, so they fail with the same
-    message.
+    reports.  Both spectrum routes check each configuration here, on
+    Python floats, so they fail with the same message.
     """
     # The two eigenvalues nearest +-t0 in magnitude are the atoms, and the second
     # of them, the farther, is judged; the stable sort keeps ties in index order.
@@ -184,10 +183,9 @@ def chsh_spectra(
     :class:`~bellcheck.polarization.AngleConfig`.  One stacked Jacobi
     call diagonalizes all operators, and the closed forms and overlaps are
     arrays; then each configuration runs the checks of
-    :func:`chsh_spectrum` in the same code.  Each result is bit for bit
-    the one it gives alone, and on all-scalar input t0, t1 and w_plus are
-    numpy scalars.  A failing stack reports the gap of its first failing
-    configuration, not the largest gap over the stack.
+    :func:`chsh_spectrum` in the same code, so each result is bit for bit
+    the one it gives alone (numpy scalars on all-scalar input).  A failing
+    stack reports its first failing configuration's gap, not the worst.
     """
     a1, a2, b1, b2 = np.broadcast_arrays(alpha1, alpha2, beta1, beta2)
     if np.any(same_setting(a1, a2)) or np.any(same_setting(b1, b2)):
@@ -199,7 +197,6 @@ def chsh_spectra(
     w_plus = [_outcome_weight(t, e) for t, e in zip(t0s, expectations)]
     for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, w_plus, darks):
         _check_spectrum(*c)
-    # [()] makes a 0-d w_plus a numpy scalar, as t0 and t1 already are.
     return ChshSpectrum(t0, t1, np.reshape(w_plus, np.shape(t0))[()], evals)
 
 

@@ -12,9 +12,8 @@ same bytes to a file and drops a ``<out>.manifest.json`` beside it
 recording the command, all parameters (a float that 9 digits would round
 as its repr), the package version and a sha256 of the output, so any
 published number can be regenerated (see :func:`replay`).  Every
-parameter can change the output, and ``chsh`` prints t0 and t1 from
-their closed forms, which the eigensolver only checks, so no solver
-rounding reaches a printed byte.
+recorded parameter can change the output; solver rounding cannot, since
+``chsh`` prints closed forms that the eigensolver only checks.
 
 Serialization is deliberately rigid for reproducibility: JSON objects
 have sorted keys, integers are printed exactly and floats with 9
@@ -24,10 +23,9 @@ header-and-rows output -- the ``correlate`` CSV row, single and swept
 ``chsh``/``t-spectrum`` rows, both ``enumerate`` targets, and the
 negative cells and scan witnesses of ``quasiprob`` -- is one columnar
 :class:`Table`, written by one row template: comma-joined for CSV, an
-object with sorted keys for JSON.  Only the commands that print a
-table, ``correlate``, ``chsh``/``t-spectrum`` and ``enumerate``, have
-``--format`` (``json`` or ``csv``); ``simulate``, ``fine`` and
-``quasiprob`` print JSON.
+object with sorted keys for JSON.  ``--format`` (``json`` or ``csv``)
+exists only where a table prints: ``correlate``, ``chsh``/``t-spectrum``
+and ``enumerate``; ``simulate``, ``fine`` and ``quasiprob`` print JSON.
 
 Exit codes: 0 success, 2 usage or validation error (an ``--out`` path
 that cannot be written and a grid too fine to allocate included), 3
