@@ -48,11 +48,12 @@ _T0_FLOOR = 1e-9
 class ChshSpectrum:
     """Spectral data of the CHSH operator at one configuration.
 
-    ``t0`` is the magnitude of the two outcome atoms and ``t1`` that of
-    the remaining eigenvalue pair, which carries no weight in the singlet;
-    both are closed forms, which the eigensolver only checks.  ``w_plus`` is the outcome probability of
-    +t0, and the derived ``w_minus = 1 - w_plus`` that of -t0.
-    ``eigenvalues`` holds the numeric spectrum in descending order.
+    ``t0`` and ``t1`` are the magnitudes of the two outcome atoms and of
+    the other eigenvalue pair, which carries no weight in the singlet:
+    closed forms, which the eigensolver only checks.  ``w_plus`` is the
+    outcome probability of +t0, and the derived ``w_minus = 1 - w_plus``
+    that of -t0.  ``eigenvalues`` holds the numeric spectrum in descending
+    order.
     :func:`chsh_spectra` returns the same record for a stack of
     configurations, each field an array along it.  Every field must be
     finite, and ``w_plus`` within [0, 1].
@@ -236,9 +237,8 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     the draws go through the same block-counting estimator as
     :func:`~bellcheck.realworld.run_experiments`, so each draw depends
     only on (seed, stream, index), and memory does not grow with ``n``
-    (1 <= n <= 2**53).  Below t0 = 1e-9 the outcome is
-    exactly 0 and nothing is drawn.  The mean converges on the CHSH
-    expectation.
+    (1 <= n <= 2**53).  Below t0 = 1e-9 the outcome is exactly 0 and
+    nothing is drawn.  The mean converges on the CHSH expectation.
     """
     _check_draw_count(n)
     a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2

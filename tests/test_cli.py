@@ -95,13 +95,6 @@ def test_chsh_rejects_degenerate_settings(capsys):
     assert code == 2
 
 
-def test_simulate_flags_the_optimal_angles(capsys):
-    payload = run_json(capsys, "simulate", "0", "45", "22.5", "-22.5", "--n", "20000", "--seed", "11")
-    assert payload["flags"]["exceeds_2"] is True
-    assert payload["flags"]["exceeds_4"] is False
-    assert abs(payload["e_rw"]["mean"] + 2 * math.sqrt(2)) < 5 * payload["e_rw"]["stderr"]
-
-
 def test_simulate_rejects_n_beyond_exact_counting(capsys, monkeypatch, tmp_path):
     def no_draws(seed, stream, n):
         raise AssertionError("the count must be rejected before any draw")
