@@ -35,6 +35,7 @@ internal cross-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -337,7 +338,13 @@ def _seed(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Command name (aliases too) -> (dest, option string or None for a positional) of each argument but --help and
+# --out, read by _parser from the parser's own actions: the one list that _echo, manifests and replay use.
+_ARGUMENTS: dict[str, tuple[tuple[str, str | None], ...]] = {}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellcheck",
         description="Exact and Monte Carlo checks for CHSH experiment statistics.",
@@ -401,19 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         actions = [action for action in sp._actions if action.dest not in ("help", "out")]
         _ARGUMENTS[name] = tuple((action.dest, (action.option_strings or [None])[0]) for action in actions)
     return parser
-
-
-_PARSER: argparse.ArgumentParser | None = None
-# Command name (aliases too) -> (dest, option string or None for a positional) of each argument but --help and
-# --out, read by build_parser from the parser's own actions: the one list that _echo, manifests and replay use.
-_ARGUMENTS: dict[str, tuple[tuple[str, str | None], ...]] = {}
-
-
-def _parser() -> argparse.ArgumentParser:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
 
 
 def main(argv: list[str] | None = None) -> int:

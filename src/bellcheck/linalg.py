@@ -3,24 +3,24 @@
 Everything here works on plain ``numpy`` arrays with dtype complex128.
 Vectors are 1-d arrays, operators are 2-d arrays, and a stack of
 operators is an array of shape ``(..., n, n)``; every function below
-accepts a stack and acts on its trailing two axes.  The dimensions that
-actually occur in this package are 2, 4 and 256; the eigensolver is a
-Jacobi iteration that visits the (p, q) pairs in round-robin tournament
-order, intended for the 4x4 operators it is used on, and
-``eig_hermitian`` diagonalizes a whole ``(..., n, n)`` stack in one
+accepts a stack and acts on its trailing two axes.  The operators that
+occur in this package are 2x2 and 4x4 (256 is the length of the tensor
+state; no 256x256 matrix is ever formed).  The eigensolver is a Jacobi
+iteration that visits the (p, q) pairs in round-robin tournament order,
+and ``eig_hermitian`` diagonalizes a whole ``(..., n, n)`` stack in one
 call, so an angle sweep costs one solve rather than one per point.
 A sweep takes the rotations of each round's disjoint pairs from the
 matrix as it stands at the start of the round, then applies all their
 row updates, then all their column updates (Brent & Luk's parallel
 order).  No rotation goes through BLAS, and every product is rounded on
-its own, so the bits do not depend on the BLAS kernel or on fused
-multiply-adds.  A lone matrix up to n = 8 runs the sweep on Python
-complex lists, since a lone CHSH spectrum, computed once per Monte
-Carlo configuration, would otherwise spend more time on numpy's
-per-call costs than on arithmetic; a stack, or a larger lone matrix,
-runs it on float arrays, one set of calls per round, and the bits are
-the same either way.  The builders form Kronecker products with the
-private, unchecked ``_kron``: their factors come from angles already
+its own, so the bits do not depend on the BLAS kernel, on numpy's SIMD
+loops or on fused multiply-adds.  A lone matrix up to n = 8 runs the
+sweep on Python complex lists, since a lone CHSH spectrum, computed once
+per Monte Carlo configuration, would otherwise spend more time on
+numpy's per-call costs than on arithmetic; a stack, or a larger lone
+matrix, runs it on complex arrays, one set of calls per round, and the
+bits are the same either way.  The builders form Kronecker products with
+the private, unchecked ``_kron``: their factors come from angles already
 checked at the public entry.
 """
 
@@ -43,10 +43,6 @@ _OFF_TOL = 2.5e-14
 # finite: |apq| and theta need no further scaling.
 _SKIP = 1e-150
 _MAX_SWEEPS = 100
-# The stacked sweep's factors: (u, -u) for the p and q halves of a round,
-# and (-v, v) for the parts (im, re) of a product by i*v.
-_HALF_SIGNS = np.array([1.0, -1.0])[:, None, None]
-_SWAP_SIGNS = -_HALF_SIGNS
 
 
 def as_operator(a: np.ndarray) -> np.ndarray:
@@ -83,39 +79,28 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
 
 
-def _round_robin_pairs(n: int) -> list[tuple[int, int]]:
-    """Every index pair (p, q), p < q, of an n x n matrix in round-robin tournament order.
+def _round_robin_rounds(n: int) -> list[tuple]:
+    """Every index pair (p, q), p < q, of an n x n matrix, in the rounds of a round-robin tournament.
 
     The first round pairs i with n - 1 - i.  Each later round keeps index 0
     in place and moves the others one seat round the table, so every pair
-    meets exactly once in n - 1 rounds (n rounds for odd n, where a
-    dummy seat beside the middle index sits each index out once).
+    meets exactly once in n - 1 rounds of n // 2 disjoint pairs (n rounds
+    for odd n, where a dummy seat beside the middle index sits each index
+    out once; none for n <= 1).  Each round is (pairs, p, q, p + q): its
+    pairs, and as index arrays their first and second indices and both
+    concatenated.
     """
+    if n <= 1:
+        return []
     seats: list[int | None] = list(range(n))
     if n % 2:
         seats.insert((n + 1) // 2, None)
-    pairs = []
-    for _ in range(len(seats) - 1):
-        for i in range(len(seats) // 2):
-            p, q = seats[i], seats[-1 - i]
-            if p is not None and q is not None:
-                pairs.append((min(p, q), max(p, q)))
-        seats[1:] = seats[-1:] + seats[1:-1]
-    return pairs
-
-
-def _round_robin_rounds(n: int) -> list[tuple]:
-    """:func:`_round_robin_pairs` cut into its rounds of n // 2 disjoint pairs.
-
-    Each round is (pairs, p, q, p + q): its pairs, and as index arrays
-    their first and second indices and both concatenated.
-    """
-    pairs, size = _round_robin_pairs(n), max(n // 2, 1)
     rounds = []
-    for start in range(0, len(pairs), size):
-        rnd = pairs[start : start + size]
-        p, q = ([pair[side] for pair in rnd] for side in (0, 1))
-        rounds.append((rnd, *(np.array(index) for index in (p, q, p + q))))
+    for _ in range(len(seats) - 1):
+        pairs = [(min(pair), max(pair)) for pair in zip(seats[: len(seats) // 2], seats[::-1]) if None not in pair]
+        p, q = ([pair[side] for pair in pairs] for side in (0, 1))
+        rounds.append((pairs, *(np.array(index) for index in (p, q, p + q))))
+        seats[1:] = seats[-1:] + seats[1:-1]
     return rounds
 
 
@@ -142,22 +127,21 @@ def _rotation(app: float, aqq: float, apq: complex, skip: float) -> tuple[float,
     return c, s * (re / safe), s * (im / safe)
 
 
-def _rotations(f: np.ndarray, p: np.ndarray, q: np.ndarray, pq: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_rotation` for each pair (p[i], q[i]) and each matrix of the stack ``f``, as arrays (k, N).
+def _rotations(g: np.ndarray, p: np.ndarray, q: np.ndarray, pq: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_rotation` for each pair (p[i], q[i]) and each matrix of the stack ``g``, as arrays (k, N).
 
-    ``f`` holds the real and imaginary parts on its first axis and the
-    stack on its last; ``pq`` is p and q concatenated.
+    ``g`` holds the stack on its last axis; ``pq`` is p and q concatenated.
     """
-    parts = f[:, p, q]
-    squares = parts * parts
-    mag = np.sqrt(squares[0] + squares[1])
+    apq = g[p, q]
+    re, im = apq.real, apq.imag
+    mag = np.sqrt(re * re + im * im)
     safe = np.maximum(mag, skip)
-    diagonal = f[0, pq, pq]
+    diagonal = g[pq, pq].real
     theta = (diagonal[len(p) :] - diagonal[: len(p)]) / (2.0 * safe)
     t = np.copysign(mag >= skip, theta + 0.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
     c = 1.0 / np.sqrt(t * t + 1.0)
-    u, v = (t * c) * (parts / safe)
-    return c, u, v
+    s = t * c
+    return c, s * (re / safe), s * (im / safe)
 
 
 def _sweep_lone(cols: list, rounds: list, skip: float) -> list:
@@ -188,31 +172,27 @@ def _sweep_lone(cols: list, rounds: list, skip: float) -> list:
     return cols
 
 
-def _sweep_stacked(f: np.ndarray, rounds: list, skip: np.ndarray) -> None:
+def _sweep_stacked(g: np.ndarray, rounds: list, skip: np.ndarray) -> None:
     """:func:`_sweep_lone` on a stack, in place, one set of array calls per round.
 
-    ``f`` has shape (2, 2n, n, N): the real and imaginary parts of [A; V]
-    for each of N matrices, the stack last so that every call loops over
-    it.  Rows (or columns) p and q are gathered as two halves and updated
-    together, each from its partner in the other half: c*x - (w*y +- iv*y)
-    with w = u for p and -u for q.  A product by i*v is a product by
-    (-v, v) of the parts swapped.
+    ``g`` has shape (2n, n, N): [A; V] for each of N matrices, the stack
+    last so that every call loops over it.  Rows (or columns) p and q are
+    gathered as two halves and updated together, each from its partner in
+    the other half: c*x - (w*y +- iv*y) with w = u for p and -u for q.
     """
-    _, rows, n, size = f.shape
+    rows, n, size = g.shape
     for _, p, q, pq in rounds:
         k = len(p)
-        c, u, v = _rotations(f, p, q, pq, skip)
-        w, v = u * _HALF_SIGNS, v * _SWAP_SIGNS
-        # Rows: axes (part, half, pair, column, matrix); y swaps the halves.
-        x = f[:, pq].reshape(2, 2, k, n, size)
+        c, u, v = _rotations(g, p, q, pq, skip)
+        w, iv = np.stack((u, -u)), v * 1j
+        # Rows: axes (half, pair, column, matrix); y swaps the halves.
+        x = g[pq].reshape(2, k, n, size)
+        y = x[::-1]
+        g[pq] = (c[:, None] * x - (w[:, :, None] * y + iv[:, None] * y)).reshape(2 * k, n, size)
+        # Columns of [A; V]: axes (row, half, pair, matrix).
+        x = g[:, pq].reshape(rows, 2, k, size)
         y = x[:, ::-1]
-        new = c[:, None] * x - (w[:, :, None] * y + v[:, None, :, None] * y[::-1])
-        f[:, pq] = new.reshape(2, 2 * k, n, size)
-        # Columns of [A; V]: axes (part, row, half, pair, matrix).
-        x = f[:, :, pq].reshape(2, rows, 2, k, size)
-        y = x[:, :, ::-1]
-        new = c * x - (w * y - v[:, None, None] * y[::-1])
-        f[:, :, pq] = new.reshape(2, rows, 2 * k, size)
+        g[:, pq] = (c * x - (w * y - iv * y)).reshape(rows, 2 * k, size)
 
 
 def _sum_sq_lone(cols: list, n: int, off: bool) -> float:
@@ -226,13 +206,13 @@ def _sum_sq_lone(cols: list, n: int, off: bool) -> float:
     return total
 
 
-def _sum_sq_stacked(f: np.ndarray, n: int, off: bool) -> np.ndarray:
-    """:func:`_sum_sq_lone` for each matrix of the stack ``f`` (laid out as in :func:`_sweep_stacked`).
+def _sum_sq_stacked(g: np.ndarray, n: int, off: bool) -> np.ndarray:
+    """:func:`_sum_sq_lone` for each matrix of the stack ``g`` (laid out as in :func:`_sweep_stacked`).
 
     A cumulative sum adds left to right.
     """
-    parts_sq = f[:, :n] * f[:, :n]
-    sq = parts_sq[0] + parts_sq[1]
+    a = g[:n]
+    sq = a.real * a.real + a.imag * a.imag
     if off:
         sq[range(n), range(n)] = 0.0
     return np.cumsum(sq.reshape(n * n, -1), axis=0)[-1]
@@ -244,7 +224,7 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     Parameters
     ----------
     a : square matrix, or stack of them with shape ``(..., n, n)``,
-        each Hermitian within ``tol`` (entrywise).
+        each Hermitian within the relative ``tol``.
     tol : hermiticity admission tolerance, relative to the largest real
         or imaginary part, within a factor of two; a NaN ``tol`` admits
         nothing.  Orthonormality and residual of the returned
@@ -257,7 +237,7 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     descending order, shape ``(..., n)``, eigenvectors as the matching
     orthonormal columns, shape ``(..., n, n)``.
 
-    A sweep runs the round-robin rounds of :func:`_round_robin_pairs`
+    A sweep runs the round-robin rounds of :func:`_round_robin_rounds`
     (for n = 4, (0,3) and (1,2), then (0,2) and (1,3), then (0,1) and
     (2,3)) in Brent & Luk's parallel order: each round takes the
     rotations of its disjoint pairs from the matrix as it stands at the
@@ -273,10 +253,12 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     updates multiply each entry only by a real c or u or an imaginary
     i*v, and add.  A lone matrix up to n = 8 runs the sweep on Python
     complex numbers (:func:`_sweep_lone`), a stack or a larger lone
-    matrix on float planes, one set of array calls per round
-    (:func:`_sweep_stacked`).  Either way each part of a product is one
-    rounded float product, so no BLAS kernel and no fused multiply-add
-    can change a bit, and squared norms are summed left to right in both.
+    matrix on complex arrays, one set of array calls per round
+    (:func:`_sweep_stacked`).  Either way each part of a complex product
+    by a purely real or purely imaginary factor has exactly one nonzero
+    float product, the other being an exact zero, so it is rounded once,
+    fused or not: no BLAS kernel, SIMD loop or fused multiply-add can
+    change a bit, and squared norms are summed left to right in both.
     The routes make the same admission and convergence decisions and
     round every nonzero value alike; they may differ only in the sign of
     a zero, which the results drop (no entry is -0.0).
@@ -331,24 +313,24 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
 
     # Rows :n hold the matrix, rows n: the eigenvectors, so one column update
     # applies to both.
-    f = np.zeros((2, 2 * n, n, len(work)))
-    f[0, :n], f[1, :n] = work.real.transpose(1, 2, 0), work.imag.transpose(1, 2, 0)
-    f[0, n:] = np.eye(n)[:, :, None]
-    norm_sq = _sum_sq_stacked(f, n, off=False)
+    g = np.zeros((2 * n, n, len(work)), dtype=np.complex128)
+    g[:n] = work.transpose(1, 2, 0)
+    g[n:] = np.eye(n)[:, :, None]
+    norm_sq = _sum_sq_stacked(g, n, off=False)
     target_sq, skip = _OFF_TOL**2 * norm_sq, _SKIP * np.sqrt(norm_sq)
-    active = np.flatnonzero(_sum_sq_stacked(f, n, off=True) > target_sq)
+    active = np.flatnonzero(_sum_sq_stacked(g, n, off=True) > target_sq)
     for _ in range(_MAX_SWEEPS):
         if active.size == 0:
             break
-        m = f[..., active]
+        m = g[..., active]
         _sweep_stacked(m, rounds, skip[active])
-        f[..., active] = m
+        g[..., active] = m
         active = active[_sum_sq_stacked(m, n, off=True) > target_sq[active]]
     if active.size:
         raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
 
-    order = np.argsort(-f[0, range(n), range(n)].T, axis=1, kind="stable")
+    order = np.argsort(-g[range(n), range(n)].real.T, axis=1, kind="stable")
     stack_index = np.arange(len(work))[:, None]
-    vals = np.ldexp(f[0, order, order, stack_index], exponent[:, None]) + 0.0
-    vecs = np.ascontiguousarray(f[:, n:, order, stack_index].transpose(2, 1, 3, 0)).view(np.complex128) + 0.0
+    vals = np.ldexp(g[order, order, stack_index].real, exponent[:, None]) + 0.0
+    vecs = g[n:, order, stack_index].transpose(1, 0, 2) + 0.0
     return vals.reshape(a.shape[:-1]), vecs.reshape(a.shape)

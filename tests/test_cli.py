@@ -88,6 +88,19 @@ def test_chsh_sweep_skips_degenerate_grid_point(capsys):
     assert 20.0 not in [float(r[3]) for r in rows]
 
 
+# The sweep grid is np.arange(0, 180, step), which can round its last point
+# up to 180: a step of 180/227 prints a 228th row at beta2 = 180 that
+# repeats the beta2 = 0 row (ROADMAP item 3).
+@pytest.mark.parametrize("step", [
+    "10",
+    pytest.param("0.7929515418502202", marks=pytest.mark.xfail(strict=True, reason="the sweep grid reaches 180")),
+])
+def test_chsh_sweep_stays_below_180(capsys, step):
+    code, out = run_cli(capsys, "chsh", "0", "45", "22.5", "-22.5", "--sweep", step)
+    assert code == 0
+    assert max(float(line.split(",")[3]) for line in out.strip().split("\n")[1:]) < 180.0
+
+
 def test_chsh_rejects_degenerate_settings(capsys):
     code, _ = run_cli(capsys, "chsh", "0", "45", "10", "190")
     assert code == 2

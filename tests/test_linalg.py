@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import bellcheck
 from bellcheck import linalg
 from bellcheck.cli import main
-from bellcheck.linalg import _kron, _round_robin_pairs, commutator, eig_hermitian
+from bellcheck.linalg import _kron, _round_robin_rounds, commutator, eig_hermitian
 from bellcheck.polarization import AngleConfig, singlet_state, z_operator
 from bellcheck.chsh_operator import chsh_operator
 
@@ -358,17 +358,25 @@ def test_eig_raises_when_the_sweeps_run_out(monkeypatch):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_round_robin_order_meets_each_pair_once(n):
-    pairs = _round_robin_pairs(n)
+    rounds = _round_robin_rounds(n)
+    pairs = [pair for rnd, *_ in rounds for pair in rnd]
     assert sorted(pairs) == [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    assert pairs[: n // 2] == [(i, n - 1 - i) for i in range(n // 2)]
-    # Each round of n // 2 pairs touches every index at most once.
-    for start in range(0, len(pairs), n // 2):
-        rnd = pairs[start : start + n // 2]
-        assert len({i for pair in rnd for i in pair}) == 2 * len(rnd)
+    assert rounds[0][0] == [(i, n - 1 - i) for i in range(n // 2)]
+    for rnd, p, q, pq in rounds:
+        # Each round holds n // 2 pairs and touches every index at most once.
+        assert len(rnd) == n // 2 and len({i for pair in rnd for i in pair}) == 2 * len(rnd)
+        assert p.tolist() == [pair[0] for pair in rnd] and q.tolist() == [pair[1] for pair in rnd]
+        assert pq.tolist() == p.tolist() + q.tolist()
 
 
 def test_round_robin_order_for_four():
-    assert _round_robin_pairs(4) == [(0, 3), (1, 2), (0, 2), (1, 3), (0, 1), (2, 3)]
+    pairs = [pair for rnd, *_ in _round_robin_rounds(4) for pair in rnd]
+    assert pairs == [(0, 3), (1, 2), (0, 2), (1, 3), (0, 1), (2, 3)]
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_round_robin_order_has_no_rounds_below_two(n):
+    assert _round_robin_rounds(n) == []
 
 
 @pytest.fixture
@@ -434,10 +442,11 @@ def test_chsh_sweep_stack_takes_one_stacked_sweep(sweep_calls, capsys):
     assert sweep_calls == {"lone": 0, "stacked": 1}
 
 
-# Run in a subprocess under one OpenBLAS kernel: prints the sha256 of a
-# probe `@` product, then that of the lone and stacked eig_hermitian
-# results for n = 2..8 and of the chsh_spectrum and chsh_spectra fields
-# over 2,000 seeded configurations.
+# Run in a subprocess under one OpenBLAS kernel and numpy SIMD dispatch:
+# prints the sha256 of a probe `@` product and of a probe elementwise
+# product of general complex arrays, then that of the lone and stacked
+# eig_hermitian results for n = 2..8 and of the chsh_spectrum and
+# chsh_spectra fields over 2,000 seeded configurations.
 _KERNEL_DIGESTS = """
 import hashlib, math
 import numpy as np
@@ -454,6 +463,7 @@ def digest(arrays):
 rng = np.random.default_rng(2024)
 a = rng.standard_normal((64, 4, 4)) + 1j * rng.standard_normal((64, 4, 4))
 print(digest([a @ a.conj().swapaxes(-1, -2) @ a]))
+print(digest([a * a[::-1]]))
 results = []
 for n in range(2, 9):
     m = rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n))
@@ -476,22 +486,25 @@ print(digest(results))
 
 def test_eigensolver_bits_do_not_depend_on_the_blas_kernel():
     # OpenBLAS picks a kernel for the host CPU; Sandybridge has no fused
-    # multiply-add, Haswell has.  The solver makes no BLAS call, so its bits
-    # must not depend on the choice.
+    # multiply-add, Haswell has.  numpy dispatches its elementwise loops to
+    # the widest SIMD the CPU has; the last run turns that off.  The solver
+    # makes no BLAS call, and each part of each of its products has one
+    # nonzero float product, so its bits must not depend on either choice.
     src = str(pathlib.Path(bellcheck.__file__).parents[1])
     runs = []
-    for kernel in ("Sandybridge", "Haswell"):
+    for kernel, simd_off in (("Sandybridge", None), ("Haswell", None), ("Haswell", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")):
         env = {
             **os.environ,
             "OPENBLAS_CORETYPE": kernel,
             "OPENBLAS_NUM_THREADS": "1",
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
         }
+        if simd_off:
+            env["NPY_DISABLE_CPU_FEATURES"] = simd_off
         command = [sys.executable, "-c", _KERNEL_DIGESTS]
         runs.append(subprocess.Popen(command, stdout=subprocess.PIPE, text=True, env=env))
-    outputs = [run.communicate()[0] for run in runs]
-    assert [run.returncode for run in runs] == [0, 0]
-    (probe_sandybridge, sandybridge), (probe_haswell, haswell) = (output.split() for output in outputs)
-    if probe_sandybridge == probe_haswell:
-        pytest.skip("OPENBLAS_CORETYPE changed no BLAS product on this host")
-    assert sandybridge == haswell
+    outputs = [run.communicate()[0].split() for run in runs]
+    assert [run.returncode for run in runs] == [0, 0, 0]
+    if all(output[:-1] == outputs[0][:-1] for output in outputs):
+        pytest.skip("neither OPENBLAS_CORETYPE nor NPY_DISABLE_CPU_FEATURES changed a probe product on this host")
+    assert [output[-1] for output in outputs] == [outputs[0][-1]] * len(runs)
