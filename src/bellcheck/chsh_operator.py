@@ -19,8 +19,8 @@ Landau's identity, C^2 = 4 I - [A1, A2] (x) [B1, B2] for the CHSH
 operator C with Alice's observables A1, A2 and Bob's B1, B2 (L. J.
 Landau, Phys. Lett. A 120, 54 (1987)), makes the singlet an eigenvector
 of C^2 with eigenvalue t0^2.  The outcome sampler checks t0 through it,
-with no eigensolve; the spectrum routes check t0 and t1 against the
-Jacobi eigenvalues.
+with no eigensolve.  ``chsh_spectrum`` and ``chsh_spectra`` run one
+kernel, which checks t0 and t1 against the Jacobi eigenvalues.
 """
 
 from __future__ import annotations
@@ -88,6 +88,8 @@ def _chsh_operators(alpha1, alpha2, beta1, beta2) -> np.ndarray:
     Each product X(a) Y(b) equals the Kronecker product Z(a) (x) Z(b).
     One z_operator call builds all four factors, whose entries are
     finite by construction, and each product is formed by broadcasting.
+    Each Z is real and exactly symmetric, so the hermiticity check reads
+    exactly 0: it guards code changes, not rounding.
     """
     za1, za2, zb1, zb2 = z_operator(np.array((alpha1, alpha2, beta1, beta2)))
     op = _kron(za1, zb1) + _kron(za1, zb2) + _kron(za2, zb1) - _kron(za2, zb2)
@@ -121,28 +123,23 @@ def _closed_form_expectations(alpha1, alpha2, beta1, beta2) -> np.ndarray:
     )
 
 
-def _outcome_weight(t0: float, expectation: float) -> float:
-    """w_plus = (1 + E/t0)/2 of one configuration, clipped to [0, 1], and 0.5 below the t0 floor."""
-    return min(max((1.0 + expectation / t0) / 2.0, 0.0), 1.0) if t0 >= _T0_FLOOR else 0.5
+def _outcome_atoms(alpha1, alpha2, beta1, beta2) -> tuple[list, list, list]:
+    """Closed-form t0, E and w_plus = (1 + E/t0)/2 (clipped; 0.5 below the t0 floor), as lists of floats.
 
-
-def _outcome_atoms(alpha1: float, alpha2: float, beta1: float, beta2: float) -> tuple[float, float, float]:
-    """Closed-form t0, E and w_plus of one configuration, as Python floats.
-
-    :func:`chsh_spectrum` and :func:`sample_outcomes` both take their
-    values from here, so a spectrum and a draw see the same bits.
+    Every spectrum and every draw reads them here, so they see the same bits.
     """
-    t0 = float(_atom_magnitudes(alpha1, alpha2, beta1, beta2))
-    expectation = float(_closed_form_expectations(alpha1, alpha2, beta1, beta2))
-    return t0, expectation, _outcome_weight(t0, expectation)
+    t0s = np.ravel(_atom_magnitudes(alpha1, alpha2, beta1, beta2)).tolist()
+    expectations = np.ravel(_closed_form_expectations(alpha1, alpha2, beta1, beta2)).tolist()
+    w_plus = [min(max((1.0 + e / t) / 2.0, 0.0), 1.0) if t >= _T0_FLOOR else 0.5 for t, e in zip(t0s, expectations)]
+    return t0s, expectations, w_plus
 
 
 def _check_spectrum(ev: list, overlaps: list, t0: float, expectation: float, w_plus: float, dark: float) -> None:
     """The five spectrum checks of one configuration, on four eigenvalues ``ev`` and the singlet's weight on each eigenvector.
 
     t0, E, w_plus and ``dark`` (t1) are the closed forms the spectrum
-    reports.  Both spectrum routes check each configuration here, on
-    Python floats, so they fail with the same message.
+    reports.  :func:`_spectra` checks each configuration here, on Python
+    floats, for a lone spectrum and a stack alike.
     """
     # The two eigenvalues nearest +-t0 in magnitude are the atoms, and the second
     # of them, the farther, is judged; the stable sort keeps ties in index order.
@@ -173,6 +170,20 @@ def closed_form_expectation(cfg: AngleConfig) -> float:
     return float(_closed_form_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
 
 
+def _spectra(alpha1, alpha2, beta1, beta2) -> tuple[list, list, list, np.ndarray]:
+    """Checked t0, t1 and w_plus of each configuration as lists of floats, and the eigenvalues.
+
+    One Jacobi call diagonalizes every operator; each configuration runs :func:`_check_spectrum`.
+    """
+    evals, evecs = eig_hermitian(_chsh_operators(alpha1, alpha2, beta1, beta2), tol=1e-10)
+    t0s, expectations, w_plus = _outcome_atoms(alpha1, alpha2, beta1, beta2)
+    t1s = np.ravel(_dark_magnitudes(alpha1, alpha2, beta1, beta2)).tolist()
+    overlaps = (np.abs(evecs.conj().swapaxes(-1, -2) @ SINGLET) ** 2).reshape(-1, 4).tolist()
+    for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, w_plus, t1s):
+        _check_spectrum(*c)
+    return t0s, t1s, w_plus, evals
+
+
 def chsh_spectra(
     alpha1: float | np.ndarray, alpha2: float | np.ndarray, beta1: float | np.ndarray, beta2: float | np.ndarray
 ) -> ChshSpectrum:
@@ -181,24 +192,17 @@ def chsh_spectra(
     The four angles (radians) broadcast against each other, and every
     field of the result has their broadcast shape, plus a trailing axis
     of four for ``eigenvalues``.  Each configuration obeys the rules of
-    :class:`~bellcheck.polarization.AngleConfig`.  One stacked Jacobi
-    call diagonalizes all operators, and the closed forms and overlaps are
-    arrays; then each configuration runs the checks of
-    :func:`chsh_spectrum` in the same code, so each result is bit for bit
-    the one it gives alone (numpy scalars on all-scalar input).  A failing
-    stack reports its first failing configuration's gap, not the worst.
+    :class:`~bellcheck.polarization.AngleConfig`, which is checked here;
+    the rest is the code :func:`chsh_spectrum` runs, so each result is
+    bit for bit the one it gives alone (numpy scalars on all-scalar
+    input).  A failing stack reports its first failing configuration's
+    gap, not the worst.
     """
     a1, a2, b1, b2 = np.broadcast_arrays(alpha1, alpha2, beta1, beta2)
     if np.any(same_setting(a1, a2)) or np.any(same_setting(b1, b2)):
         raise ValueError("the two settings on one side coincide mod pi")
-    evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
-    t0, t1 = _atom_magnitudes(a1, a2, b1, b2), _dark_magnitudes(a1, a2, b1, b2)
-    t0s, expectations, darks = (np.ravel(f).tolist() for f in (t0, _closed_form_expectations(a1, a2, b1, b2), t1))
-    overlaps = (np.abs(evecs.conj().swapaxes(-1, -2) @ SINGLET) ** 2).reshape(-1, 4).tolist()
-    w_plus = [_outcome_weight(t, e) for t, e in zip(t0s, expectations)]
-    for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, w_plus, darks):
-        _check_spectrum(*c)
-    return ChshSpectrum(t0, t1, np.reshape(w_plus, np.shape(t0))[()], evals)
+    *fields, evals = _spectra(a1, a2, b1, b2)
+    return ChshSpectrum(*(np.reshape(f, a1.shape)[()] for f in fields), evals)
 
 
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
@@ -207,27 +211,19 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     The closed-form t0 and t1 it reports are cross-checked against the
     Jacobi eigensolver (to 1e-9), and the singlet's Born weight is
     verified to sit entirely on the +-t0 eigenspaces.  Disagreement raises
-    InternalCheckError.  The settings are not checked again: AngleConfig
-    already has.
-
-    One configuration takes one lone-route eigensolve, then the checks
-    that :func:`chsh_spectra` runs on each of its configurations, so the
-    fields are bit for bit the same; all but ``eigenvalues`` are floats.
+    InternalCheckError.  AngleConfig has checked the settings, and the
+    rest is :func:`chsh_spectra`'s code on four floats, so the fields are
+    bit for bit the same; all but ``eigenvalues`` are floats.
     """
-    a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
-    evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
-    t0, expectation, w_plus = _outcome_atoms(a1, a2, b1, b2)
-    overlaps = (np.abs(evecs.conj().T @ SINGLET) ** 2).tolist()
-    t1 = float(_dark_magnitudes(a1, a2, b1, b2))
-    _check_spectrum(evals.tolist(), overlaps, t0, expectation, w_plus, t1)
+    (t0,), (t1,), (w_plus,), evals = _spectra(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
     return ChshSpectrum(t0, t1, w_plus, evals)
 
 
 def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     """Draw n single-shot CHSH outcomes (+-t0) and estimate their mean.
 
-    t0 and w_plus are the closed forms :func:`chsh_spectrum` reports, bit
-    for bit, but no eigensolve runs: the CHSH operator C is built, and
+    t0 and w_plus are the closed forms :func:`chsh_spectrum` reports, read
+    from the same helper, but no eigensolve runs: the CHSH operator C is built, and
     Landau's identity (C^2 psi = t0^2 psi in the singlet psi) checks t0
     and <psi|C|psi> checks E, both to 1e-12, with |E| <= t0 as in the
     spectrum.
@@ -243,7 +239,7 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     _check_draw_count(n)
     a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
     op = _chsh_operators(a1, a2, b1, b2)
-    t0, expectation, w_plus = _outcome_atoms(a1, a2, b1, b2)
+    (t0,), (expectation,), (w_plus,) = _outcome_atoms(a1, a2, b1, b2)
     c_psi = op @ SINGLET
     check("C^2 psi vs t0^2 psi", np.abs(op @ c_psi - (t0 * t0) * SINGLET), 1e-12)
     check("<psi|C|psi> vs closed form", abs(SINGLET.conj() @ c_psi - expectation), 1e-12)

@@ -81,8 +81,9 @@ def _cells(amps: np.ndarray, overlap: np.ndarray, amps_prime: np.ndarray) -> np.
     """F[..., j, k, l] from broadcast stacks of the three brackets.
 
     Each cell is a product of three complex brackets; with the real
-    singlet and real rotated bases the product is exactly real, and the
-    imaginary residue is asserted below 1e-12 to catch ordering bugs.
+    singlet and real rotated bases every bracket, and so the product, has
+    an imaginary part of exactly 0.  The residue check guards code
+    changes, such as ordering bugs, not rounding.
     """
     table = (amps.conj()[..., :, None, :] * overlap[..., :, :, None]) * amps_prime[..., None, :, :]
     check("imaginary residue of quasi-probability cells", np.abs(table.imag), _IMAG_TOL)

@@ -188,8 +188,8 @@ PINNED_DEGREES = [
 
 
 def test_stacked_spectra_equal_single_spectra_bitwise():
-    # chsh_spectrum has its own Python-float route for one configuration;
-    # chsh_spectra must give the same bits, and fail the same check.
+    # chsh_spectrum runs chsh_spectra's code on one configuration's floats;
+    # the stack must give the same bits, and fail the same check.
     configs = random_configs(41, 2000) + [AngleConfig.from_degrees(*degrees) for degrees in PINNED_DEGREES]
     columns = angle_columns(configs)
     stacked = chsh_spectra(*columns)

@@ -244,6 +244,7 @@ def _feasible_verdict():
 
 CALLS_PER_BUILDER = {
     "chsh_spectrum": ((1, 1, 0), lambda: bellcheck.chsh_spectrum(CFG)),
+    "chsh_spectra": ((1, 1, 0), lambda: bellcheck.chsh_spectra(*FLOATS)),
     "sample_outcomes": ((0, 1, 0), lambda: bellcheck.sample_outcomes(CFG, 10, 0)),
     "run_experiments": ((0, 1, 0), lambda: bellcheck.run_experiments(CFG, 1, 0)),
     "quantum_pair_marginals": ((0, 1, 0), lambda: bellcheck.quantum_pair_marginals(CFG)),

@@ -61,8 +61,8 @@ def test_tensor_joint_pmf_rejects_a_nan_route(monkeypatch):
         realworld.tensor_joint_pmf(OPTIMAL)
 
 
-# chsh_spectrum has its own route for one configuration, and chsh_spectra
-# the stacked one; each spectrum check must fire on both.  The stack holds
+# chsh_spectrum runs the spectrum kernel on one configuration's floats, and
+# chsh_spectra on a stack; each spectrum check must fire on both.  The stack holds
 # OPTIMAL, where the perturbations below show, among two other configs.
 SPECTRUM_ROUTES = {
     "chsh_spectrum": lambda: chsh_mod.chsh_spectrum(OPTIMAL),

@@ -106,6 +106,16 @@ def test_find_negativity_includes_22_5_case():
     )
 
 
+# The scan grid is np.arange(0, pi, step), which can end on a point equal
+# to pi, the same setting as 0: a step of pi/61 gives 62 points, the last
+# exactly pi (ROADMAP item 3).
+@pytest.mark.xfail(strict=True, reason="the scan grid reaches pi")
+def test_find_negativity_grid_stays_below_pi():
+    witnesses = find_negativity(math.pi / 61)
+    for field in ("alpha", "alpha_prime", "beta"):
+        assert not np.any(np.abs(witnesses[field] - math.pi) <= 1e-12), field
+
+
 def test_find_negativity_rejects_bad_step():
     with pytest.raises(ValueError):
         find_negativity(0.0)
