@@ -1,9 +1,10 @@
 """Born-rule probability tables and correlation functions.
 
-Outcome indexing convention, used by every module in the package:
-index 0 of a probability table is the +1 outcome, index 1 is the -1
-outcome.  For a pair table ``p``, ``p[k, l]`` is the probability that
-Alice sees value (+1, -1)[k] and Bob sees value (+1, -1)[l].
+Outcome indexing convention, used by every module in the package and
+stated once, as :data:`OUTCOMES`: index 0 of a probability table is the
++1 outcome, index 1 is the -1 outcome.  For a pair table ``p``,
+``p[k, l]`` is the probability that Alice sees value OUTCOMES[k] and
+Bob sees value OUTCOMES[l].
 
 Each public entry turns its angles into basis matrices once, and the
 kernels take those.  A record validates the table a caller hands it; a
@@ -20,7 +21,9 @@ from .errors import check
 from .linalg import as_operator, hermiticity_defect
 from .polarization import AngleConfig, basis_matrix, singlet_state
 
-OUTCOME_VALUES = np.array([1.0, -1.0])
+# The value of each outcome index, the order of every outcome table and sample space.
+OUTCOMES = (1, -1)
+OUTCOME_VALUES = np.array(OUTCOMES, dtype=float)
 # The value x*y of each cell of a pair table.
 _PRODUCT_SIGNS = np.outer(OUTCOME_VALUES, OUTCOME_VALUES)
 

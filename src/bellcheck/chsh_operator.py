@@ -34,10 +34,7 @@ from .born import SINGLET
 from .errors import check
 from .linalg import _kron, eig_hermitian, hermiticity_defect
 from .polarization import AngleConfig, same_setting, z_operator
-from .realworld import EstimatorResult, _check_draw_count, _two_point_estimate
-
-# Stream id for outcome sampling; experiment streams use ids 1..4.
-_SAMPLER_STREAM = 0
+from .realworld import _SAMPLER_STREAM, EstimatorResult, _check_draw_count, _two_point_estimate
 
 # Below this, t0 is treated as exactly zero: both atoms collapse onto the
 # origin and the outcome is deterministically 0.

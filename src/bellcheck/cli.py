@@ -138,7 +138,7 @@ def canonical_csv(table: Table, footer: list[str] | None = None) -> str:
 
 def _echo(args: argparse.Namespace, *flags: str) -> dict:
     """The command's positional arguments, then the named flags, as given: name -> value."""
-    positionals = (dest for dest, option in _ARGUMENTS[args.command] if option is None)
+    positionals = (dest for dest, option in _arguments(args.command) if option is None)
     return {name: getattr(args, name) for name in (*positionals, *flags)}
 
 
@@ -149,7 +149,7 @@ def _emit(text: str, args: argparse.Namespace) -> None:
         return
     data = text.encode("utf-8")
     Path(out).write_bytes(data)
-    given = (dest for dest, option in _ARGUMENTS[args.command] if option and getattr(args, dest) is not None)
+    given = (dest for dest, option in _arguments(args.command) if option and getattr(args, dest) is not None)
     manifest = {
         "artifact_version": __version__,
         "command": args.command,
@@ -172,8 +172,7 @@ def replay(manifest_path: str, out_path: str) -> str:
         raise ValueError(f"manifest is from bellcheck {manifest['artifact_version']}, this is {__version__}")
     command, params = manifest["command"], manifest["parameters"]
     options, positionals = [], []
-    _parser()  # builds _ARGUMENTS
-    for dest, option in _ARGUMENTS[command]:
+    for dest, option in _arguments(command):
         if (value := params.get(dest)) is not None:
             if option:
                 options.extend([option, str(value)])
@@ -317,13 +316,6 @@ def cmd_quasiprob(args: argparse.Namespace) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def _grid_step(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
@@ -336,11 +328,6 @@ def _seed(text: str) -> int:
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
-
-
-# Command name (aliases too) -> (dest, option string or None for a positional) of each argument but --help and
-# --out, read by _parser from the parser's own actions: the one list that _echo, manifests and replay use.
-_ARGUMENTS: dict[str, tuple[tuple[str, str | None], ...]] = {}
 
 
 @functools.cache
@@ -381,7 +368,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo run of the four experiments")
     add_angles4(sp)
-    sp.add_argument("--n", type=_positive_int, required=True, help="pairs per experiment")
+    sp.add_argument("--n", type=int, required=True, help="pairs per experiment")
     sp.add_argument("--seed", type=_seed, required=True, help="master seed (required: no wall-clock seeding)")
     add_output(sp)
     sp.set_defaults(func=cmd_simulate)
@@ -403,11 +390,18 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--scan", dest="scan_deg", type=_grid_step, default=None, help="grid step in degrees")
     add_output(sp)
     sp.set_defaults(func=cmd_quasiprob)
-
-    for name, sp in sub.choices.items():
-        actions = [action for action in sp._actions if action.dest not in ("help", "out")]
-        _ARGUMENTS[name] = tuple((action.dest, (action.option_strings or [None])[0]) for action in actions)
     return parser
+
+
+@functools.cache
+def _arguments(command: str) -> tuple[tuple[str, str | None], ...]:
+    """(dest, option string or None for a positional) of each argument of ``command`` but --help and --out.
+
+    Read from the parser's own actions, aliases included: the one list that _echo, manifests and replay use.
+    """
+    (sub,) = (action for action in _parser()._actions if isinstance(action, argparse._SubParsersAction))
+    actions = [action for action in sub.choices[command]._actions if action.dest not in ("help", "out")]
+    return tuple((action.dest, (action.option_strings or [None])[0]) for action in actions)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import JointPmf2x2, _checked_table, _experiment_bases, _singlet_tables
+from .born import OUTCOMES, JointPmf2x2, _checked_table, _experiment_bases, _singlet_tables
 from .errors import check
 from .polarization import AngleConfig
 from .realworld import RunRecord
-
-_VALUES = (1, -1)  # index 0 -> +1, index 1 -> -1
 
 
 @dataclass(frozen=True)
@@ -53,13 +51,8 @@ def sample_space() -> list[CfOutcome]:
 
 
 def outcome_values(omega: CfOutcome) -> tuple[int, int, int, int]:
-    """(a1, a2, b1, b2) carried by an elementary outcome; port 1 -> +1."""
-    return (
-        _VALUES[omega.k - 1],
-        _VALUES[omega.l - 1],
-        _VALUES[omega.m - 1],
-        _VALUES[omega.n - 1],
-    )
+    """(a1, a2, b1, b2) carried by an elementary outcome; port i -> OUTCOMES[i - 1], so port 1 -> +1."""
+    return OUTCOMES[omega.k - 1], OUTCOMES[omega.l - 1], OUTCOMES[omega.m - 1], OUTCOMES[omega.n - 1]
 
 
 def outcome_statistic(omega: CfOutcome) -> int:

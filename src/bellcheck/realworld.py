@@ -10,10 +10,12 @@ its own photon pair.  This module provides
 * the 256-dimensional four-pair product state and its full Born-rule
   outcome table, cross-checked against the factored per-pair tables.
 
-Random streams are counter-indexed: draw ``i`` of stream ``n`` (the
-experiment index) lives in block ``i // BLOCK_SIZE`` whose generator is
-seeded from ``SeedSequence([seed, n, block])``, so a draw's value
-depends only on (seed, stream, index).  Both seeded samplers,
+Random streams are numbered: stream 0 feeds
+:func:`~bellcheck.chsh_operator.sample_outcomes`, and streams 1..4 feed
+the experiments E1..E4.  They are counter-indexed: draw ``i`` of stream
+``n`` lives in block ``i // BLOCK_SIZE`` whose generator is seeded from
+``SeedSequence([seed, n, block])``, so a draw's value depends only on
+(seed, stream, index).  Both seeded samplers,
 :func:`run_experiments` and :func:`~bellcheck.chsh_operator.sample_outcomes`,
 estimate the mean of a two-valued outcome with one estimator.  It counts
 the draws in one band of [0, 1) block by block instead of keeping them,
@@ -31,17 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import _PRODUCT_SIGNS, SINGLET, _experiment_bases, _singlet_tables
+from .born import _PRODUCT_SIGNS, OUTCOMES, SINGLET, _experiment_bases, _singlet_tables
 from .errors import check
 from .linalg import _kron
 from .polarization import AngleConfig
 
 BLOCK_SIZE = 1 << 16
 
+# Stream id of sample_outcomes; run_experiments draws experiment Ei from stream i = 1..4.
+_SAMPLER_STREAM = 0
+
 # Per-experiment elementary outcomes in fixed order: the cell (k, l) of the
 # pair table, flattened row-major, so cell index 0 -> (+1, +1), 1 -> (+1, -1),
 # 2 -> (-1, +1), 3 -> (-1, -1).
-CELL_VALUES = tuple(itertools.product((1, -1), (1, -1)))
+CELL_VALUES = tuple(itertools.product(OUTCOMES, OUTCOMES))
 
 # The run statistic x1 y1 + x2 y2 + x3 y3 - x4 y4 on each cell of the
 # eight-axis outcome table of tensor_joint_pmf.

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 import bellcheck
 from bellcheck.cli import _parser, canonical_json, main, replay
 
-# The directory that holds the package under test, for subprocesses.
+# The directory that holds the package under test, and an environment that puts it on a subprocess's path.
 SRC = str(pathlib.Path(bellcheck.__file__).parents[1])
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(capsys, *argv):
@@ -108,11 +109,15 @@ def test_chsh_rejects_degenerate_settings(capsys):
     assert code == 2
 
 
-def test_simulate_rejects_n_beyond_exact_counting(capsys, monkeypatch, tmp_path):
-    def no_draws(seed, stream, n):
+@pytest.fixture
+def no_draws(monkeypatch):
+    def refuse(seed, stream, n):
         raise AssertionError("the count must be rejected before any draw")
 
-    monkeypatch.setattr("bellcheck.realworld._uniform_blocks", no_draws)
+    monkeypatch.setattr("bellcheck.realworld._uniform_blocks", refuse)
+
+
+def test_simulate_rejects_n_beyond_exact_counting(capsys, no_draws, tmp_path):
     out = tmp_path / "sim.json"
     argv = ["simulate", "0", "45", "22.5", "-22.5", "--n", "9007199254740993", "--seed", "1", "--out", str(out)]
     code = main(argv)
@@ -123,11 +128,11 @@ def test_simulate_rejects_n_beyond_exact_counting(capsys, monkeypatch, tmp_path)
     assert not out.exists()
 
 
-def test_simulate_requires_seed_and_positive_n(capsys):
+def test_simulate_requires_seed_and_positive_n(capsys, no_draws):
     code, _ = run_cli(capsys, "simulate", "0", "45", "22.5", "-22.5", "--n", "100")
     assert code == 2
-    code, _ = run_cli(capsys, "simulate", "0", "45", "22.5", "-22.5", "--n", "0", "--seed", "1")
-    assert code == 2
+    assert main(["simulate", "0", "45", "22.5", "-22.5", "--n", "0", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: n must be at least 1")
 
 
 def test_enumerate_realworld(capsys):
@@ -202,6 +207,9 @@ def test_usage_errors_exit_2(capsys):
     assert main(["correlate", "abc", "0"]) == 2
     assert main(["enumerate", "nonsense"]) == 2
     assert main(["no-such-command"]) == 2
+    for seed in ("18446744073709551616", "-1"):
+        assert main(["simulate", "0", "45", "22.5", "-22.5", "--n", "10", "--seed", seed]) == 2
+        assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
 
 
 def test_internal_check_failures_exit_3(capsys, monkeypatch):
@@ -323,6 +331,19 @@ def test_replay_refuses_a_manifest_from_another_version(tmp_path):
     assert not (tmp_path / "again.json").exists()
 
 
+def test_replay_raises_when_the_recorded_command_fails(tmp_path, capsys):
+    argv = ["simulate", "0", "45", "22.5", "-22.5", "--n", "10", "--seed", "1", "--out", str(tmp_path / "s.json")]
+    assert main(argv) == 0
+    manifest_path = tmp_path / "s.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["parameters"]["n"] = 0
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(RuntimeError, match="replay of simulate exited with code 2"):
+        replay(str(manifest_path), str(tmp_path / "again.json"))
+    assert "error: n must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "again.json").exists()
+
+
 # Command -> (number of angles, other flags).
 _ANGLE_FORMS = {
     "correlate": (2, ()),
@@ -362,6 +383,8 @@ def test_chsh_accepts_settings_near_t0_zero(capsys, beta2):
 def test_canonical_json_formatting():
     text = canonical_json({"b": 0.1234567891234, "a": [1, True, None]})
     assert text == '{"a": [1, true, null], "b": 0.123456789}\n'
+    with pytest.raises(TypeError, match="cannot serialize"):
+        canonical_json(object())
 
 
 @pytest.mark.parametrize("step", ["inf", "-inf", "nan", "0", "-3"])
@@ -379,6 +402,14 @@ def test_grid_steps_must_be_positive_and_finite(tmp_path, capsys, command, step)
     assert "positive finite" in captured.err
     assert captured.out == ""
     assert not out.exists() and not (tmp_path / "grid.txt.manifest.json").exists()
+
+
+def test_sweep_output_does_not_depend_on_the_typed_beta2(capsys):
+    # The grid replaces beta2, which is still validated and recorded in manifests (ROADMAP item 11).
+    outputs = {run_cli(capsys, "chsh", "--sweep", "30", "0", "45", "22.5", "--", b2) for b2 in ("-22.5", "77", "122.5")}
+    assert len(outputs) == 1
+    code, out = outputs.pop()
+    assert code == 0 and out.count("\n") == 7
 
 
 def test_sweep_with_every_point_degenerate_prints_header_only(capsys):
@@ -551,8 +582,14 @@ def test_manifest_of_a_large_angle_replays(tmp_path, capsys):
     assert json.loads(out.read_text())["correlation"] == run_json(capsys, "correlate", "100", "0")["correlation"]
 
 
+@pytest.mark.parametrize("argv, code", [(("correlate", "0", "22.5"), 0), (("correlate", "abc", "0"), 2)])
+def test_module_entry_point_exits_with_mains_code_and_output(capsys, argv, code):
+    result = subprocess.run([sys.executable, "-m", "bellcheck.cli", *argv], capture_output=True, text=True, env=SRC_ENV)
+    assert (result.returncode, result.stdout) == run_cli(capsys, *argv)
+    assert result.returncode == code
+
+
 def test_importing_the_cli_does_not_load_numpy_random():
     probe = "import sys, bellcheck.cli; print('numpy.random' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=SRC_ENV, check=True)
     assert result.stdout == "False\n"

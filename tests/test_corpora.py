@@ -1,25 +1,41 @@
-"""Byte-identity corpus of the CHSH spectrum path, recorded by package version.
+"""Byte-identity corpora, recorded by package version.
 
-About 1,600 configurations, drawn with ``random.Random`` (whose stream,
-unlike that of numpy's ``Generator``, does not depend on the numpy
-version), follow a first block of corners: t0 = t1, settings 1e-9 rad
-apart, the optimal angles and t0 near 0.  For each block of 200 the test
-hashes the ``chsh_spectrum`` fields of every configuration, the
-``chsh_spectra`` fields of the whole block as one stack and a seeded
-``sample_outcomes`` draw at n = 100.  ``CORPUS_DIGESTS`` keeps one digest
-per block under the version it was recorded at, as ``PIN_DIGESTS`` in
-``test_golden.py`` does, so a change that moves a byte here must bump
-``__version__`` and record the new digests; the failure says how many
-blocks moved.
+All inputs are drawn with ``random.Random``, whose stream, unlike that of
+numpy's ``Generator``, does not depend on the numpy version.
+
+The spectrum block: about 1,600 configurations follow a first block of
+corners: t0 = t1, settings 1e-9 rad apart, the optimal angles and t0
+near 0.  For each block of 200 the test hashes the ``chsh_spectrum``
+fields of every configuration, the ``chsh_spectra`` fields of the whole
+block as one stack and a seeded ``sample_outcomes`` draw at n = 100.
+
+The eigensolver block hashes the eigenvalues and eigenvectors of
+``eig_hermitian`` on real and complex Hermitian matrices of order 1 to
+12, one lone matrix and one stack of three per case, at the scales
+2**-1000, 1 and 2**1000.  The Fine block hashes the verdict,
+``chsh_value``, residual and witness cells of ``fine_feasibility`` on
+about 2,000 sets of pair tables built on Python floats: pushforwards of
+random joints, correlation boxes, and boxes whose largest CHSH variant
+is 2 +- 1e-12 or 2 +- 1e-9.  No Fine table goes through matmul.
+
+``CORPUS_DIGESTS`` and ``BLOCK_DIGESTS`` keep the digests under the
+version they were recorded at, as ``PIN_DIGESTS`` in ``test_golden.py``
+does, so a change that moves a byte here must bump ``__version__`` and
+record the new digests; the failure says how many blocks moved.
 """
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
+import pytest
 
 import bellcheck
 from bellcheck import AngleConfig, chsh_spectra, chsh_spectrum, sample_outcomes
+from bellcheck.born import JointPmf2x2
+from bellcheck.counterfactual import PairMarginals, fine_feasibility
+from bellcheck.linalg import eig_hermitian
 
 BLOCK = 200
 
@@ -74,3 +90,82 @@ def test_spectrum_path_bytes_belong_to_the_package_version():
     moved = sum(a != b for a, b in zip(digests, recorded)) + abs(len(digests) - len(recorded))
     assert moved == 0, f"{moved} of {len(recorded)} blocks moved: bump __version__ and record {digests}"
 
+
+BLOCK_DIGESTS = {
+    "0.3.0": {
+        "eig_hermitian": "00cc152d7b4e58bf3ca5dbd9c29cd166fd21bc4423dde0e97de9b44350399620",
+        "fine_feasibility": "df85116f168d9f1a5b0580bdb2efde7b21168f03ddf2473b47eea33a7e953c2b",
+    },
+}
+
+
+def _hermitian(rng: random.Random, n: int, is_complex: bool) -> np.ndarray:
+    """(m + m^H) / 2 for m with entries uniform in [-1, 1), real or complex; exactly Hermitian."""
+    m = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)])
+    if is_complex:
+        m = m + 1j * np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)])
+    return (m + m.conj().T) / 2.0
+
+
+def eig_hermitian_digest() -> str:
+    rng = random.Random(2701)
+    h = hashlib.sha256()
+    for scale in (2.0**-1000, 1.0, 2.0**1000):
+        for n in range(1, 13):
+            for is_complex in (False, True):
+                lone, *stack = (_hermitian(rng, n, is_complex) * scale for _ in range(4))
+                for a in (lone, np.stack(stack)):
+                    values, vectors = eig_hermitian(a)
+                    h.update(values.tobytes())
+                    h.update(vectors.tobytes())
+    return h.hexdigest()
+
+
+def _pushforward(rng: random.Random) -> list:
+    """The four pair tables of a random joint over (a1, a2, b1, b2), about a quarter of its cells 0."""
+    w = {cell: rng.random() if rng.random() < 0.75 else 0.0 for cell in itertools.product((0, 1), repeat=4)}
+    total = sum(w.values())
+    return [
+        [[sum(v for cell, v in w.items() if (cell[i], cell[j]) == (x, y)) / total for y in (0, 1)] for x in (0, 1)]
+        for i, j in ((0, 2), (0, 3), (1, 2), (1, 3))
+    ]
+
+
+def _boxes(c: list) -> list:
+    """Pair tables with uniform singles and correlations c: cells (1 + c)/4 where x = y, (1 - c)/4 elsewhere."""
+    return [[[(1.0 + ci) / 4.0, (1.0 - ci) / 4.0], [(1.0 - ci) / 4.0, (1.0 + ci) / 4.0]] for ci in c]
+
+
+def _boundary_boxes(rng: random.Random, target: float) -> list:
+    """Correlation boxes scaled so that their largest CHSH variant max |sum(c) - 2 c_i| is ``target``."""
+    while True:
+        c = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+        scale = target / max(abs(sum(c) - 2.0 * ci) for ci in c)
+        if all(abs(scale * ci) <= 1.0 for ci in c):
+            return _boxes([scale * ci for ci in c])
+
+
+def fine_feasibility_digest() -> str:
+    rng = random.Random(2702)
+    inputs = [_pushforward(rng) for _ in range(700)]
+    inputs += [_boxes([rng.uniform(-1.0, 1.0) for _ in range(4)]) for _ in range(700)]
+    inputs += [_boundary_boxes(rng, 2.0 + eps) for eps in (1e-12, -1e-12, 1e-9, -1e-9) for _ in range(150)]
+    h = hashlib.sha256()
+    for tables in inputs:
+        result = fine_feasibility(PairMarginals(*(JointPmf2x2(np.array(t)) for t in tables)))
+        residual = "none" if result.marginal_residual is None else result.marginal_residual.hex()
+        h.update(f"{result.feasible},{result.chsh_value.hex()},{residual};".encode("ascii"))
+        if result.witness is not None:
+            h.update(result.witness.probabilities.tobytes())
+    return h.hexdigest()
+
+
+BLOCKS = {"eig_hermitian": eig_hermitian_digest, "fine_feasibility": fine_feasibility_digest}
+
+
+@pytest.mark.parametrize("block", list(BLOCKS))
+def test_kernel_bytes_belong_to_the_package_version(block):
+    got = BLOCKS[block]()
+    version = bellcheck.__version__
+    assert version in BLOCK_DIGESTS, f"record the {block} digest of {version}: {got}"
+    assert got == BLOCK_DIGESTS[version][block], f"the {block} block moved: bump __version__ and record {got}"

@@ -40,6 +40,8 @@ def test_sample_space_is_exactly_the_16_corners():
     assert len(set(space)) == 16
     assert CfOutcome(1, 1, 1, 1) in space
     assert CfOutcome(2, 2, 2, 2) in space
+    with pytest.raises(ValueError, match="port indices must be 1 or 2"):
+        CfOutcome(3, 1, 1, 1)
 
 
 def test_outcome_values_and_statistic():

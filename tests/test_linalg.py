@@ -167,6 +167,8 @@ def test_eig_rejects_bad_input():
         eig_hermitian(np.ones((2, 3)))
     with pytest.raises(ValueError):
         eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="expected a matrix, got ndim=1"):
+        eig_hermitian(np.array([1.0, 2.0]))
 
 
 def random_hermitian_stack(rng, count, n):
