@@ -21,7 +21,8 @@ is 2 +- 1e-12 or 2 +- 1e-9.  No Fine table goes through matmul.
 ``CORPUS_DIGESTS`` and ``BLOCK_DIGESTS`` keep the digests under the
 version they were recorded at, as ``PIN_DIGESTS`` in ``test_golden.py``
 does, so a change that moves a byte here must bump ``__version__`` and
-record the new digests; the failure says how many blocks moved.
+record the new digests; a failure says which blocks, or how many of
+the spectrum blocks, moved.
 """
 
 import hashlib
