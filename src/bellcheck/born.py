@@ -24,8 +24,10 @@ from .polarization import AngleConfig, basis_matrix, singlet_state
 # The value of each outcome index, the order of every outcome table and sample space.
 OUTCOMES = (1, -1)
 OUTCOME_VALUES = np.array(OUTCOMES, dtype=float)
+OUTCOME_VALUES.flags.writeable = False
 # The value x*y of each cell of a pair table.
 _PRODUCT_SIGNS = np.outer(OUTCOME_VALUES, OUTCOME_VALUES)
+_PRODUCT_SIGNS.flags.writeable = False
 
 # The polarization singlet every singlet table is computed from, shared
 # read-only.

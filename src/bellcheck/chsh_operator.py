@@ -84,12 +84,13 @@ def _chsh_operators(alpha1, alpha2, beta1, beta2) -> np.ndarray:
 
     Each product X(a) Y(b) equals the Kronecker product Z(a) (x) Z(b).
     One z_operator call builds all four factors, whose entries are
-    finite by construction, and each product is formed by broadcasting.
-    Each Z is real and exactly symmetric, so the hermiticity check reads
-    exactly 0: it guards code changes, not rounding.
+    finite by construction, and one broadcast _kron forms the four
+    products.  Each Z is real and exactly symmetric, so the hermiticity
+    check reads exactly 0: it guards code changes, not rounding.
     """
-    za1, za2, zb1, zb2 = z_operator(np.array((alpha1, alpha2, beta1, beta2)))
-    op = _kron(za1, zb1) + _kron(za1, zb2) + _kron(za2, zb1) - _kron(za2, zb2)
+    z = z_operator(np.array((alpha1, alpha2, beta1, beta2)))
+    (p11, p12), (p21, p22) = _kron(z[:2, None], z[None, 2:])
+    op = p11 + p12 + p21 - p22
     check("CHSH operator hermiticity", hermiticity_defect(op), 1e-13)
     return op
 

@@ -85,6 +85,7 @@ class CfPmf:
 
 
 _STATISTIC_TABLE = np.array([outcome_statistic(omega) for omega in sample_space()], dtype=float).reshape(2, 2, 2, 2)
+_STATISTIC_TABLE.flags.writeable = False
 
 
 def chsh_expectation(pmf: CfPmf) -> float:

@@ -20,6 +20,6 @@ def check(what: str, gap, tol: float) -> None:
     array passes.  A NaN gap fails, so a route that went NaN cannot slip
     through a comparison that is False for NaN.
     """
-    worst = gap if isinstance(gap, float) else float(np.max(gap, initial=-np.inf))
+    worst = gap if isinstance(gap, float) else float(np.maximum.reduce(gap, axis=None, initial=-np.inf))
     if not worst <= tol:
         raise InternalCheckError(f"{what}: gap {float(worst)!r} exceeds tol {tol!r}")

@@ -14,14 +14,14 @@ matrix as it stands at the start of the round, then applies all their
 row updates, then all their column updates (Brent & Luk's parallel
 order).  No rotation goes through BLAS, and every product is rounded on
 its own, so the bits do not depend on the BLAS kernel, on numpy's SIMD
-loops or on fused multiply-adds.  A lone matrix up to n = 8 runs the
-sweep on Python complex lists, since a lone CHSH spectrum, computed once
-per Monte Carlo configuration, would otherwise spend more time on
-numpy's per-call costs than on arithmetic; a stack, or a larger lone
-matrix, runs it on complex arrays, one set of calls per round, and the
-bits are the same either way.  The builders form Kronecker products with
-the private, unchecked ``_kron``: their factors come from angles already
-checked at the public entry.
+loops or on fused multiply-adds.  A lone real matrix up to n = 8 runs
+on Python floats, since a lone CHSH operator, solved once per Monte
+Carlo configuration, would otherwise spend more time on numpy's
+per-call costs than on arithmetic; any other input runs on float64
+arrays if real and on complex128 arrays if not, one set of calls per
+round.  A real matrix gets the same bits in all three forms.  Builders
+form Kronecker products with the private, unchecked ``_kron``: their
+factors come from angles already checked at the public entry.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of the complex array ``a`` (every matrix of a stack) from its adjoint."""
+    """Largest entrywise deviation of the array ``a`` (every matrix of a stack) from its adjoint."""
     return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
 
 
@@ -87,8 +87,8 @@ def _round_robin_rounds(n: int) -> list[tuple]:
     meets exactly once in n - 1 rounds of n // 2 disjoint pairs (n rounds
     for odd n, where a dummy seat beside the middle index sits each index
     out once; none for n <= 1).  Each round is (pairs, p, q, p + q): its
-    pairs, and as index arrays their first and second indices and both
-    concatenated.
+    pairs, and as views of one read-only index array their first and
+    second indices and both concatenated.
     """
     if n <= 1:
         return []
@@ -99,7 +99,9 @@ def _round_robin_rounds(n: int) -> list[tuple]:
     for _ in range(len(seats) - 1):
         pairs = [(min(pair), max(pair)) for pair in zip(seats[: len(seats) // 2], seats[::-1]) if None not in pair]
         p, q = ([pair[side] for pair in pairs] for side in (0, 1))
-        rounds.append((pairs, *(np.array(index) for index in (p, q, p + q))))
+        index = np.array(p + q)
+        index.flags.writeable = False
+        rounds.append((pairs, index[: len(p)], index[len(p) :], index))
         seats[1:] = seats[-1:] + seats[1:-1]
     return rounds
 
@@ -107,30 +109,29 @@ def _round_robin_rounds(n: int) -> list[tuple]:
 _ROUNDS_4 = _round_robin_rounds(4)
 
 
-def _rotation(app: float, aqq: float, apq: complex, skip: float) -> tuple[float, float, float]:
-    """The Jacobi rotation that zeroes one Hermitian (p, q) block, as the floats (c, u, v).
+def _rotation(app: float, aqq: float, apq: float, skip: float) -> tuple[float, float]:
+    """The Jacobi rotation that zeroes one real symmetric (p, q) block, as the floats (c, u).
 
-    The rotation is [[c, s*phase], [-s*conj(phase), c]] with phase =
-    apq/|apq| and u + i*v = s*phase.  The tangent t = s/c comes from the
-    classic stable formula, so the rotation angle stays within +-45
-    degrees; it takes the sign of theta, with -0.0 counted positive.  An
-    |apq| below ``skip`` gets t = 0, the identity.  :func:`_rotations` is
-    this function on arrays, op for op.
+    The rotation is [[c, u], [-u, c]] with u = s * sign(apq).  The tangent
+    t = s/c comes from the classic stable formula, so the rotation angle
+    stays within +-45 degrees; it takes the sign of theta, with -0.0
+    counted positive.  An |apq| below ``skip`` gets t = 0, the identity.
+    :func:`_rotations` is this function on arrays, op for op, with an
+    imaginary part of apq that adds exact zeros here.
     """
-    re, im = apq.real, apq.imag
-    mag = math.sqrt(re * re + im * im)
+    mag = math.sqrt(apq * apq)
     safe = max(mag, skip)
     theta = (aqq - app) / (2.0 * safe)
     t = math.copysign(1.0 if mag >= skip else 0.0, theta + 0.0) / (abs(theta) + math.sqrt(theta * theta + 1.0))
     c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    return c, s * (re / safe), s * (im / safe)
+    return c, t * c * (apq / safe)
 
 
 def _rotations(g: np.ndarray, p: np.ndarray, q: np.ndarray, pq: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`_rotation` for each pair (p[i], q[i]) and each matrix of the stack ``g``, as arrays (k, N).
 
     ``g`` holds the stack on its last axis; ``pq`` is p and q concatenated.
+    A complex rotation has s*apq/|apq| = u + i*v in place of u.
     """
     apq = g[p, q]
     re, im = apq.real, apq.imag
@@ -145,71 +146,73 @@ def _rotations(g: np.ndarray, p: np.ndarray, q: np.ndarray, pq: np.ndarray, skip
 
 
 def _sweep_lone(cols: list, rounds: list, skip: float) -> list:
-    """One round-parallel sweep of a lone matrix, held as the columns of [A; V], Python complex lists.
+    """One round-parallel sweep of a lone real matrix, held as the columns of [A; V], lists of Python floats.
 
     Every round takes its rotations from A as it stands at the start of
     the round, applies all of their row updates to A, then all of their
-    column updates to A and V.  Rows p and q become c*x - (u*y + iv*y)
-    and c*y - (-u*x + iv*x), with x, y rows p, q and iv = i*v; columns
-    the same with iv negated.  :func:`_sweep_stacked` is this function on
-    stacks.
+    column updates to A and V.  Rows (and columns) p and q become c*x - u*y
+    and c*y + u*x, with x, y rows p, q; the latter is c*y - (-u)*x bit for
+    bit.  :func:`_sweep_stacked` is this function on stacks.
     """
     for pairs, *_ in rounds:
         rows = list(zip(*cols))
-        rots = []
-        for p, q in pairs:
-            c, u, v = _rotation(rows[p][p].real, rows[q][q].real, rows[p][q], skip)
-            rots.append((p, q, c, u, -u, complex(0.0, v)))
-        for p, q, c, u, nu, iv in rots:
+        rots = [(p, q, *_rotation(rows[p][p], rows[q][q], rows[p][q], skip)) for p, q in pairs]
+        for p, q, c, u in rots:
             x, y = rows[p], rows[q]
-            rows[p] = [c * xj - (u * yj + iv * yj) for xj, yj in zip(x, y)]
-            rows[q] = [c * yj - (nu * xj + iv * xj) for xj, yj in zip(x, y)]
+            rows[p] = [c * xj - u * yj for xj, yj in zip(x, y)]
+            rows[q] = [c * yj + u * xj for xj, yj in zip(x, y)]
         cols = list(zip(*rows))
-        for p, q, c, u, nu, iv in rots:
+        for p, q, c, u in rots:
             x, y = cols[p], cols[q]
-            cols[p] = [c * xj - (u * yj - iv * yj) for xj, yj in zip(x, y)]
-            cols[q] = [c * yj - (nu * xj - iv * xj) for xj, yj in zip(x, y)]
+            cols[p] = [c * xj - u * yj for xj, yj in zip(x, y)]
+            cols[q] = [c * yj + u * xj for xj, yj in zip(x, y)]
     return cols
 
 
 def _sweep_stacked(g: np.ndarray, rounds: list, skip: np.ndarray) -> None:
-    """:func:`_sweep_lone` on a stack, in place, one set of array calls per round.
+    """:func:`_sweep_lone` on a real or complex stack, in place, one set of array calls per round.
 
     ``g`` has shape (2n, n, N): [A; V] for each of N matrices, the stack
     last so that every call loops over it.  Rows (or columns) p and q are
     gathered as two halves and updated together, each from its partner in
-    the other half: c*x - (w*y +- iv*y) with w = u for p and -u for q.
+    the other half: c*x - (w*y +- iv*y) with w = u for p and -u for q,
+    iv = i*v, + for rows and - for columns; a real stack has no iv*y.
     """
     rows, n, size = g.shape
     for _, p, q, pq in rounds:
         k = len(p)
         c, u, v = _rotations(g, p, q, pq, skip)
-        w, iv = np.stack((u, -u)), v * 1j
+        w, iv = np.stack((u, -u)), (v * 1j if np.iscomplexobj(g) else None)
         # Rows: axes (half, pair, column, matrix); y swaps the halves.
         x = g[pq].reshape(2, k, n, size)
         y = x[::-1]
-        g[pq] = (c[:, None] * x - (w[:, :, None] * y + iv[:, None] * y)).reshape(2 * k, n, size)
+        wy = w[:, :, None] * y
+        if iv is not None:
+            wy += iv[:, None] * y
+        g[pq] = (c[:, None] * x - wy).reshape(2 * k, n, size)
         # Columns of [A; V]: axes (row, half, pair, matrix).
         x = g[:, pq].reshape(rows, 2, k, size)
         y = x[:, ::-1]
-        g[:, pq] = (c * x - (w * y - iv * y)).reshape(rows, 2 * k, size)
+        wy = w * y
+        if iv is not None:
+            wy -= iv * y
+        g[:, pq] = (c * x - wy).reshape(rows, 2 * k, size)
 
 
 def _sum_sq_lone(cols: list, n: int, off: bool) -> float:
-    """Left-to-right sum of |a_ij|^2 over A in row-major order, the diagonal left out if ``off``."""
+    """Left-to-right sum of a_ij^2 over A in row-major order, the diagonal left out if ``off``."""
     total = 0.0
     for i in range(n):
         for j in range(n):
             if not (off and i == j):
-                z = cols[j][i]
-                total += z.real * z.real + z.imag * z.imag
+                total += cols[j][i] * cols[j][i]
     return total
 
 
 def _sum_sq_stacked(g: np.ndarray, n: int, off: bool) -> np.ndarray:
-    """:func:`_sum_sq_lone` for each matrix of the stack ``g`` (laid out as in :func:`_sweep_stacked`).
+    """:func:`_sum_sq_lone` of |a_ij|^2 for each matrix of the stack ``g`` (laid out as in :func:`_sweep_stacked`).
 
-    A cumulative sum adds left to right.
+    A cumulative sum adds left to right; a real stack adds zero imaginary parts.
     """
     a = g[:n]
     sq = a.real * a.real + a.imag * a.imag
@@ -251,20 +254,20 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
 
     Rounding model: rotations come from float64 operations, and the
     updates multiply each entry only by a real c or u or an imaginary
-    i*v, and add.  A lone matrix up to n = 8 runs the sweep on Python
-    complex numbers (:func:`_sweep_lone`), a stack or a larger lone
-    matrix on complex arrays, one set of array calls per round
-    (:func:`_sweep_stacked`).  Either way each part of a complex product
-    by a purely real or purely imaginary factor has exactly one nonzero
-    float product, the other being an exact zero, so it is rounded once,
-    fused or not: no BLAS kernel, SIMD loop or fused multiply-add can
-    change a bit, and squared norms are summed left to right in both.
-    The routes make the same admission and convergence decisions and
-    round every nonzero value alike; they may differ only in the sign of
-    a zero, which the results drop (no entry is -0.0).
-    Each result of a stack is therefore bit-identical to solving that
-    matrix alone, and to solving it scaled by any power of two that
-    keeps it normal.
+    i*v, and add.  A lone real matrix up to n = 8 runs on Python floats
+    (:func:`_sweep_lone`), any other input on float64 arrays if every
+    imaginary part is zero and on complex128 arrays if not
+    (:func:`_sweep_stacked`).  Each part of a complex product by a purely
+    real or purely imaginary factor has one nonzero float product, the
+    other an exact zero, so it is rounded once, fused or not, and a real
+    matrix in complex arithmetic only adds exact zeros to what the real
+    forms compute: no BLAS kernel, SIMD loop or fused multiply-add can
+    change a bit, and squared norms are summed left to right in all three
+    forms.  They make the same admission and convergence decisions and
+    round every nonzero value alike, differing at most in the sign of a
+    zero, which the results drop (no entry is -0.0).  Each result of a
+    stack is therefore bit-identical to solving that matrix alone, and to
+    solving it scaled by any power of two that keeps it normal.
 
     Raises
     ------
@@ -275,28 +278,21 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     n = a.shape[-1]
     if n != a.shape[-2]:
         raise ValueError(f"eig_hermitian needs a square matrix, got {a.shape}")
-    if n == 0:
-        # Nothing to solve, and reshape(-1, 0, 0) below cannot infer a size.
-        return np.zeros(a.shape[:-1]), np.zeros(a.shape, dtype=np.complex128)
 
-    # Each matrix is scaled by a power of two so that its largest real or
-    # imaginary part lies in [1/2, 1).  That is exact (save for entries
-    # below 2**-1022 of the largest), so no rotation changes, the
-    # hermiticity check is relative, and the squared norm below can
-    # neither underflow nor overflow; the eigenvalues are scaled back at
-    # the end.
-    parts = np.ascontiguousarray(a).view(np.float64).reshape(-1, n, 2 * n)
-    _, exponent = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))
-    stack = np.ldexp(parts, -exponent[:, None, None]).view(np.complex128)
-    if not hermiticity_defect(stack) <= tol:
-        raise ValueError(f"matrix is not Hermitian within tol={tol} relative to its largest entry")
-    work = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     rounds = _ROUNDS_4 if n == 4 else _round_robin_rounds(n)
-
-    # Above n = 8 the stacked sweep is the faster one even for a lone matrix.
-    if len(work) == 1 and n <= 8:
-        # The columns of [A; I], with A the scaled input and I where the eigenvectors gather.
-        cols = [col + [0j] * i + [1 + 0j] + [0j] * (n - 1 - i) for i, col in enumerate(work[0].T.tolist())]
+    real = not a.imag.any()
+    # The stacked route below, step for step, on Python floats (n = 0 input too,
+    # of size 0 = n * n); above n = 8 the stacked sweep is faster even alone.
+    if real and a.size == n * n and n <= 8:
+        rows = a.real.reshape(n, n).tolist()
+        _, exponent = math.frexp(max((abs(x) for row in rows for x in row), default=0.0))
+        s = [[math.ldexp(x, -exponent) for x in row] for row in rows]
+        if not max((abs(s[i][j] - s[j][i]) for i in range(n) for j in range(i)), default=0.0) <= tol:
+            raise ValueError(f"matrix is not Hermitian within tol={tol} relative to its largest entry")
+        # The columns of [A; I], with A the symmetrized input (column i is
+        # row i) and I where the eigenvectors gather.
+        a_cols = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(s, zip(*s))]
+        cols = [col + [0.0] * i + [1.0] + [0.0] * (n - 1 - i) for i, col in enumerate(a_cols)]
         norm_sq = _sum_sq_lone(cols, n, off=False)
         target_sq, skip = _OFF_TOL**2 * norm_sq, _SKIP * math.sqrt(norm_sq)
         sweeps = 0
@@ -306,14 +302,27 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
             cols = _sweep_lone(cols, rounds, skip)
             sweeps += 1
         # A stable sort, as argsort's on the stacked route.
-        order = sorted(range(n), key=lambda i: cols[i][i].real, reverse=True)
-        vals = [math.ldexp(cols[i][i].real, int(exponent[0])) + 0.0 for i in order]
-        vecs = [cols[j][n + i] + 0j for i in range(n) for j in order]
-        return np.array(vals).reshape(a.shape[:-1]), np.array(vecs).reshape(a.shape)
+        order = sorted(range(n), key=lambda i: cols[i][i], reverse=True)
+        vals = [math.ldexp(cols[i][i], exponent) + 0.0 for i in order]
+        vecs = [cols[j][n + i] + 0.0 for i in range(n) for j in order]
+        return np.array(vals).reshape(a.shape[:-1]), np.array(vecs, dtype=np.complex128).reshape(a.shape)
+
+    # Each matrix is scaled by a power of two so that its largest real or
+    # imaginary part lies in [1/2, 1).  That is exact (save for entries
+    # below 2**-1022 of the largest), so no rotation changes, the
+    # hermiticity check is relative, and the squared norm below can
+    # neither underflow nor overflow; the eigenvalues are scaled back at
+    # the end.  An all-real stack drops its zero imaginary parts.
+    parts = np.ascontiguousarray(a.real if real else a).view(np.float64).reshape(-1, n, n if real else 2 * n)
+    _, exponent = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))
+    stack = np.ldexp(parts, -exponent[:, None, None]).view(np.float64 if real else np.complex128)
+    if not hermiticity_defect(stack) <= tol:
+        raise ValueError(f"matrix is not Hermitian within tol={tol} relative to its largest entry")
+    work = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
 
     # Rows :n hold the matrix, rows n: the eigenvectors, so one column update
     # applies to both.
-    g = np.zeros((2 * n, n, len(work)), dtype=np.complex128)
+    g = np.zeros((2 * n, n, len(work)), dtype=stack.dtype)
     g[:n] = work.transpose(1, 2, 0)
     g[n:] = np.eye(n)[:, :, None]
     norm_sq = _sum_sq_stacked(g, n, off=False)
@@ -333,4 +342,4 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     stack_index = np.arange(len(work))[:, None]
     vals = np.ldexp(g[order, order, stack_index].real, exponent[:, None]) + 0.0
     vecs = g[n:, order, stack_index].transpose(1, 0, 2) + 0.0
-    return vals.reshape(a.shape[:-1]), vecs.reshape(a.shape)
+    return vals.reshape(a.shape[:-1]), vecs.reshape(a.shape).astype(np.complex128, copy=False)

@@ -35,6 +35,7 @@ _BETA_PROBES = np.array([
     1.7879718653234664, 0.04791899826746086, 1.036081980405563, 3.131370531974885, 0.2807469198186977,
     2.507374700762346, 2.168853884759242, 2.7306447923580985, 2.1556043352100724, 0.5463770822692816,
 ])
+_BETA_PROBES.flags.writeable = False
 _BETA_PROBE_BASES = basis_matrix(_BETA_PROBES)
 _BETA_PROBE_BASES.flags.writeable = False
 

@@ -16,6 +16,7 @@ import dataclasses
 import importlib
 import inspect
 import math
+import pkgutil
 import sys
 
 import numpy as np
@@ -298,3 +299,26 @@ def test_derived_record_properties():
     infeasible, feasible = (bellcheck.fine_feasibility(bellcheck.quantum_pair_marginals(cfg)) for cfg in (CFG, FEASIBLE))
     assert infeasible.witness is None and infeasible.feasible is False
     assert feasible.witness is not None and feasible.feasible is True
+
+
+def _arrays(value):
+    """The numpy arrays in ``value``, looking into lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_module_level_arrays_are_read_only():
+    # Module-level arrays are shared by every caller, so one that a caller
+    # could write to would change the results of the next.
+    modules = [importlib.import_module(f"bellcheck.{info.name}") for info in pkgutil.iter_modules(bellcheck.__path__)]
+    found = {
+        f"{module.__name__}.{name}": [array.flags.writeable for array in _arrays(value)]
+        for module in modules
+        for name, value in vars(module).items()
+    }
+    found = {name: flags for name, flags in found.items() if flags}
+    assert "bellcheck.born.SINGLET" in found and "bellcheck.linalg._ROUNDS_4" in found
+    assert [name for name, flags in found.items() if any(flags)] == []

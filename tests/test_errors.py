@@ -40,6 +40,8 @@ def test_check_fails_on_nan():
         check("nan gap", math.nan, 1.0)
     with pytest.raises(InternalCheckError, match="nan"):
         check("nan entry", np.array([0.0, math.nan, 0.5]), 1.0)
+    with pytest.raises(InternalCheckError, match="nan"):
+        check("nan entry", np.array([[math.nan, 0.0], [0.5, 0.0]]), 1.0)
 
 
 def test_check_passes_an_empty_array():

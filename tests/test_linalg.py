@@ -248,7 +248,7 @@ def assert_bitwise_equal(x, y):
 
 
 def assert_alone_equals_stacked(a):
-    """One matrix takes the Python-complex route; two identical ones the stacked route."""
+    """A lone real matrix takes the Python-float route, a complex one and two identical ones the stacked route."""
     alone_vals, alone_vecs = eig_hermitian(a)
     stacked_vals, stacked_vecs = eig_hermitian(np.stack([a, a]))
     assert_bitwise_equal(alone_vals, stacked_vals[0])
@@ -425,17 +425,45 @@ def test_diagonal_chsh_operator_takes_no_rotation(sweep_calls):
     assert sweep_calls == {"lone": 0, "stacked": 0}
 
 
-@pytest.mark.parametrize("n, route", [(8, "lone"), (16, "stacked")])
-def test_lone_matrix_route_depends_on_size(sweep_calls, n, route):
-    # A lone CHSH operator takes the lone route (tests above); a lone
-    # matrix above n = 8 takes the stacked sweep, with the same bits.
+@pytest.mark.parametrize(
+    "n, real, route", [(8, True, "lone"), (8, False, "stacked"), (16, True, "stacked"), (16, False, "stacked")]
+)
+def test_lone_matrix_route_depends_on_size(sweep_calls, n, real, route):
+    # A lone CHSH operator, real, takes the lone route (tests above); a
+    # complex lone matrix, or one above n = 8, takes the stacked sweep,
+    # with the same bits.
     rng = np.random.default_rng(n)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) * (not real)
     m = m + m.conj().T
     vals, vecs = eig_hermitian(m)
     assert 0 < sweep_calls[route] == sum(sweep_calls.values())
     pair_vals, pair_vecs = eig_hermitian(np.stack([m, m]))
     assert np.array_equal(vals, pair_vals[0]) and np.array_equal(vecs, pair_vecs[0])
+
+
+@pytest.mark.parametrize("scale", [2.0**-1000, 1.0, 2.0**1000])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_real_matrix_has_the_same_bits_in_every_arithmetic(monkeypatch, n, scale):
+    # Alone on Python floats, in a real stack on float64 arrays, and beside
+    # a complex matrix on complex128 arrays: the products with a zero
+    # imaginary part that only the last one forms add exact zeros.
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((3, n, n))
+    a = (a + a.swapaxes(-1, -2)) * scale
+    c = random_hermitian(rng, n) * scale
+    stacked = []
+    sweep = linalg._sweep_stacked
+    monkeypatch.setattr(linalg, "_sweep_stacked", lambda g, *args: stacked.append(g.dtype) or sweep(g, *args))
+    lone = eig_hermitian(a[0])
+    assert stacked == []
+    for stack, dtype in ((a, np.dtype(np.float64)), (np.stack([a[0], c]), np.dtype(np.complex128))):
+        vals, vecs = eig_hermitian(stack)
+        assert set(stacked) == ({dtype} if n > 1 else set())
+        stacked.clear()
+        assert_bitwise_equal(vals[0], lone[0])
+        assert_bitwise_equal(vecs[0], lone[1])
+    for part in (lone[0], lone[1].real, lone[1].imag):
+        assert not np.any(np.signbit(part) & (part == 0.0))
 
 
 def test_chsh_sweep_stack_takes_one_stacked_sweep(sweep_calls, capsys):
@@ -447,7 +475,8 @@ def test_chsh_sweep_stack_takes_one_stacked_sweep(sweep_calls, capsys):
 # Run in a subprocess under one OpenBLAS kernel and numpy SIMD dispatch:
 # prints the sha256 of a probe `@` product and of a probe elementwise
 # product of general complex arrays, then that of the lone and stacked
-# eig_hermitian results for n = 2..8 and of the chsh_spectrum and
+# eig_hermitian results on complex and real matrices for n = 2..8 (every
+# arithmetic form of the solver) and of the chsh_spectrum and
 # chsh_spectra fields over 2,000 seeded configurations.
 _KERNEL_DIGESTS = """
 import hashlib, math
@@ -469,8 +498,10 @@ print(digest([a * a[::-1]]))
 results = []
 for n in range(2, 9):
     m = rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n))
+    r = m.real + m.real.swapaxes(-1, -2)
     m = m + m.conj().swapaxes(-1, -2)
-    results += [*eig_hermitian(m), *(part for one in m for part in eig_hermitian(one))]
+    for stack in (m, r):
+        results += [*eig_hermitian(stack), *(part for one in stack for part in eig_hermitian(one))]
 configs = []
 while len(configs) < 2000:
     try:
