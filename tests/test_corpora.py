@@ -18,6 +18,16 @@ about 2,000 sets of pair tables built on Python floats: pushforwards of
 random joints, correlation boxes, and boxes whose largest CHSH variant
 is 2 +- 1e-12 or 2 +- 1e-9.  No Fine table goes through matmul.
 
+The sampler block hashes the ``run_experiments`` means and standard
+errors at n = 1, 2 and 100 on 400 seeded configurations, the spectrum
+corners and equal settings among them, and at n = 65537, one draw past
+a block, on four of them.  The ``correlation`` block hashes scalar and
+broadcast calls, the ``quasiprob`` block ``f_jkl`` and ``f_jk`` tables,
+and the ``find_negativity`` block every record of the 30-degree scan.
+The CLI block hashes the stdout of 40 argv lists, among them the sweeps
+at steps 180/161 and 180/175, which print a row at beta2 = 180
+(ROADMAP item 3), so that a fix of that grid shows as a moved block.
+
 ``CORPUS_DIGESTS`` and ``BLOCK_DIGESTS`` keep the digests under the
 version they were recorded at, as ``PIN_DIGESTS`` in ``test_golden.py``
 does, so a change that moves a byte here must bump ``__version__`` and
@@ -25,18 +35,33 @@ record the new digests; a failure says which blocks, or how many of
 the spectrum blocks, moved.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 import bellcheck
-from bellcheck import AngleConfig, chsh_spectra, chsh_spectrum, sample_outcomes
+from bellcheck import (
+    AngleConfig,
+    chsh_spectra,
+    chsh_spectrum,
+    correlation,
+    f_jk,
+    f_jkl,
+    find_negativity,
+    run_experiments,
+    sample_outcomes,
+)
 from bellcheck.born import JointPmf2x2
+from bellcheck.cli import main
 from bellcheck.counterfactual import PairMarginals, fine_feasibility
 from bellcheck.linalg import eig_hermitian
+from bellcheck.realworld import BLOCK_SIZE
 
 BLOCK = 200
 
@@ -96,6 +121,11 @@ BLOCK_DIGESTS = {
     "0.3.0": {
         "eig_hermitian": "00cc152d7b4e58bf3ca5dbd9c29cd166fd21bc4423dde0e97de9b44350399620",
         "fine_feasibility": "df85116f168d9f1a5b0580bdb2efde7b21168f03ddf2473b47eea33a7e953c2b",
+        "run_experiments": "c7c7ea556c02e38748725b166e3b4ecac9be473db1c803cb1300cd90c98d4d4a",
+        "correlation": "3bc90269e2aa91df8c65b4763ebe137c9f87db4058dbddeebecdbe6122a20a43",
+        "quasiprob": "b0764d7e6f6fc5270539a8d9195979211db8c1970ea012b296800bfade5d2e75",
+        "find_negativity": "336eb1d848e4580d5cce84530d37c3710b8f165643536f64639cf42654545b37",
+        "cli_stdout": "b80201e31ba0f6640aa102b6832d575fc17711ca39bb91864c42df5350b2a34a",
     },
 }
 
@@ -161,7 +191,109 @@ def fine_feasibility_digest() -> str:
     return h.hexdigest()
 
 
-BLOCKS = {"eig_hermitian": eig_hermitian_digest, "fine_feasibility": fine_feasibility_digest}
+def _angles(rng: random.Random, count: int) -> list:
+    return [rng.uniform(-4.0, 4.0) for _ in range(count)]
+
+
+def run_experiments_digest() -> str:
+    rng = random.Random(2703)
+    cases = [(cfg, rng.getrandbits(64)) for cfg in CORNERS + [AngleConfig(0.4, 1.0, 0.4, 1.3)]]
+    cases += [(AngleConfig(*_angles(rng, 4)), rng.getrandbits(64)) for _ in range(400 - len(cases))]
+    runs = [(cfg, seed, n) for cfg, seed in cases for n in (1, 2, 100)]
+    runs += [(cfg, seed, BLOCK_SIZE + 1) for cfg, seed in cases[::100]]
+    h = hashlib.sha256()
+    for cfg, seed, n in runs:
+        per_experiment, combined = run_experiments(cfg, n, seed)
+        for e in (*per_experiment, combined):
+            h.update(f"{e.mean.hex()},{e.stderr.hex()},{e.n};".encode("ascii"))
+    return h.hexdigest()
+
+
+def correlation_digest() -> str:
+    rng = random.Random(2704)
+    corners = [(0.0, 0.0), (0.3, 0.3 + 1e-9), (0.0, math.pi / 4), (0.0, math.pi / 2), (-0.0, math.pi), (1.0, -1.0)]
+    pairs = corners + [tuple(_angles(rng, 2)) for _ in range(1000)]
+    h = hashlib.sha256()
+    for a, b in pairs:
+        h.update(f"{correlation(a, b).hex()};".encode("ascii"))
+    alpha, beta = (np.array(column) for column in zip(*pairs))
+    h.update(correlation(alpha, beta).tobytes())
+    h.update(correlation(alpha[:40, None], beta[None, :50]).tobytes())
+    return h.hexdigest()
+
+
+def quasiprob_digest() -> str:
+    rng = random.Random(2705)
+    h = hashlib.sha256()
+    for alpha, alpha_prime, beta in [(0.3, 0.3, 1.0), (0.3, 0.3 + math.pi / 2, 0.0)] + [_angles(rng, 3) for _ in range(300)]:
+        h.update(f_jkl(alpha, alpha_prime, beta).values.tobytes())
+        h.update(f_jk(alpha, alpha_prime).values.tobytes())
+    return h.hexdigest()
+
+
+def find_negativity_digest() -> str:
+    records = find_negativity(math.radians(30.0))
+    h = hashlib.sha256(repr(records.dtype.descr).encode("ascii"))
+    for name in records.dtype.names:
+        h.update(records[name].tobytes())
+    return h.hexdigest()
+
+
+def _cli_argvs() -> list:
+    rng = random.Random(2706)
+
+    def degrees(count):
+        return [repr(rng.uniform(-180.0, 180.0)) for _ in range(count)]
+
+    optimal = ["0", "45", "22.5", "-22.5"]
+    argvs = [
+        ["chsh", *optimal],
+        ["chsh", *optimal, "--format", "csv"],
+        ["chsh", "10", "100", "30", "75"],  # t0 = t1
+        ["chsh", "0", "45", "0", "45.005"],  # t0 near 0
+        ["chsh", *optimal, "--sweep", "1.1180124223602483"],  # 180/161: a row at beta2 = 180
+        ["chsh", *optimal, "--sweep", "1.0285714285714285"],  # 180/175: a row at beta2 = 180
+        ["chsh", "0", "45", "20", "-22.5", "--sweep", "7", "--format", "json"],
+        ["t-spectrum", *degrees(4), "--sweep", "20"],
+        ["correlate", "0", "22.5"],
+        ["correlate", *degrees(2), "--format", "csv"],
+        ["enumerate", "realworld", "--format", "csv"],
+        ["enumerate", "counterfactual", "--format", "json"],
+        ["fine", *optimal],
+        ["fine", "0", "45", "22.5", "112.5"],
+        ["fine", "0", "90", "0", "90"],
+        ["quasiprob", "10", "20", "30"],
+        ["quasiprob", "--scan", "30"],
+        ["quasiprob", "--scan", "45"],
+        ["simulate", "0", "45", "0.001", "90", "--n", "2", "--seed", "0"],
+    ]
+    argvs += [["chsh", *degrees(4)] for _ in range(5)]
+    argvs += [["fine", *degrees(4)] for _ in range(5)]
+    argvs += [["quasiprob", *degrees(3)] for _ in range(4)]
+    argvs += [["simulate", *degrees(4), "--n", str(n), "--seed", str(rng.getrandbits(32))] for n in (1, 2, 100, 1000)]
+    argvs += [["chsh", *degrees(4), "--sweep", "12.5"] for _ in range(3)]
+    return argvs
+
+
+def cli_stdout_digest() -> str:
+    h = hashlib.sha256()
+    for argv in _cli_argvs():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        h.update(f"{' '.join(argv)}\n{out.getvalue()}".encode("utf-8"))
+    return h.hexdigest()
+
+
+BLOCKS = {
+    "eig_hermitian": eig_hermitian_digest,
+    "fine_feasibility": fine_feasibility_digest,
+    "run_experiments": run_experiments_digest,
+    "correlation": correlation_digest,
+    "quasiprob": quasiprob_digest,
+    "find_negativity": find_negativity_digest,
+    "cli_stdout": cli_stdout_digest,
+}
 
 
 @pytest.mark.parametrize("block", list(BLOCKS))
