@@ -242,7 +242,9 @@ def _glue(t1: list[float], t2: list[float]) -> list[float]:
         u0, u1, v0, v1 = max(u0, 0.0), max(u1, 0.0), max(v0, 0.0), max(v1, 0.0)
         m = v0 + v1
         cells += (u0 * v0 / m, u0 * v1 / m, u1 * v0 / m, u1 * v1 / m) if m else (0.0, 0.0, 0.0, 0.0)
-    total = sum(cells)
+    total = 0.0
+    for v in cells:
+        total += v
     return [v / total for v in cells]
 
 

@@ -5,8 +5,9 @@ angle pair of an :class:`~bellcheck.polarization.AngleConfig`, each on
 its own photon pair.  This module provides
 
 * seeded Monte Carlo estimates of the four pair correlations,
-* exhaustive enumeration of the 4^4 = 256 joint elementary outcomes and
-  the statistic x1 y1 + x2 y2 + x3 y3 - x4 y4 (always in [-4, 4]),
+* exhaustive enumeration of the 4^4 = 256 joint elementary outcomes,
+  each a run of four (x, y) draws ordered E1..E4, and the statistic
+  x1 y1 + x2 y2 + x3 y3 - x4 y4 (always in [-4, 4]),
 * the 256-dimensional four-pair product state and its full Born-rule
   outcome table, cross-checked against the factored per-pair tables.
 
@@ -58,27 +59,24 @@ _RUN_STATISTIC.flags.writeable = False
 
 @dataclass(frozen=True)
 class ExperimentOutcome:
-    """One draw (x, y) of experiment E1..E4."""
+    """One draw (x, y) of one experiment; its place in a run names the experiment."""
 
-    experiment_index: int
     x: int
     y: int
 
     def __post_init__(self) -> None:
-        if self.experiment_index not in (1, 2, 3, 4):
-            raise ValueError("experiment_index must be in 1..4")
         if self.x not in (-1, 1) or self.y not in (-1, 1):
             raise ValueError("outcomes must be +-1")
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcomes of one joint run of all four experiments; ``statistic`` is derived from them."""
+    """Outcomes of E1..E4, in that order, of one joint run; ``statistic`` is derived from them."""
 
     outcomes: tuple[ExperimentOutcome, ...]
 
     def __post_init__(self) -> None:
-        if len(self.outcomes) != 4 or [o.experiment_index for o in self.outcomes] != [1, 2, 3, 4]:
+        if len(self.outcomes) != 4 or not all(isinstance(o, ExperimentOutcome) for o in self.outcomes):
             raise ValueError("need one outcome per experiment, ordered E1..E4")
 
     @property
@@ -109,16 +107,6 @@ class EstimatorResult:
             raise ValueError("stderr must be non-negative and finite")
 
 
-def _pair_cdf(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Cumulative cell probabilities in the fixed CELL_VALUES order, along the last axis; basis stacks broadcast."""
-    p = _singlet_tables(alice, bob)
-    return np.cumsum(p.reshape(p.shape[:-2] + (4,)), axis=-1)
-
-
-def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, stream, block]))
-
-
 def _uniform_blocks(seed: int, stream: int, n: int) -> Iterator[np.ndarray]:
     """The first ``n`` uniforms of a counter-indexed stream, one block at a time.
 
@@ -128,7 +116,7 @@ def _uniform_blocks(seed: int, stream: int, n: int) -> Iterator[np.ndarray]:
     buf = np.empty(min(n, BLOCK_SIZE))
     for block, lo in enumerate(range(0, n, BLOCK_SIZE)):
         u = buf[: min(BLOCK_SIZE, n - lo)]
-        _block_rng(seed, stream, block).random(out=u)
+        np.random.default_rng(np.random.SeedSequence([seed, stream, block])).random(out=u)
         yield u
 
 
@@ -156,33 +144,31 @@ def _two_point_estimate(magnitude: float, lo: float, hi: float, seed: int, strea
     return EstimatorResult(mean, math.sqrt(var / n), n)
 
 
-def run_experiments(
-    cfg: AngleConfig, n: int, seed: int
-) -> tuple[tuple[EstimatorResult, ...], EstimatorResult]:
+def run_experiments(cfg: AngleConfig, n: int, seed: int) -> tuple[tuple[EstimatorResult, ...], EstimatorResult]:
     """Estimate the four pair correlations and their CHSH combination.
 
     Each experiment draws ``n`` pairs (1 <= n <= 2**53) from its own
     independent stream (stream id = experiment index), counted block by
-    block, so memory does not grow with ``n``.  Returns the
+    block, so memory does not grow with ``n``.  Draw u gives x*y = -1 in
+    the band p00 <= u < p00 + p01 + p10 of its pair table.  Returns the
     per-experiment product estimates C1..C4 and the combination
     C1 + C2 + C3 - C4 with standard errors combined in quadrature.
     """
     _check_draw_count(n)
-    estimates = []
-    for idx, cdf in enumerate(_pair_cdf(*_experiment_bases(cfg)), start=1):
-        # x*y is -1 on cells 1 and 2, the draws with cdf[0] <= u < cdf[2].
-        estimates.append(_two_point_estimate(1.0, cdf[0], cdf[2], seed, idx, n))
-    signs = (1.0, 1.0, 1.0, -1.0)
-    mean = sum(s * e.mean for s, e in zip(signs, estimates))
-    stderr = math.sqrt(sum(e.stderr**2 for e in estimates))
-    return tuple(estimates), EstimatorResult(mean, stderr, n)
+    c1, c2, c3, c4 = (
+        _two_point_estimate(1.0, p00, p00 + p01 + p10, seed, stream, n)
+        for stream, ((p00, p01), (p10, _)) in enumerate(_singlet_tables(*_experiment_bases(cfg)).tolist(), start=1)
+    )
+    mean = c1.mean + c2.mean + c3.mean - c4.mean
+    stderr = math.sqrt(c1.stderr**2 + c2.stderr**2 + c3.stderr**2 + c4.stderr**2)
+    return (c1, c2, c3, c4), EstimatorResult(mean, stderr, n)
 
 
 def enumerate_total_sample_space() -> list[RunRecord]:
     """All 256 joint elementary outcomes of the four experiments."""
     return [
-        RunRecord(tuple(ExperimentOutcome(idx, *CELL_VALUES[cell]) for idx, cell in enumerate(cells, start=1)))
-        for cells in itertools.product(range(4), repeat=4)
+        RunRecord(tuple(ExperimentOutcome(x, y) for x, y in cells))
+        for cells in itertools.product(CELL_VALUES, repeat=4)
     ]
 
 

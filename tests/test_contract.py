@@ -133,6 +133,7 @@ def test_angle_config_rejects_non_finite_fields(field, bad):
 RECORDS = {
     bellcheck.ChshSpectrum: {"t0": 2.0, "t1": 2.0, "w_plus": 0.25, "eigenvalues": np.array([2.0, 2.0, -2.0, -2.0])},
     bellcheck.EstimatorResult: {"mean": -0.5, "stderr": 0.1, "n": 10},
+    bellcheck.ExperimentOutcome: {"x": 1, "y": 1},
     bellcheck.FeasibilityResult: {"witness": bellcheck.CfPmf.uniform(), "chsh_value": 0.0, "marginal_residual": 0.0},
     bellcheck.QuasiPmf2: {"values": np.full((2, 2), 0.25)},
     bellcheck.QuasiPmf3: {"values": np.full((2, 2, 2), 0.125)},
@@ -160,6 +161,7 @@ STORED_FIELDS = {
     bellcheck.FeasibilityResult: ("witness", "chsh_value", "marginal_residual"),
     bellcheck.ChshSpectrum: ("t0", "t1", "w_plus", "eigenvalues"),
     bellcheck.RunRecord: ("outcomes",),
+    bellcheck.ExperimentOutcome: ("x", "y"),
     bellcheck.QuasiPmf3: ("values",),
     bellcheck.QuasiPmf2: ("values",),
 }
@@ -177,6 +179,7 @@ REMOVED_FIELDS = [
     (bellcheck.FeasibilityResult, "feasible", True),
     (bellcheck.ChshSpectrum, "w_minus", 0.75),
     (bellcheck.RunRecord, "statistic", 0),
+    (bellcheck.ExperimentOutcome, "experiment_index", 1),
     (bellcheck.QuasiPmf2, "alpha", 0.1),
     (bellcheck.QuasiPmf2, "alpha_prime", 0.7),
     (bellcheck.QuasiPmf3, "alpha", 0.1),

@@ -28,6 +28,12 @@ The CLI block hashes the stdout of 40 argv lists, among them the sweeps
 at steps 180/161 and 180/175, which print a row at beta2 = 180
 (ROADMAP item 3), so that a fix of that grid shows as a moved block.
 
+The last two tests keep every byte independent of the Python version:
+builtin ``sum`` adds floats with compensation from CPython 3.12 on, so
+the package makes no call to it, and samplers, Fine witnesses and a
+``fine`` stdout give the same bits with builtin ``sum`` replaced by an
+emulation of 3.12's.  The test inputs add their floats left to right.
+
 ``CORPUS_DIGESTS`` and ``BLOCK_DIGESTS`` keep the digests under the
 version they were recorded at, as ``PIN_DIGESTS`` in ``test_golden.py``
 does, so a change that moves a byte here must bump ``__version__`` and
@@ -35,11 +41,14 @@ record the new digests; a failure says which blocks, or how many of
 the spectrum blocks, moved.
 """
 
+import ast
+import builtins
 import contextlib
 import hashlib
 import io
 import itertools
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -59,7 +68,7 @@ from bellcheck import (
 )
 from bellcheck.born import JointPmf2x2
 from bellcheck.cli import main
-from bellcheck.counterfactual import PairMarginals, fine_feasibility
+from bellcheck.counterfactual import PairMarginals, fine_feasibility, quantum_pair_marginals
 from bellcheck.linalg import eig_hermitian
 from bellcheck.realworld import BLOCK_SIZE
 
@@ -152,12 +161,20 @@ def eig_hermitian_digest() -> str:
     return h.hexdigest()
 
 
+def _sum(values) -> float:
+    """The floats added left to right from 0.0, the same bits under every Python version, unlike builtin sum."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _pushforward(rng: random.Random) -> list:
     """The four pair tables of a random joint over (a1, a2, b1, b2), about a quarter of its cells 0."""
     w = {cell: rng.random() if rng.random() < 0.75 else 0.0 for cell in itertools.product((0, 1), repeat=4)}
-    total = sum(w.values())
+    total = _sum(w.values())
     return [
-        [[sum(v for cell, v in w.items() if (cell[i], cell[j]) == (x, y)) / total for y in (0, 1)] for x in (0, 1)]
+        [[_sum(v for cell, v in w.items() if (cell[i], cell[j]) == (x, y)) / total for y in (0, 1)] for x in (0, 1)]
         for i, j in ((0, 2), (0, 3), (1, 2), (1, 3))
     ]
 
@@ -171,7 +188,7 @@ def _boundary_boxes(rng: random.Random, target: float) -> list:
     """Correlation boxes scaled so that their largest CHSH variant max |sum(c) - 2 c_i| is ``target``."""
     while True:
         c = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-        scale = target / max(abs(sum(c) - 2.0 * ci) for ci in c)
+        scale = target / max(abs(_sum(c) - 2.0 * ci) for ci in c)
         if all(abs(scale * ci) <= 1.0 for ci in c):
             return _boxes([scale * ci for ci in c])
 
@@ -224,8 +241,9 @@ def correlation_digest() -> str:
 
 def quasiprob_digest() -> str:
     rng = random.Random(2705)
+    corners = [(0.3, 0.3, 1.0), (0.3, 0.3 + math.pi / 2, 0.0)]  # f_jk cells that are 0 in exact arithmetic
     h = hashlib.sha256()
-    for alpha, alpha_prime, beta in [(0.3, 0.3, 1.0), (0.3, 0.3 + math.pi / 2, 0.0)] + [_angles(rng, 3) for _ in range(300)]:
+    for alpha, alpha_prime, beta in corners + [_angles(rng, 3) for _ in range(300)]:
         h.update(f_jkl(alpha, alpha_prime, beta).values.tobytes())
         h.update(f_jk(alpha, alpha_prime).values.tobytes())
     return h.hexdigest()
@@ -302,3 +320,70 @@ def test_kernel_bytes_belong_to_the_package_version(block):
     version = bellcheck.__version__
     assert version in BLOCK_DIGESTS, f"record the {block} digest of {version}: {got}"
     assert got == BLOCK_DIGESTS[version][block], f"the {block} block moved: bump __version__ and record {got}"
+
+
+def _sum_312(iterable, /, start=0):
+    """Builtin ``sum`` as CPython 3.12 computes it.
+
+    Up to the first float the terms add plainly.  Each later float is
+    added with Neumaier's compensation, an int plainly, and the
+    compensation joins the total at the end when it is nonzero and
+    finite, or before the first term of any other type.
+    """
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(total) is not int:
+                break
+    if type(total) is float:
+        c = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif type(item) in (int, bool) and -(2**63) <= item < 2**63:
+                total += float(item)
+            else:
+                total = (total + c if c and math.isfinite(c) else total) + item
+                break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for item in items:
+        total = total + item
+    return total
+
+
+def test_outputs_do_not_depend_on_how_python_sums_floats(monkeypatch, capsys):
+    # Builtin sum adds floats with compensation from CPython 3.12 on, and
+    # the package supports 3.10 and later, so no printed byte may go through it.
+    assert _sum_312([0.1] * 10) == 1.0 and _sum_312([1e100, 1.0, -1e100]) == 1.0
+    rng = random.Random(2707)
+    configs = [AngleConfig(*_angles(rng, 4)) for _ in range(60)]
+
+    def outputs():
+        got = []
+        for seed, cfg in enumerate(configs):
+            per_experiment, combined = run_experiments(cfg, 100, seed)
+            got += [f"{e.mean.hex()},{e.stderr.hex()}" for e in (*per_experiment, combined)]
+            witness = fine_feasibility(quantum_pair_marginals(cfg)).witness
+            got.append(None if witness is None else witness.probabilities.tobytes())
+        assert main(["fine", "0", "45", "22.5", "112.5"]) == 0
+        return got + [capsys.readouterr().out]
+
+    plain = outputs()
+    monkeypatch.setattr(builtins, "sum", _sum_312)
+    assert outputs() == plain
+
+
+def test_the_package_makes_no_call_to_builtin_sum():
+    package = pathlib.Path(bellcheck.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert calls == []

@@ -80,7 +80,7 @@ def test_cfpmf_validation():
 
 
 def _run(x, y):
-    return RunRecord(tuple(ExperimentOutcome(i + 1, x[i], y[i]) for i in range(4)))
+    return RunRecord(tuple(ExperimentOutcome(xi, yi) for xi, yi in zip(x, y)))
 
 
 def test_identify_run():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellcheck import realworld
-from bellcheck.born import chsh_expectation, joint_pmf
+from bellcheck.born import _singlet_tables, chsh_expectation, joint_pmf
 from bellcheck.chsh_operator import chsh_spectrum, sample_outcomes
 from bellcheck.errors import InternalCheckError
 from bellcheck.polarization import AngleConfig, basis_matrix, singlet_state
@@ -23,14 +23,14 @@ from bellcheck.realworld import (
     tensor_joint_pmf,
     tensor_state,
 )
-from bellcheck.realworld import _pair_cdf, _two_point_estimate, _uniform_blocks  # the counting path under test
+from bellcheck.realworld import _two_point_estimate, _uniform_blocks  # the counting path under test
 
 OPTIMAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5)
 
 
 def _cdf(alpha, beta):
-    """The cell cdf of one angle pair, through the kernel the samplers use."""
-    return _pair_cdf(basis_matrix(alpha), basis_matrix(beta))
+    """The cell cdf of one angle pair in CELL_VALUES order, from the pair table the samplers read."""
+    return np.cumsum(_singlet_tables(basis_matrix(alpha), basis_matrix(beta)).reshape(4))
 
 
 def _stream_uniforms(seed, stream, n):
@@ -233,12 +233,12 @@ def test_enumeration_histogram_matches_combinatorial_oracle():
 
 
 def test_record_validation():
-    with pytest.raises(ValueError, match="ordered E1..E4"):
-        RunRecord(tuple(ExperimentOutcome(i, 1, 1) for i in (1, 2, 4, 3)))
+    with pytest.raises(ValueError, match="one outcome per experiment"):
+        RunRecord((ExperimentOutcome(1, 1),) * 3)
+    with pytest.raises(ValueError, match="one outcome per experiment"):
+        RunRecord((1, 1, 1, 1))
     with pytest.raises(ValueError):
-        ExperimentOutcome(5, 1, 1)
-    with pytest.raises(ValueError):
-        ExperimentOutcome(1, 2, 1)
+        ExperimentOutcome(2, 1)
 
 
 def test_estimator_result_validation():
