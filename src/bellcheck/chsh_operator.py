@@ -9,11 +9,11 @@ not jointly measurable.  Its spectrum is {+t0, -t0, +t1, -t1} with
 
     t0 = 2 sqrt(1 - sin 2(a1 - a2) * sin 2(b1 - b2)),
 
-and t1 = 2 sqrt(1 + sin 2(a1 - a2) * sin 2(b1 - b2)).  In the singlet
-state all outcome weight sits on the +-t0 atoms: the measured value is
-+t0 with probability (1 + E/t0)/2 and -t0 otherwise, where E is the CHSH
-expectation.  At the optimal angles t0 = 2 sqrt(2) and the outcome is
-deterministic.
+and t1 = 2 sqrt(1 + sin 2(a1 - a2) * sin 2(b1 - b2)), both computed as a
+sum of two squares, which does not cancel near 0.  In the singlet all
+outcome weight sits on the +-t0 atoms: the value is +t0 with probability
+(1 + E/t0)/2 and -t0 otherwise, where E is the CHSH expectation.  At the
+optimal angles t0 = 2 sqrt(2) and the outcome is deterministic.
 
 Landau's identity, C^2 = 4 I - [A1, A2] (x) [B1, B2] for the CHSH
 operator C with Alice's observables A1, A2 and Bob's B1, B2 (L. J.
@@ -100,14 +100,14 @@ def chsh_operator(cfg: AngleConfig) -> np.ndarray:
     return _chsh_operators(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
 
 
+# t0, t1 = 2 sqrt(1 -+ sin x sin y), x = 2(a1 - a2) and y = 2(b1 - b2), written
+# as 2 sqrt(sin^2((x -+ y)/2) + cos^2((x +- y)/2)), which does not cancel.
 def _atom_magnitudes(alpha1, alpha2, beta1, beta2) -> np.ndarray:
-    product = np.sin(2.0 * (alpha1 - alpha2)) * np.sin(2.0 * (beta1 - beta2))
-    return 2.0 * np.sqrt(np.maximum(1.0 - product, 0.0))
+    half_x, half_y = alpha1 - alpha2, beta1 - beta2
+    return 2.0 * np.hypot(np.sin(half_x - half_y), np.cos(half_x + half_y))
 
 
 def _dark_magnitudes(alpha1, alpha2, beta1, beta2) -> np.ndarray:
-    # t1 = 2 sqrt(1 + sin x sin y), x = 2(a1 - a2) and y = 2(b1 - b2), written
-    # as 2 sqrt(cos^2((x - y)/2) + sin^2((x + y)/2)), which does not cancel.
     half_x, half_y = alpha1 - alpha2, beta1 - beta2
     return 2.0 * np.hypot(np.cos(half_x - half_y), np.sin(half_x + half_y))
 

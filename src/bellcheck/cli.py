@@ -51,7 +51,7 @@ from .born import SINGLET, chsh_expectations, correlation, joint_pmf
 from .chsh_operator import _closed_form_expectations, chsh_spectra
 from .counterfactual import fine_feasibility, outcome_statistic, outcome_values, quantum_pair_marginals, sample_space
 from .errors import InternalCheckError, check
-from .polarization import AngleConfig, _setting_radians, same_setting
+from .polarization import AngleConfig, _setting_grid, _setting_radians, same_setting
 from .quasiprob import f_jkl, find_negativity
 from .realworld import enumerate_total_sample_space, run_experiments, statistic_histogram
 
@@ -222,9 +222,9 @@ def cmd_chsh(args: argparse.Namespace) -> str:
         table = _spectrum_table(args, cfg, np.array([args.beta2_deg]), np.array([cfg.beta2]))
         # A single configuration prints as the JSON object of its one row.
         return canonical_csv(table) if args.format == "csv" else _rows(table, keyed=True)[0] + "\n"
-    # Sweep iterates beta2 over [0, 180); points colliding with beta1
-    # (mod 180) are skipped because the configuration is degenerate there.
-    grid = np.arange(0.0, 180.0, args.sweep_deg)
+    # The sweep sets beta2 to each setting of [0, 180) on the grid once; points
+    # colliding with beta1 (mod 180) are skipped because the configuration is degenerate there.
+    grid = _setting_grid(args.sweep_deg, 180.0)
     radians = np.radians(grid)
     keep = ~same_setting(radians, cfg.beta1)
     table = _spectrum_table(args, cfg, grid[keep], radians[keep])
@@ -316,13 +316,6 @@ def cmd_quasiprob(args: argparse.Namespace) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
-def _grid_step(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"step must be a positive finite number of degrees, got {text!r}")
-    return value
-
-
 def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
@@ -360,7 +353,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("chsh", aliases=["t-spectrum"], help="CHSH expectation and operator spectrum")
     add_angles4(sp)
     sp.add_argument(
-        "--sweep", dest="sweep_deg", type=_grid_step, default=None,
+        "--sweep", dest="sweep_deg", type=float, default=None,
         help="sweep beta2 over [0, 180) with this step in degrees",
     )
     add_output(sp, table=True)
@@ -387,7 +380,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("alpha_deg", type=float, nargs="?", default=None)
     sp.add_argument("alpha_prime_deg", type=float, nargs="?", default=None)
     sp.add_argument("beta_deg", type=float, nargs="?", default=None)
-    sp.add_argument("--scan", dest="scan_deg", type=_grid_step, default=None, help="grid step in degrees")
+    sp.add_argument("--scan", dest="scan_deg", type=float, default=None, help="grid step in degrees")
     add_output(sp)
     sp.set_defaults(func=cmd_quasiprob)
     return parser

@@ -44,6 +44,14 @@ def same_setting(a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndar
     return np.minimum(d, math.pi - d) <= ANGLE_EQUALITY_TOL
 
 
+def _setting_grid(step: float, period: float) -> np.ndarray:
+    """``np.arange(0.0, period, step)`` (period pi, or 180 in degrees) less a last point that same_setting puts at 0."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("grid step must be a positive finite number")
+    grid = np.arange(0.0, period, step)
+    return grid[:-1] if grid.size > 1 and same_setting(grid[-1] * (math.pi / period), 0.0) else grid
+
+
 @dataclass(frozen=True)
 class AngleConfig:
     """The four polarizer settings (alpha1, alpha2, beta1, beta2), radians.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .born import _PRODUCT_SIGNS, OUTCOME_VALUES, SINGLET, _checked_table, _pair_amplitudes, _singlet_tables
 from .errors import check
-from .polarization import basis_matrix, x_operator, y_operator
+from .polarization import _setting_grid, basis_matrix, x_operator, y_operator
 
 _IMAG_TOL = 1e-12
 
@@ -143,22 +143,21 @@ def f_jk(alpha: float, alpha_prime: float) -> QuasiPmf2:
 def find_negativity(grid_step: float, threshold: float = -1e-12) -> np.recarray:
     """Scan an angle grid for negative quasi-probability cells.
 
-    All three angles run over [0, pi) in steps of ``grid_step`` radians.
-    Returns every cell below ``threshold`` as one record array with
-    fields ``alpha, alpha_prime, beta`` (radians), ``j, k, l`` (1-based
-    cell indices) and ``value``, one record per cell, sorted by value
-    ascending with ties broken lexicographically by (alpha, alpha', beta,
-    j, k, l); a threshold of +inf returns every cell, and NaN raises
-    ValueError.  Any grid with step <= 15 degrees contains negative
+    All three angles run over the settings in [0, pi) at steps of
+    ``grid_step`` radians, each once: pi/k gives k points.  Returns every
+    cell below ``threshold`` as one record array with fields ``alpha,
+    alpha_prime, beta`` (radians), ``j, k, l`` (1-based cell indices) and
+    ``value``, sorted by value ascending with ties broken lexicographically
+    by (alpha, alpha', beta, j, k, l); a threshold of +inf returns every
+    cell.  A NaN threshold, or a step that is not positive and finite,
+    raises ValueError.  Any grid with step <= 15 degrees contains negative
     cells.  Tables are built a block of alpha values at a time, about a
     million cells per block, so memory beyond the returned columns stays
     bounded however fine the grid.
     """
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise ValueError("grid_step must be positive and finite")
+    grid = _setting_grid(grid_step, math.pi)
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
-    grid = np.arange(0.0, np.pi, grid_step)
     size = grid.size
     bases = basis_matrix(grid)
     amps = _pair_amplitudes(SINGLET, bases[:, None], bases)  # [alpha, beta, j, l]

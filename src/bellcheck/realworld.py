@@ -78,6 +78,7 @@ class RunRecord:
     def __post_init__(self) -> None:
         if len(self.outcomes) != 4 or not all(isinstance(o, ExperimentOutcome) for o in self.outcomes):
             raise ValueError("need one outcome per experiment, ordered E1..E4")
+        object.__setattr__(self, "outcomes", tuple(self.outcomes))
 
     @property
     def statistic(self) -> int:

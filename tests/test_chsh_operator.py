@@ -1,6 +1,5 @@
 import importlib
 import math
-import re
 
 import numpy as np
 import pytest
@@ -148,23 +147,23 @@ def test_sampling_makes_no_eigensolve(monkeypatch):
 
 # Near t0 = 0 the sampler checks t0 through Landau's identity, which needs
 # no eigenvector, so it returns where chsh_spectrum's eigenvector checks
-# fail.  At 45.0000001 the closed-form t0 itself cancels to 0 while
-# |E| = 3.5e-9, and "|E| above t0" fires (ROADMAP item 3).
-@pytest.mark.parametrize(
-    "beta2",
-    [
-        "45.003",
-        "45.001",
-        "45.0001",
-        "45.00001",
-        "45.000001",
-        pytest.param("45.0000001", marks=pytest.mark.xfail(raises=InternalCheckError, strict=True)),
-    ],
-)
+# fail (at 45.0000001, ROADMAP item 3).
+@pytest.mark.parametrize("beta2", ["45.003", "45.001", "45.0001", "45.00001", "45.000001", "45.0000001"])
 def test_sampling_near_t0_zero_stays_within_t0(beta2):
     cfg = AngleConfig.from_degrees(0.0, 45.0, 0.0, float(beta2))
     est = sample_outcomes(cfg, 1_000, seed=17)
     assert abs(est.mean) <= atom_magnitude(cfg)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_atom_magnitude_near_zero_matches_high_precision(delta):
+    # t0 = 2 sqrt(1 - sin 2(a1 - a2) sin 2(b1 - b2)) at 50 digits, from the same float angles.
+    mpmath = pytest.importorskip("mpmath")
+    cfg = AngleConfig.from_degrees(0.0, 45.0, 0.0, 45.0 + delta)
+    with mpmath.workdps(50):
+        a1, a2, b1, b2 = map(mpmath.mpf, (cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
+        exact = 2 * mpmath.sqrt(1 - mpmath.sin(2 * (a1 - a2)) * mpmath.sin(2 * (b1 - b2)))
+        assert abs(atom_magnitude(cfg) - exact) <= 1e-15
 
 
 def angle_columns(configs):
@@ -190,7 +189,8 @@ PINNED_DEGREES = [
 def test_stacked_spectra_equal_single_spectra_bitwise():
     # chsh_spectrum runs chsh_spectra's code on one configuration's floats;
     # the stack must give the same bits, and fail the same check.
-    configs = random_configs(41, 2000) + [AngleConfig.from_degrees(*degrees) for degrees in PINNED_DEGREES]
+    near_zero = [AngleConfig.from_degrees(0, 45, 0, 45.003)]
+    configs = random_configs(41, 2000) + near_zero + [AngleConfig.from_degrees(*degrees) for degrees in PINNED_DEGREES]
     columns = angle_columns(configs)
     stacked = chsh_spectra(*columns)
     expectations = chsh_expectations(*columns)
@@ -205,20 +205,19 @@ def test_stacked_spectra_equal_single_spectra_bitwise():
 
     # ROADMAP item 3's open t0 ~ 0 defect: both routes fail on the same
     # check, with the same gap to the last bit.
-    for beta2, name in ((45.003, "projector weight vs closed form"), (45.0000001, "numeric t0 vs closed form")):
-        near_zero = AngleConfig.from_degrees(0, 45, 0, beta2)
-        messages = []
-        for call in (lambda: chsh_spectrum(near_zero), lambda: chsh_spectra(*angle_columns([near_zero]))):
-            with pytest.raises(InternalCheckError, match="^" + re.escape(name) + ": gap ") as info:
-                call()
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+    failing = AngleConfig.from_degrees(0, 45, 0, 45.0000001)
+    messages = []
+    for call in (lambda: chsh_spectrum(failing), lambda: chsh_spectra(*angle_columns([failing]))):
+        with pytest.raises(InternalCheckError, match="^projector weight vs closed form: gap ") as info:
+            call()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_failing_stack_reports_its_first_failing_configuration():
-    # ROADMAP item 3's 45.003 case, last in a stack of good configurations,
+    # ROADMAP item 3's 45.0000001 case, last in a stack of good configurations,
     # fails with the message it gives alone.
-    near_zero = AngleConfig.from_degrees(0, 45, 0, 45.003)
+    near_zero = AngleConfig.from_degrees(0, 45, 0, 45.0000001)
     configs = [AngleConfig.from_degrees(*degrees) for degrees in PINNED_DEGREES] + [near_zero]
     with pytest.raises(InternalCheckError) as alone:
         chsh_spectrum(near_zero)

@@ -89,17 +89,15 @@ def test_chsh_sweep_skips_degenerate_grid_point(capsys):
     assert 20.0 not in [float(r[3]) for r in rows]
 
 
-# The sweep grid is np.arange(0, 180, step), which can round its last point
-# up to 180: a step of 180/227 prints a 228th row at beta2 = 180 that
-# repeats the beta2 = 0 row (ROADMAP item 3).
-@pytest.mark.parametrize("step", [
-    "10",
-    pytest.param("0.7929515418502202", marks=pytest.mark.xfail(strict=True, reason="the sweep grid reaches 180")),
-])
-def test_chsh_sweep_stays_below_180(capsys, step):
+# np.arange(0, 180, step) can round its last point up to 180 (step 180/227)
+# or to 179.99999999999997, which prints as 180 (step 180/161); either would
+# repeat the beta2 = 0 row.  The grid drops that point, leaving k rows.
+@pytest.mark.parametrize("step, rows", [("10", 18), ("0.7929515418502202", 227), ("1.1180124223602483", 161)])
+def test_chsh_sweep_stays_below_180(capsys, step, rows):
     code, out = run_cli(capsys, "chsh", "0", "45", "22.5", "-22.5", "--sweep", step)
     assert code == 0
-    assert max(float(line.split(",")[3]) for line in out.strip().split("\n")[1:]) < 180.0
+    beta2 = [float(line.split(",")[3]) for line in out.strip().split("\n")[1:]]
+    assert len(beta2) == rows and max(beta2) < 180.0
 
 
 def test_chsh_rejects_degenerate_settings(capsys):
@@ -370,11 +368,17 @@ def test_any_typed_angle_replays_to_its_recorded_sha256(command, angles):
         assert replay(str(manifest_path), str(pathlib.Path(tmp) / "again.txt")) == recorded
 
 
-# Near t0 = 0 the closed form for t0 cancels and the projector check is
-# ill-conditioned, so these valid inputs exit 3 (ROADMAP item 3); 45.005
-# and 45.000000001 exit 0 and are not listed.
-@pytest.mark.xfail(strict=True, reason="CHSH spectrum checks fail on valid input near t0 = 0")
-@pytest.mark.parametrize("beta2", ["45.003", "45.001", "45.0001", "45.00001", "45.000001", "45.0000001"])
+# Near t0 = 0 the projector check is ill-conditioned, so 45.0000001 still
+# exits 3 on "projector weight vs closed form" (ROADMAP item 3); 45.005
+# and 45.000000001 exit 0 as well.
+@pytest.mark.parametrize("beta2", [
+    "45.003",
+    "45.001",
+    "45.0001",
+    "45.00001",
+    "45.000001",
+    pytest.param("45.0000001", marks=pytest.mark.xfail(strict=True, reason="the projector check near t0 = 0")),
+])
 def test_chsh_accepts_settings_near_t0_zero(capsys, beta2):
     code, _ = run_cli(capsys, "chsh", "0", "45", "0", beta2)
     assert code == 0

@@ -25,8 +25,8 @@ a block, on four of them.  The ``correlation`` block hashes scalar and
 broadcast calls, the ``quasiprob`` block ``f_jkl`` and ``f_jk`` tables,
 and the ``find_negativity`` block every record of the 30-degree scan.
 The CLI block hashes the stdout of 40 argv lists, among them the sweeps
-at steps 180/161 and 180/175, which print a row at beta2 = 180
-(ROADMAP item 3), so that a fix of that grid shows as a moved block.
+at steps 180/161 and 180/175, whose ``np.arange`` grids end at 180, the
+setting 0 again, a point the sweep grid drops since version 0.4.0.
 
 The last two tests keep every byte independent of the Python version:
 builtin ``sum`` adds floats with compensation from CPython 3.12 on, so
@@ -269,8 +269,8 @@ def _cli_argvs() -> list:
         ["chsh", *optimal, "--format", "csv"],
         ["chsh", "10", "100", "30", "75"],  # t0 = t1
         ["chsh", "0", "45", "0", "45.005"],  # t0 near 0
-        ["chsh", *optimal, "--sweep", "1.1180124223602483"],  # 180/161: a row at beta2 = 180
-        ["chsh", *optimal, "--sweep", "1.0285714285714285"],  # 180/175: a row at beta2 = 180
+        ["chsh", *optimal, "--sweep", "1.1180124223602483"],  # 180/161: arange ends at 180
+        ["chsh", *optimal, "--sweep", "1.0285714285714285"],  # 180/175: arange ends at 180
         ["chsh", "0", "45", "20", "-22.5", "--sweep", "7", "--format", "json"],
         ["t-spectrum", *degrees(4), "--sweep", "20"],
         ["correlate", "0", "22.5"],

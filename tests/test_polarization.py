@@ -8,6 +8,7 @@ from bellcheck.born import correlation, joint_pmf
 from bellcheck.linalg import commutator
 from bellcheck.polarization import (
     AngleConfig,
+    _setting_grid,
     _setting_radians,
     basis_matrix,
     reduce_mod_pi,
@@ -109,6 +110,19 @@ def test_angle_helpers():
     assert not same_setting(0.0, 0.3)
     with pytest.raises(ValueError):
         reduce_mod_pi(math.inf)
+
+
+def test_setting_grid_holds_each_setting_once():
+    # np.arange can end on the setting 0 again, at or just below the period;
+    # under numpy 2.4 it does on 295 of these 5,997 grids.
+    dropped = 0
+    for k in range(1, 2000):
+        for step, period in ((180 / k, 180.0), (math.radians(180 / k), math.pi), (math.pi / k, math.pi)):
+            grid, full = _setting_grid(step, period), np.arange(0.0, period, step)
+            assert grid.size == k and np.array_equal(grid, full[:k]), (k, step)
+            dropped += full.size - k
+    assert dropped > 0
+    assert _setting_grid(200.0, 180.0).tolist() == [0.0]
 
 
 def test_angle_config_validation():

@@ -106,10 +106,9 @@ def test_find_negativity_includes_22_5_case():
     )
 
 
-# The scan grid is np.arange(0, pi, step), which can end on a point equal
-# to pi, the same setting as 0: a step of pi/61 gives 62 points, the last
-# exactly pi (ROADMAP item 3).
-@pytest.mark.xfail(strict=True, reason="the scan grid reaches pi")
+# np.arange(0, pi, step) can end on a point equal to pi, the same setting
+# as 0: a step of pi/61 gives 62 points, the last exactly pi.  The scan
+# grid drops that point.
 def test_find_negativity_grid_stays_below_pi():
     witnesses = find_negativity(math.pi / 61)
     for field in ("alpha", "alpha_prime", "beta"):
@@ -123,7 +122,7 @@ def test_find_negativity_rejects_bad_step():
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, -0.1])
 def test_find_negativity_rejects_non_finite_step(step):
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="grid step must be a positive finite number"):
         find_negativity(step)
 
 

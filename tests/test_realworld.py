@@ -241,6 +241,14 @@ def test_record_validation():
         ExperimentOutcome(2, 1)
 
 
+def test_record_keeps_the_outcomes_it_was_built_from():
+    outcomes = [ExperimentOutcome(1, 1), ExperimentOutcome(1, -1), ExperimentOutcome(-1, 1), ExperimentOutcome(-1, -1)]
+    from_list, from_tuple = RunRecord(outcomes), RunRecord(tuple(outcomes))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    outcomes[0] = ExperimentOutcome(-1, 1)
+    assert from_list.outcomes == from_tuple.outcomes and from_list.statistic == from_tuple.statistic == -2
+
+
 def test_estimator_result_validation():
     with pytest.raises(ValueError):
         EstimatorResult(0.0, 0.1, 0)
