@@ -9,7 +9,7 @@ CHSH operator spectrum, and the quasi-probability table whose negative
 cells mark jointly unmeasurable observables.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from types import ModuleType as _ModuleType
 

@@ -97,6 +97,16 @@ CORPUS_DIGESTS = {
         "819ffddffbb0a2ca175b8fff9da4511c69176f089ca409c89b2301d4940885d4",
         "d7a8ede2b3688541b36942a29db23b99b09092d800977a306b2eabb74972a2dd",
     ),
+    "0.4.0": (
+        "1fe0e397661c65615d611dd47b0f08f1cbcde2ac8f80d09d9636c2c7f74c7567",
+        "cc64685f4223dc6784dd6084a40f605708d0a9f55f2ee6520a500e9d77e46ea7",
+        "e152a4b9b57c4f82c36d47664ef8b03c85c2bdaa3e9b31342a4e65b8564050e3",
+        "eb71a34b211c5adfe1511a1e20292eeec5899b8a6a562870e4826380cb3a49b4",
+        "8ee62532c53ac7fdd5b5bd80743d7939ddbbd52376aea9e2e8329c903615b1f5",
+        "81f2dac2fa17f78052c4a340929332619034640ed0d605bd9d810a87e13b8f4c",
+        "53230538dde3d2ab885b5072f565a8c4db44755b239378e9b403959e0c3553fe",
+        "6aca7993e36e0568c602b9176bf3a274eb03e30512dedd44b1bb6074a96c00c9",
+    ),
 }
 
 
@@ -135,6 +145,15 @@ BLOCK_DIGESTS = {
         "quasiprob": "b0764d7e6f6fc5270539a8d9195979211db8c1970ea012b296800bfade5d2e75",
         "find_negativity": "336eb1d848e4580d5cce84530d37c3710b8f165643536f64639cf42654545b37",
         "cli_stdout": "b80201e31ba0f6640aa102b6832d575fc17711ca39bb91864c42df5350b2a34a",
+    },
+    "0.4.0": {
+        "eig_hermitian": "00cc152d7b4e58bf3ca5dbd9c29cd166fd21bc4423dde0e97de9b44350399620",
+        "fine_feasibility": "df85116f168d9f1a5b0580bdb2efde7b21168f03ddf2473b47eea33a7e953c2b",
+        "run_experiments": "c7c7ea556c02e38748725b166e3b4ecac9be473db1c803cb1300cd90c98d4d4a",
+        "correlation": "3bc90269e2aa91df8c65b4763ebe137c9f87db4058dbddeebecdbe6122a20a43",
+        "quasiprob": "b0764d7e6f6fc5270539a8d9195979211db8c1970ea012b296800bfade5d2e75",
+        "find_negativity": "336eb1d848e4580d5cce84530d37c3710b8f165643536f64639cf42654545b37",
+        "cli_stdout": "bf34f0f1881e7067c7e4b1dc8fa979166ece114a7bb8385fea7e0cf8e9d1e149",
     },
 }
 

@@ -39,7 +39,12 @@ t1 was solver noise below 1e-15 moved (single ``chsh`` 4.4408921e-16 ->
 1.2246468e-16, the ``--sweep 5 --format json`` row beta2 = 155
 5.18145379e-16 -> 2.73839349e-16), with the ``spectrum`` and ``spectra
 stack`` library hashes; the three ``simulate`` hashes moved because the
-``shards`` key left the output, every mean and stderr unchanged.
+``shards`` key left the output, every mean and stderr unchanged.  At
+version 0.4.0, t0 became a sum of two squares that does not cancel: the
+``--sweep 5 --format json`` row beta2 = 65 moved (t0 0 -> 1.2246468e-16),
+with the ``spectrum``, ``spectra stack`` and ``samplers`` library hashes,
+where t0, w_plus and the ``sample_outcomes`` means moved by at most
+4.5e-16 and no 9-digit value moved.
 Every pin belongs to one package version: ``PIN_DIGESTS`` records a
 digest of all of them under the version they were recorded at, so a
 re-pin needs a new ``__version__``.
@@ -66,7 +71,7 @@ GOLDEN = {
     ("chsh", "0", "45", "22.5", "-22.5", "--sweep", "5"):
         "81a1a738003d3c42d8dbd16b71de30af180938fd31fa2ffc37b5cd06e5ae1742",
     ("chsh", "0", "45", "20", "-22.5", "--sweep", "5", "--format", "json"):
-        "91a8acee95ee48abee12d0b11133298ca3eda58945f668b2f5feeaea798b8cd3",
+        "27f944a1f012dd31a0a43e57411117221de6fdd0cad844087bff0a760a3b6f5d",
     ("t-spectrum", "105.528", "109.043", "92.049", "177.716", "--sweep", "1"):
         "e5fa0e470b4c63c2a0979a42b5cc1c3a1cffd2c5051590066040fb75e440a421",
     ("quasiprob", "--scan", "15"):
@@ -123,7 +128,7 @@ def test_golden_out_file_and_manifest_bytes(tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
     assert digests == {
         "spectrum.csv": "91151131db35bdd58041296f7b755e488ff430ce85811aa8c326fecba35933fd",
-        "spectrum.csv.manifest.json": "05709015e04feddd6fb5ec24df278e8bf2e8b42c4946c7406a846191655b639f",
+        "spectrum.csv.manifest.json": "97819e090cea9f6917433b26c080f507e6f6c51d997edec9a20e6309b36ac36e",
     }
 
 
@@ -132,14 +137,14 @@ def test_golden_out_file_and_manifest_bytes(tmp_path):
         ("enumerate", "counterfactual", "--format", "csv"),
         {
             "table.txt": "e6cedfc6bbe683c1ae08820c7810bab2d91238c0ebcaf5ea6a01fcf1289bb5e7",
-            "table.txt.manifest.json": "a7455416b30933816e4905aa9e51854d1c1a7e87a5bb6737fcb5d929e04ca51f",
+            "table.txt.manifest.json": "125fd5bd3ffd70ddac2f9a76c04e2c6b943fb7fa008704ae91332eca92625e99",
         },
     ),
     (
         ("quasiprob", "--scan", "30"),
         {
             "table.txt": "c8af22a688505adf13041bb02df4da50be88cd315e1438c67b0700638c79a51c",
-            "table.txt.manifest.json": "edbdfa9d590a2d48217b0d9836e5079d72bbb00b62f0018c0e0a439d9462be7e",
+            "table.txt.manifest.json": "8cae9b889954ebbac8825b99489553ff831172411e329ef8d705092da60f2eec",
         },
     ),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
@@ -246,13 +251,13 @@ SAMPLER_COUNTS = (1, 65535, 65536, 65537, 10_000)
 
 LIBRARY_GOLDEN = {
     "correlation": "720d7144ed0fcb28c004eaf3232719d6d51b963be0577f20464b3743aa51b5ff",
-    "spectrum": "feb1e0d2e75e0c61cc57054afc7cba12acc3e54a9bfadce6bea0fa3a7cca8ba8",
-    "spectra stack": "cf8c2d0337188659d1570a66268afabe7efceba2738e036d0f2b2016afa52a2b",
+    "spectrum": "128349362d25f79561487f403e500e3b569a7b42b13db9588e8ad2ad52efb832",
+    "spectra stack": "2bbfd4d50254abc053ec1ea5241ee7354263e5626cd6bdc5e63809c6b0602532",
     "chsh_operator": "a87cfe23beb8eb2d30752fc3980fd2a0c324da4f7335a4ab9fc9f3085c9fd6f6",
     "pair tables": "cc3fc57f8913e30cd9f5350822aff3596750215875c058d3cdebb78feeccf1bb",
     "fine": "044126f2d4a0771292d949e6e6c5e66dcb993da0da8bbba492c73f558ba6a731",
     "tensor_joint_pmf": "3d9768b7457b6a5445f75f83c06368b4dbcf66d4c6a14848db46e66ad5741989",
-    "samplers": "ee089a99c5d688e292b097b3c05de3b10a26231a086c877b30553cc2c7184255",
+    "samplers": "937f4300793b5ff1a87167bd1b09aadf0c785406c092e7c2ee612d7d57278ea8",
     "quasiprob": "069ce792b6cdb843fe7c12fa2bbeb54a197df5c82ef32c1c88c7f89607c8ebcd",
 }
 
@@ -308,6 +313,7 @@ PIN_DIGESTS = {
     "0.1.0": "ade27149da1b6b87cac147a1f5514a9018e9f5566f82fa043562b51bf4f45123",
     "0.2.0": "a31e8d9607de957fb8c81869120cdd0854cb270bc3aca2c71bf8cc217b0f60c7",
     "0.3.0": "8e583ae3c036c0da13091c4cd61760bf9577da8ce787555b39b1316e072785e8",
+    "0.4.0": "2ddeff5f5791ce51d44d009337dbe77058f5e79fb716d83151a3775cd3565dbe",
 }
 
 
