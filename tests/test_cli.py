@@ -91,13 +91,13 @@ def test_chsh_sweep_skips_degenerate_grid_point(capsys):
 
 # np.arange(0, 180, step) can round its last point up to 180 (step 180/227)
 # or to 179.99999999999997, which prints as 180 (step 180/161); either would
-# repeat the beta2 = 0 row.  The grid drops that point, leaving k rows.
-@pytest.mark.parametrize("step, rows", [("10", 18), ("0.7929515418502202", 227), ("1.1180124223602483", 161)])
-def test_chsh_sweep_stays_below_180(capsys, step, rows):
+# repeat the beta2 = 0 row.  The grid drops that point, leaving 180/step rows.
+@pytest.mark.parametrize("step", ["10", "0.7929515418502202", "1.1180124223602483"])
+def test_chsh_sweep_stays_below_180(capsys, step):
     code, out = run_cli(capsys, "chsh", "0", "45", "22.5", "-22.5", "--sweep", step)
     assert code == 0
     beta2 = [float(line.split(",")[3]) for line in out.strip().split("\n")[1:]]
-    assert len(beta2) == rows and max(beta2) < 180.0
+    assert len(beta2) == round(180 / float(step)) and max(beta2) < 180.0
 
 
 def test_chsh_rejects_degenerate_settings(capsys):
