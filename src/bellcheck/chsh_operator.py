@@ -20,7 +20,7 @@ operator C with Alice's observables A1, A2 and Bob's B1, B2 (L. J.
 Landau, Phys. Lett. A 120, 54 (1987)), makes the singlet an eigenvector
 of C^2 with eigenvalue t0^2.  The outcome sampler checks t0 through it,
 with no eigensolve.  ``chsh_spectrum`` and ``chsh_spectra`` run one
-kernel, which checks t0 and t1 against the Jacobi eigenvalues.
+kernel, which checks t0, t1 and E against the Jacobi eigensystem.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .linalg import _kron, eig_hermitian, hermiticity_defect
 from .polarization import AngleConfig, same_setting, z_operator
 from .realworld import _SAMPLER_STREAM, EstimatorResult, _check_draw_count, _two_point_estimate
 
-# Below this, t0 is treated as exactly zero: both atoms collapse onto the
-# origin and the outcome is deterministically 0.
+# Below this, t0 is treated as exactly zero: the sampler returns the outcome 0
+# without drawing, and w_plus is 0.5 by convention.  No check reads it.
 _T0_FLOOR = 1e-9
 
 
@@ -132,12 +132,13 @@ def _outcome_atoms(alpha1, alpha2, beta1, beta2) -> tuple[list, list, list]:
     return t0s, expectations, w_plus
 
 
-def _check_spectrum(ev: list, overlaps: list, t0: float, expectation: float, w_plus: float, dark: float) -> None:
+def _check_spectrum(ev: list, overlaps: list, t0: float, expectation: float, dark: float) -> None:
     """The five spectrum checks of one configuration, on four eigenvalues ``ev`` and the singlet's weight on each eigenvector.
 
-    t0, E, w_plus and ``dark`` (t1) are the closed forms the spectrum
-    reports.  :func:`_spectra` checks each configuration here, on Python
-    floats, for a lone spectrum and a stack alike.
+    t0, E and ``dark`` (t1) are the closed forms the spectrum reports; E,
+    and with it w_plus = (1 + E/t0)/2, is checked against the signed
+    spectral sum <psi|C|psi> = sum_i w_i (+-t_i).  :func:`_spectra` checks
+    each configuration here, on Python floats, for a lone spectrum and a stack alike.
     """
     # The two eigenvalues nearest +-t0 in magnitude are the atoms, and the second
     # of them, the farther, is judged; the stable sort keeps ties in index order.
@@ -148,13 +149,10 @@ def _check_spectrum(ev: list, overlaps: list, t0: float, expectation: float, w_p
     dark_weight = 0.0 if abs(t0 - t1) <= 1e-9 else overlaps[d0] + overlaps[d1]
     check("singlet weight outside the outcome atoms", dark_weight, 1e-12)
     check("|E| above t0", abs(expectation) - t0, 1e-9)
-    gap = 0.0
-    if t0 >= _T0_FLOOR:
-        # The weight through the +t0 eigenspace projector, well-defined even when
-        # t0 = t1; a NaN overlap outside that eigenspace still fails the check.
-        plus = [w * (abs(e - t0) <= 1e-8) for w, e in zip(overlaps, ev)]
-        gap = abs(plus[0] + plus[1] + plus[2] + plus[3] - w_plus)
-    check("projector weight vs closed form", gap, 1e-9)
+    # Closed-form magnitudes, numeric signs: however a near-degenerate pair's eigenvectors
+    # split, even as t0 -> 0, the sum is off only by the Jacobi residual and rounding.
+    signed = [w * math.copysign(dark if i in (d0, d1) else t0, e) for i, (w, e) in enumerate(zip(overlaps, ev))]
+    check("projector weight vs closed form", abs(signed[0] + signed[1] + signed[2] + signed[3] - expectation), 1e-12)
     check("numeric t1 vs closed form", abs(t1 - dark), 1e-9)
 
 
@@ -177,7 +175,7 @@ def _spectra(alpha1, alpha2, beta1, beta2) -> tuple[list, list, list, np.ndarray
     t0s, expectations, w_plus = _outcome_atoms(alpha1, alpha2, beta1, beta2)
     t1s = np.ravel(_dark_magnitudes(alpha1, alpha2, beta1, beta2)).tolist()
     overlaps = (np.abs(evecs.conj().swapaxes(-1, -2) @ SINGLET) ** 2).reshape(-1, 4).tolist()
-    for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, w_plus, t1s):
+    for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, t1s):
         _check_spectrum(*c)
     return t0s, t1s, w_plus, evals
 
@@ -206,12 +204,12 @@ def chsh_spectra(
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     """Spectrum and singlet outcome weights of the CHSH operator.
 
-    The closed-form t0 and t1 it reports are cross-checked against the
-    Jacobi eigensolver (to 1e-9), and the singlet's Born weight is
-    verified to sit entirely on the +-t0 eigenspaces.  Disagreement raises
-    InternalCheckError.  AngleConfig has checked the settings, and the
-    rest is :func:`chsh_spectra`'s code on four floats, so the fields are
-    bit for bit the same; all but ``eigenvalues`` are floats.
+    The closed-form t0 and t1 it reports are checked against the Jacobi
+    eigenvalues (to 1e-9), the singlet's weight off the +-t0 eigenspaces
+    against 0, and E against its signed spectral sum (to 1e-12); any
+    disagreement raises InternalCheckError.  AngleConfig has checked the
+    settings, and the rest is :func:`chsh_spectra`'s code on four floats,
+    so the fields are bit for bit the same; all but ``eigenvalues`` are floats.
     """
     (t0,), (t1,), (w_plus,), evals = _spectra(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
     return ChshSpectrum(t0, t1, w_plus, evals)
@@ -223,8 +221,8 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     t0 and w_plus are the closed forms :func:`chsh_spectrum` reports, read
     from the same helper, but no eigensolve runs: the CHSH operator C is built, and
     Landau's identity (C^2 psi = t0^2 psi in the singlet psi) checks t0
-    and <psi|C|psi> checks E, both to 1e-12, with |E| <= t0 as in the
-    spectrum.
+    and <psi|C|psi> checks E, both to 1e-12, as the spectrum's signed
+    spectral sum does, with |E| <= t0 as in the spectrum.
 
     Draw u of stream 0 gives +t0 when u < w_plus and -t0 otherwise.  The
     stream has the counter-indexed layout of the experiment streams, and

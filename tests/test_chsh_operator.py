@@ -18,6 +18,7 @@ from bellcheck.errors import InternalCheckError
 from bellcheck.linalg import eig_hermitian, hermiticity_defect
 from bellcheck.polarization import AngleConfig, singlet_state
 
+chsh_mod = importlib.import_module("bellcheck.chsh_operator")
 OPTIMAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5)
 
 
@@ -138,16 +139,15 @@ def test_sampling_makes_no_eigensolve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sample_outcomes must not diagonalize")
 
-    chsh_mod = importlib.import_module("bellcheck.chsh_operator")
     monkeypatch.setattr(chsh_mod, "eig_hermitian", refuse)
     monkeypatch.setattr(chsh_mod, "chsh_spectrum", refuse)
     cfg = AngleConfig.from_degrees(0.0, 30.0, 15.0, 75.0)
     assert sample_outcomes(cfg, 1_000, seed=9).stderr > 0.0
 
 
-# Near t0 = 0 the sampler checks t0 through Landau's identity, which needs
-# no eigenvector, so it returns where chsh_spectrum's eigenvector checks
-# fail (at 45.0000001, ROADMAP item 3).
+# Near t0 = 0 the sampler checks t0 through Landau's identity and E through
+# <psi|C|psi>, with no eigenvector; chsh_spectrum checks E there through its
+# signed spectral sum, which no eigenvector's conditioning moves.
 @pytest.mark.parametrize("beta2", ["45.003", "45.001", "45.0001", "45.00001", "45.000001", "45.0000001"])
 def test_sampling_near_t0_zero_stays_within_t0(beta2):
     cfg = AngleConfig.from_degrees(0.0, 45.0, 0.0, float(beta2))
@@ -186,10 +186,24 @@ PINNED_DEGREES = [
 ]
 
 
-def test_stacked_spectra_equal_single_spectra_bitwise():
+def shift_expectations_at(monkeypatch, configs, shift=1e-6):
+    """Shift the closed-form E of each of ``configs``, alone or in a stack, by ``shift``."""
+    real = chsh_mod._closed_form_expectations
+
+    def shifted(alpha1, alpha2, beta1, beta2):
+        e = real(alpha1, alpha2, beta1, beta2)
+        for cfg in configs:
+            at = (alpha1 == cfg.alpha1) & (alpha2 == cfg.alpha2) & (beta1 == cfg.beta1) & (beta2 == cfg.beta2)
+            e = e + shift * at
+        return e
+
+    monkeypatch.setattr(chsh_mod, "_closed_form_expectations", shifted)
+
+
+def test_stacked_spectra_equal_single_spectra_bitwise(monkeypatch):
     # chsh_spectrum runs chsh_spectra's code on one configuration's floats;
     # the stack must give the same bits, and fail the same check.
-    near_zero = [AngleConfig.from_degrees(0, 45, 0, 45.003)]
+    near_zero = [AngleConfig.from_degrees(0, 45, 0, 45.003), AngleConfig.from_degrees(0, 45, 0, 45.0000001)]
     configs = random_configs(41, 2000) + near_zero + [AngleConfig.from_degrees(*degrees) for degrees in PINNED_DEGREES]
     columns = angle_columns(configs)
     stacked = chsh_spectra(*columns)
@@ -203,9 +217,10 @@ def test_stacked_spectra_equal_single_spectra_bitwise():
         assert expectations[i] == chsh_expectation(cfg)
     assert stacked.w_plus[-3:].tolist() == [1.0, 0.0, 0.5]
 
-    # ROADMAP item 3's open t0 ~ 0 defect: both routes fail on the same
-    # check, with the same gap to the last bit.
-    failing = AngleConfig.from_degrees(0, 45, 0, 45.0000001)
+    # A closed-form E shifted by 1e-6: both routes fail on the same check,
+    # with the same gap to the last bit.
+    failing = OPTIMAL
+    shift_expectations_at(monkeypatch, [failing])
     messages = []
     for call in (lambda: chsh_spectrum(failing), lambda: chsh_spectra(*angle_columns([failing]))):
         with pytest.raises(InternalCheckError, match="^projector weight vs closed form: gap ") as info:
@@ -214,16 +229,22 @@ def test_stacked_spectra_equal_single_spectra_bitwise():
     assert messages[0] == messages[1]
 
 
-def test_failing_stack_reports_its_first_failing_configuration():
-    # ROADMAP item 3's 45.0000001 case, last in a stack of good configurations,
-    # fails with the message it gives alone.
+def test_failing_stack_reports_its_first_failing_configuration(monkeypatch):
+    # Two configurations with a closed-form E shifted by 1e-6, the near-t0
+    # one last in the stack: the stack fails with the message the first of
+    # them gives alone.
+    first = AngleConfig.from_degrees(*PINNED_DEGREES[2])
     near_zero = AngleConfig.from_degrees(0, 45, 0, 45.0000001)
     configs = [AngleConfig.from_degrees(*degrees) for degrees in PINNED_DEGREES] + [near_zero]
+    shift_expectations_at(monkeypatch, [first, near_zero])
     with pytest.raises(InternalCheckError) as alone:
-        chsh_spectrum(near_zero)
+        chsh_spectrum(first)
     with pytest.raises(InternalCheckError) as stacked:
         chsh_spectra(*angle_columns(configs))
     assert str(stacked.value) == str(alone.value)
+    with pytest.raises(InternalCheckError, match="^[|]E[|] above t0: ") as last:
+        chsh_spectrum(near_zero)
+    assert str(last.value) != str(alone.value)
 
 
 def test_stacked_operators_equal_single_operators():

@@ -361,27 +361,27 @@ def test_any_typed_angle_replays_to_its_recorded_sha256(command, angles):
     count, flags = _ANGLE_FORMS[command]
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "out.txt"
-        # Invalid settings and the t0 = 0 defect exit non-zero; their own tests cover them.
-        assume(main([command, *flags, "--out", str(out), "--", *map(repr, angles[:count])]) == 0)
+        # Invalid settings exit 2, and their own tests cover them; no valid setting fails a check.
+        code = main([command, *flags, "--out", str(out), "--", *map(repr, angles[:count])])
+        assume(code != 2)
+        assert code == 0
         manifest_path = pathlib.Path(tmp) / "out.txt.manifest.json"
         recorded = json.loads(manifest_path.read_text())["sha256"]
         assert replay(str(manifest_path), str(pathlib.Path(tmp) / "again.txt")) == recorded
 
 
-# Near t0 = 0 the projector check is ill-conditioned, so 45.0000001 still
-# exits 3 on "projector weight vs closed form" (ROADMAP item 3); 45.005
-# and 45.000000001 exit 0 as well.
-@pytest.mark.parametrize("beta2", [
-    "45.003",
-    "45.001",
-    "45.0001",
-    "45.00001",
-    "45.000001",
-    pytest.param("45.0000001", marks=pytest.mark.xfail(strict=True, reason="the projector check near t0 = 0")),
-])
-def test_chsh_accepts_settings_near_t0_zero(capsys, beta2):
-    code, _ = run_cli(capsys, "chsh", "0", "45", "0", beta2)
-    assert code == 0
+# ROADMAP item 3's gate: chsh a a+45 b b+45+delta sits near t0 = 0, where the
+# +-t0 eigenvectors are ill-conditioned, yet every command exits 0.  The 141
+# log-spaced delta in [1e-9, 1e-2] run at each (a, b), and six typed beta2 join
+# them at a = b = 0.
+@pytest.mark.parametrize("a, b", [(a, b) for a in (0.0, 10.0, 22.5, 33.3) for b in (0.0, 20.0, 22.5, 67.5, 120.0)])
+def test_chsh_accepts_settings_near_t0_zero(capsys, a, b):
+    beta2s = [repr(b + 45.0 + delta) for delta in np.logspace(-9, -2, 141).tolist()]
+    if a == b == 0.0:
+        beta2s += ["45.003", "45.001", "45.0001", "45.00001", "45.000001", "45.0000001"]
+    for beta2 in beta2s:
+        code, _ = run_cli(capsys, "chsh", repr(a), repr(a + 45.0), repr(b), beta2)
+        assert code == 0, beta2
 
 
 def test_canonical_json_formatting():

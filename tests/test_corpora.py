@@ -28,6 +28,10 @@ The CLI block hashes the stdout of 40 argv lists, among them the sweeps
 at steps 180/161 and 180/175, whose ``np.arange`` grids end at 180, the
 setting 0 again, a point the sweep grid drops since version 0.4.0.
 
+The spectrum, eigensolver, Fine and sampler blocks run again in two
+subprocesses, one under OpenBLAS's Sandybridge kernel and one with
+numpy's widest SIMD loops turned off, and must give the same digests.
+
 The last two tests keep every byte independent of the Python version:
 builtin ``sum`` adds floats with compensation from CPython 3.12 on, so
 the package makes no call to it, and samplers, Fine witnesses and a
@@ -48,8 +52,11 @@ import hashlib
 import io
 import itertools
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -339,6 +346,35 @@ def test_kernel_bytes_belong_to_the_package_version(block):
     version = bellcheck.__version__
     assert version in BLOCK_DIGESTS, f"record the {block} digest of {version}: {got}"
     assert got == BLOCK_DIGESTS[version][block], f"the {block} block moved: bump __version__ and record {got}"
+
+
+# ROADMAP item 13's kernel split.  OpenBLAS's Sandybridge kernel has no fused
+# multiply-add, and NPY_DISABLE_CPU_FEATURES turns off numpy's widest SIMD
+# loops; the spectrum, eigensolver, Fine and sampler blocks must hold under
+# each.  The correlation, quasiprob, find_negativity and CLI blocks wait for
+# ROADMAP items 9 and 17.
+KERNEL_SPLIT = [
+    "test_spectrum_path_bytes_belong_to_the_package_version",
+    *(f"test_kernel_bytes_belong_to_the_package_version[{block}]" for block in ("eig_hermitian", "fine_feasibility", "run_experiments")),
+]
+
+
+def test_four_blocks_hold_under_other_kernels():
+    src = str(pathlib.Path(bellcheck.__file__).parents[1])
+    here = pathlib.Path(__file__)
+    runs = []
+    for setting in ({"OPENBLAS_CORETYPE": "Sandybridge"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}):
+        env = {
+            **os.environ,
+            **setting,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *(f"{here.name}::{test}" for test in KERNEL_SPLIT)]
+        runs.append(subprocess.Popen(command, cwd=here.parent, stdout=subprocess.PIPE, text=True, env=env))
+    outputs = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0], outputs
+    assert all("4 passed" in output for output in outputs), outputs
 
 
 def _sum_312(iterable, /, start=0):

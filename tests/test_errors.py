@@ -229,6 +229,23 @@ def test_each_cross_check_fires_and_names_itself(monkeypatch, site):
         call()
 
 
+# The smallest fault "projector weight vs closed form" is meant to catch: a
+# closed-form E off by 3e-12, three times the tolerance.  It fires at the
+# optimum, at two settings near t0 = 0 and at a generic one, on both
+# spectrum routes.
+EDGE_DEGREES = [(0.0, 45.0, 22.5, -22.5), (0.0, 45.0, 0.0, 45.0000001), (0.0, 45.0, 20.0, 30.0), (0.0, 45.0, 22.5, 67.5000001)]
+
+
+@pytest.mark.parametrize("route", ["chsh_spectrum", "chsh_spectra"])
+@pytest.mark.parametrize("degrees", EDGE_DEGREES)
+def test_projector_check_fires_on_an_expectation_off_by_3e_12(monkeypatch, degrees, route):
+    cfg = AngleConfig.from_degrees(*degrees)
+    _wrap(monkeypatch, chsh_mod, "_closed_form_expectations", lambda e: e + 3e-12)
+    angles = (cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
+    with pytest.raises(InternalCheckError, match="^projector weight vs closed form: gap "):
+        chsh_mod.chsh_spectrum(cfg) if route == "chsh_spectrum" else chsh_mod.chsh_spectra(*([angle] for angle in angles))
+
+
 # The CLI compares each printed Born number with its closed form; a Born
 # route scaled by 1.001 makes the check fire, and main exits 3 naming it.
 CLI_SITES = {
