@@ -33,6 +33,7 @@ _PRODUCT_SIGNS.flags.writeable = False
 # read-only.
 SINGLET = singlet_state()
 SINGLET.flags.writeable = False
+_SINGLET_FLOATS = tuple(SINGLET.real.tolist())  # its amplitudes, all real, for one-configuration routes
 
 # Entries in [-CLAMP_TOL, 0) are rounding noise and get clamped to zero;
 # anything below -CLAMP_TOL is a genuine bug in the caller.

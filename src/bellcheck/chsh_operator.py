@@ -20,7 +20,9 @@ operator C with Alice's observables A1, A2 and Bob's B1, B2 (L. J.
 Landau, Phys. Lett. A 120, 54 (1987)), makes the singlet an eigenvector
 of C^2 with eigenvalue t0^2.  The outcome sampler checks t0 through it,
 with no eigensolve.  ``chsh_spectrum`` and ``chsh_spectra`` run one
-kernel, which checks t0, t1 and E against the Jacobi eigensystem.
+block of checks of t0, t1 and E against the Jacobi eigensystem.  One
+configuration is built and solved on Python floats, a stack on numpy
+arrays, with the same bits, which tests/test_chsh_operator.py checks.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import SINGLET
+from .born import _SINGLET_FLOATS, SINGLET
 from .errors import check
-from .linalg import _kron, eig_hermitian, hermiticity_defect
-from .polarization import AngleConfig, same_setting, z_operator
+from .linalg import _ROUNDS_4, _eig_lone, _kron, eig_hermitian, hermiticity_defect
+from .polarization import AngleConfig, _basis_rows, same_setting, z_operator
 from .realworld import _SAMPLER_STREAM, EstimatorResult, _check_draw_count, _two_point_estimate
 
 # Below this, t0 is treated as exactly zero: the sampler returns the outcome 0
@@ -95,6 +97,27 @@ def _chsh_operators(alpha1, alpha2, beta1, beta2) -> np.ndarray:
     return op
 
 
+def _z_entries(phi: float) -> tuple:
+    """z_operator(phi)'s entries, row-major, as Python floats from the same products (math.cos and math.sin
+    must round as numpy's do, which tests/test_chsh_operator.py checks)."""
+    (c, s), (m, _) = _basis_rows(phi)
+    return c * c - m * m, c * s - m * c, s * c - c * m, s * s - c * c
+
+
+def _chsh_rows(cfg: AngleConfig) -> list:
+    """The rows of chsh_operator(cfg) as Python floats, bit for bit, with its hermiticity check: entry
+    (2i + k, 2j + l) is ((p11 + p12) + p21) - p22, as the array builder sums it, at c[4(2i + j) + 2k + l]."""
+    za1, za2, zb1, zb2 = map(_z_entries, (cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
+    c = [((u1 * v1 + u1 * v2) + u2 * v1) - u2 * v2 for u1, u2 in zip(za1, za2) for v1, v2 in zip(zb1, zb2)]
+    rows = [c[0:2] + c[4:6], c[2:4] + c[6:8], c[8:10] + c[12:14], c[10:12] + c[14:16]]
+    check("CHSH operator hermiticity", max(abs(rows[i][j] - rows[j][i]) for i in range(4) for j in range(i)), 1e-13)
+    return rows
+
+
+def _dot(x, y) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
+
+
 def chsh_operator(cfg: AngleConfig) -> np.ndarray:
     """The 4x4 CHSH operator at the given angles."""
     return _chsh_operators(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
@@ -121,13 +144,18 @@ def _closed_form_expectations(alpha1, alpha2, beta1, beta2) -> np.ndarray:
     )
 
 
+def _floats(x) -> list:
+    """A closed form's value or values as a list of Python floats; a scalar converts with ``float``."""
+    return [float(x)] if isinstance(x, float) else np.ravel(x).tolist()
+
+
 def _outcome_atoms(alpha1, alpha2, beta1, beta2) -> tuple[list, list, list]:
     """Closed-form t0, E and w_plus = (1 + E/t0)/2 (clipped; 0.5 below the t0 floor), as lists of floats.
 
     Every spectrum and every draw reads them here, so they see the same bits.
     """
-    t0s = np.ravel(_atom_magnitudes(alpha1, alpha2, beta1, beta2)).tolist()
-    expectations = np.ravel(_closed_form_expectations(alpha1, alpha2, beta1, beta2)).tolist()
+    t0s = _floats(_atom_magnitudes(alpha1, alpha2, beta1, beta2))
+    expectations = _floats(_closed_form_expectations(alpha1, alpha2, beta1, beta2))
     w_plus = [min(max((1.0 + e / t) / 2.0, 0.0), 1.0) if t >= _T0_FLOOR else 0.5 for t, e in zip(t0s, expectations)]
     return t0s, expectations, w_plus
 
@@ -137,8 +165,8 @@ def _check_spectrum(ev: list, overlaps: list, t0: float, expectation: float, dar
 
     t0, E and ``dark`` (t1) are the closed forms the spectrum reports; E,
     and with it w_plus = (1 + E/t0)/2, is checked against the signed
-    spectral sum <psi|C|psi> = sum_i w_i (+-t_i).  :func:`_spectra` checks
-    each configuration here, on Python floats, for a lone spectrum and a stack alike.
+    spectral sum <psi|C|psi> = sum_i w_i (+-t_i).  :func:`chsh_spectrum` and
+    :func:`chsh_spectra` check each configuration here, on Python floats.
     """
     # The two eigenvalues nearest +-t0 in magnitude are the atoms, and the second
     # of them, the farther, is judged; the stable sort keeps ties in index order.
@@ -166,20 +194,6 @@ def closed_form_expectation(cfg: AngleConfig) -> float:
     return float(_closed_form_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
 
 
-def _spectra(alpha1, alpha2, beta1, beta2) -> tuple[list, list, list, np.ndarray]:
-    """Checked t0, t1 and w_plus of each configuration as lists of floats, and the eigenvalues.
-
-    One Jacobi call diagonalizes every operator; each configuration runs :func:`_check_spectrum`.
-    """
-    evals, evecs = eig_hermitian(_chsh_operators(alpha1, alpha2, beta1, beta2), tol=1e-10)
-    t0s, expectations, w_plus = _outcome_atoms(alpha1, alpha2, beta1, beta2)
-    t1s = np.ravel(_dark_magnitudes(alpha1, alpha2, beta1, beta2)).tolist()
-    overlaps = (np.abs(evecs.conj().swapaxes(-1, -2) @ SINGLET) ** 2).reshape(-1, 4).tolist()
-    for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, t1s):
-        _check_spectrum(*c)
-    return t0s, t1s, w_plus, evals
-
-
 def chsh_spectra(
     alpha1: float | np.ndarray, alpha2: float | np.ndarray, beta1: float | np.ndarray, beta2: float | np.ndarray
 ) -> ChshSpectrum:
@@ -188,17 +202,22 @@ def chsh_spectra(
     The four angles (radians) broadcast against each other, and every
     field of the result has their broadcast shape, plus a trailing axis
     of four for ``eigenvalues``.  Each configuration obeys the rules of
-    :class:`~bellcheck.polarization.AngleConfig`, which is checked here;
-    the rest is the code :func:`chsh_spectrum` runs, so each result is
-    bit for bit the one it gives alone (numpy scalars on all-scalar
-    input).  A failing stack reports its first failing configuration's
-    gap, not the worst.
+    :class:`~bellcheck.polarization.AngleConfig`, which is checked here.
+    One Jacobi call diagonalizes every operator, and each configuration
+    runs :func:`_check_spectrum`; each result is bit for bit the one
+    :func:`chsh_spectrum` gives alone (numpy scalars on all-scalar input).
+    A failing stack reports its first failing configuration's gap.
     """
     a1, a2, b1, b2 = np.broadcast_arrays(alpha1, alpha2, beta1, beta2)
     if np.any(same_setting(a1, a2)) or np.any(same_setting(b1, b2)):
         raise ValueError("the two settings on one side coincide mod pi")
-    *fields, evals = _spectra(a1, a2, b1, b2)
-    return ChshSpectrum(*(np.reshape(f, a1.shape)[()] for f in fields), evals)
+    evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
+    t0s, expectations, w_plus = _outcome_atoms(a1, a2, b1, b2)
+    t1s = _floats(_dark_magnitudes(a1, a2, b1, b2))
+    overlaps = (np.abs(evecs.conj().swapaxes(-1, -2) @ SINGLET) ** 2).reshape(-1, 4).tolist()
+    for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, t1s):
+        _check_spectrum(*c)
+    return ChshSpectrum(*(np.reshape(f, a1.shape)[()] for f in (t0s, t1s, w_plus)), evals)
 
 
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
@@ -208,19 +227,24 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     eigenvalues (to 1e-9), the singlet's weight off the +-t0 eigenspaces
     against 0, and E against its signed spectral sum (to 1e-12); any
     disagreement raises InternalCheckError.  AngleConfig has checked the
-    settings, and the rest is :func:`chsh_spectra`'s code on four floats,
-    so the fields are bit for bit the same; all but ``eigenvalues`` are floats.
+    settings.  The operator's rows, Python floats, go to the eigensolver's
+    lone route, ``linalg._eig_lone``, and the fields are bit for bit those of
+    :func:`chsh_spectra`; all but ``eigenvalues`` are floats.
     """
-    (t0,), (t1,), (w_plus,), evals = _spectra(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
-    return ChshSpectrum(t0, t1, w_plus, evals)
+    a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
+    evals, evecs = _eig_lone(_chsh_rows(cfg), 1e-10, _ROUNDS_4)
+    (t0,), (expectation,), (w_plus,) = _outcome_atoms(a1, a2, b1, b2)
+    t1 = float(_dark_magnitudes(a1, a2, b1, b2))
+    _check_spectrum(evals, [_dot(v, _SINGLET_FLOATS) ** 2 for v in zip(*evecs)], t0, expectation, t1)
+    return ChshSpectrum(t0, t1, w_plus, np.array(evals))
 
 
 def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     """Draw n single-shot CHSH outcomes (+-t0) and estimate their mean.
 
     t0 and w_plus are the closed forms :func:`chsh_spectrum` reports, read
-    from the same helper, but no eigensolve runs: the CHSH operator C is built, and
-    Landau's identity (C^2 psi = t0^2 psi in the singlet psi) checks t0
+    from the same helper, but no eigensolve runs: on the CHSH operator C's
+    rows of Python floats, Landau's identity (C^2 psi = t0^2 psi in the singlet psi) checks t0
     and <psi|C|psi> checks E, both to 1e-12, as the spectrum's signed
     spectral sum does, with |E| <= t0 as in the spectrum.
 
@@ -233,12 +257,11 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     nothing is drawn.  The mean converges on the CHSH expectation.
     """
     _check_draw_count(n)
-    a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
-    op = _chsh_operators(a1, a2, b1, b2)
-    (t0,), (expectation,), (w_plus,) = _outcome_atoms(a1, a2, b1, b2)
-    c_psi = op @ SINGLET
-    check("C^2 psi vs t0^2 psi", np.abs(op @ c_psi - (t0 * t0) * SINGLET), 1e-12)
-    check("<psi|C|psi> vs closed form", abs(SINGLET.conj() @ c_psi - expectation), 1e-12)
+    rows = _chsh_rows(cfg)
+    (t0,), (expectation,), (w_plus,) = _outcome_atoms(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
+    c_psi = [_dot(row, _SINGLET_FLOATS) for row in rows]
+    check("C^2 psi vs t0^2 psi", max(abs(_dot(row, c_psi) - t0 * t0 * p) for row, p in zip(rows, _SINGLET_FLOATS)), 1e-12)
+    check("<psi|C|psi> vs closed form", abs(_dot(_SINGLET_FLOATS, c_psi) - expectation), 1e-12)
     check("|E| above t0", abs(expectation) - t0, 1e-9)
     if t0 < _T0_FLOOR:
         return EstimatorResult(0.0, 0.0, n)

@@ -19,7 +19,10 @@ on Python floats, since a lone CHSH operator, solved once per Monte
 Carlo configuration, would otherwise spend more time on numpy's
 per-call costs than on arithmetic; any other input runs on float64
 arrays if real and on complex128 arrays if not, one set of calls per
-round.  A real matrix gets the same bits in all three forms.  Builders
+round.  A real matrix gets the same bits in all three forms.  The lone
+route, ``_eig_lone``, takes and returns lists of Python floats, so a
+caller holding one operator as floats (``chsh_spectrum``) solves it
+with no numpy call.  Builders
 form Kronecker products with the private, unchecked ``_kron``: their
 factors come from angles already checked at the public entry.
 """
@@ -221,6 +224,34 @@ def _sum_sq_stacked(g: np.ndarray, n: int, off: bool) -> np.ndarray:
     return np.cumsum(sq.reshape(n * n, -1), axis=0)[-1]
 
 
+def _eig_lone(rows: list, tol: float, rounds: list) -> tuple[list, list]:
+    """:func:`eig_hermitian` of one real matrix, its rows given and (eigenvalues, eigenvector matrix's rows) returned as lists.
+
+    ``rounds`` are :func:`_round_robin_rounds` for its size.
+    """
+    n = len(rows)
+    _, exponent = math.frexp(max((abs(x) for row in rows for x in row), default=0.0))
+    s = [[math.ldexp(x, -exponent) for x in row] for row in rows]
+    if not max((abs(s[i][j] - s[j][i]) for i in range(n) for j in range(i)), default=0.0) <= tol:
+        raise ValueError(f"matrix is not Hermitian within tol={tol} relative to its largest entry")
+    # The columns of [A; I], with A the symmetrized input (column i is
+    # row i) and I where the eigenvectors gather.
+    a_cols = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(s, zip(*s))]
+    cols = [col + [0.0] * i + [1.0] + [0.0] * (n - 1 - i) for i, col in enumerate(a_cols)]
+    norm_sq = _sum_sq_lone(cols, n, off=False)
+    target_sq, skip = _OFF_TOL**2 * norm_sq, _SKIP * math.sqrt(norm_sq)
+    sweeps = 0
+    while _sum_sq_lone(cols, n, off=True) > target_sq:
+        if sweeps == _MAX_SWEEPS:
+            raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
+        cols = _sweep_lone(cols, rounds, skip)
+        sweeps += 1
+    # A stable sort, as argsort's on the stacked route.
+    order = sorted(range(n), key=lambda i: cols[i][i], reverse=True)
+    vals = [math.ldexp(cols[i][i], exponent) + 0.0 for i in order]
+    return vals, [[cols[j][n + i] + 0.0 for j in order] for i in range(n)]
+
+
 def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or a stack, by round-robin Jacobi sweeps.
 
@@ -255,7 +286,7 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     Rounding model: rotations come from float64 operations, and the
     updates multiply each entry only by a real c or u or an imaginary
     i*v, and add.  A lone real matrix up to n = 8 runs on Python floats
-    (:func:`_sweep_lone`), any other input on float64 arrays if every
+    (:func:`_eig_lone`), any other input on float64 arrays if every
     imaginary part is zero and on complex128 arrays if not
     (:func:`_sweep_stacked`).  Each part of a complex product by a purely
     real or purely imaginary factor has one nonzero float product, the
@@ -284,27 +315,7 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     # The stacked route below, step for step, on Python floats (n = 0 input too,
     # of size 0 = n * n); above n = 8 the stacked sweep is faster even alone.
     if real and a.size == n * n and n <= 8:
-        rows = a.real.reshape(n, n).tolist()
-        _, exponent = math.frexp(max((abs(x) for row in rows for x in row), default=0.0))
-        s = [[math.ldexp(x, -exponent) for x in row] for row in rows]
-        if not max((abs(s[i][j] - s[j][i]) for i in range(n) for j in range(i)), default=0.0) <= tol:
-            raise ValueError(f"matrix is not Hermitian within tol={tol} relative to its largest entry")
-        # The columns of [A; I], with A the symmetrized input (column i is
-        # row i) and I where the eigenvectors gather.
-        a_cols = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(s, zip(*s))]
-        cols = [col + [0.0] * i + [1.0] + [0.0] * (n - 1 - i) for i, col in enumerate(a_cols)]
-        norm_sq = _sum_sq_lone(cols, n, off=False)
-        target_sq, skip = _OFF_TOL**2 * norm_sq, _SKIP * math.sqrt(norm_sq)
-        sweeps = 0
-        while _sum_sq_lone(cols, n, off=True) > target_sq:
-            if sweeps == _MAX_SWEEPS:
-                raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
-            cols = _sweep_lone(cols, rounds, skip)
-            sweeps += 1
-        # A stable sort, as argsort's on the stacked route.
-        order = sorted(range(n), key=lambda i: cols[i][i], reverse=True)
-        vals = [math.ldexp(cols[i][i], exponent) + 0.0 for i in order]
-        vecs = [cols[j][n + i] + 0.0 for i in range(n) for j in order]
+        vals, vecs = _eig_lone(a.real.reshape(n, n).tolist(), tol, rounds)
         return np.array(vals).reshape(a.shape[:-1]), np.array(vecs, dtype=np.complex128).reshape(a.shape)
 
     # Each matrix is scaled by a power of two so that its largest real or

@@ -118,6 +118,12 @@ def basis_matrix(phi: float | np.ndarray) -> np.ndarray:
     return b
 
 
+def _basis_rows(phi: float) -> tuple:
+    """The rows of basis_matrix(phi) as Python floats, for a finite angle."""
+    c, s = math.cos(phi), math.sin(phi)
+    return (c, s), (-s, c)
+
+
 def z_operator(phi: float | np.ndarray) -> np.ndarray:
     """Dichotomic polarizer observable at angle phi, built spectrally.
 

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import _PRODUCT_SIGNS, OUTCOME_VALUES, SINGLET, _checked_table, _pair_amplitudes, _singlet_tables
+from .born import _SINGLET_FLOATS, OUTCOME_VALUES, SINGLET, _checked_table, _pair_amplitudes
 from .errors import check
-from .polarization import _setting_grid, basis_matrix, x_operator, y_operator
+from .linalg import _kron
+from .polarization import _IDENTITY, _basis_rows, _setting_grid, basis_matrix, z_operator
 
 _IMAG_TOL = 1e-12
 
@@ -101,11 +102,19 @@ def q_value(alpha: float, alpha_prime: float, beta: float) -> float:
 
     The operator sandwich and the sum of the two sign-weighted pair
     tables must agree to 1e-12; they are two routes to the same number.
+    The tables, which only check it, are built on Python floats, cells p[k][l] row-major.
     """
-    op = (x_operator(alpha) + x_operator(alpha_prime)) @ y_operator(beta)
+    z = z_operator(np.array((alpha, alpha_prime, beta)))
+    alice = _kron(z[:2], _IDENTITY)
+    op = (alice[0] + alice[1]) @ _kron(_IDENTITY, z[2])
     sandwich = float(np.real(SINGLET.conj() @ op @ SINGLET))
-    bases = basis_matrix(np.array((alpha, alpha_prime, beta)))
-    from_tables = float(np.sum(_PRODUCT_SIGNS * _singlet_tables(bases[:2], bases[2])))
+    psi, bob = _SINGLET_FLOATS, _basis_rows(beta)
+    p, q = (
+        [(u[0] * (psi[0] * v[0] + psi[1] * v[1]) + u[1] * (psi[2] * v[0] + psi[3] * v[1])) ** 2 for u in _basis_rows(a) for v in bob]
+        for a in (alpha, alpha_prime)
+    )
+    check("singlet pair table total", max(abs(p[0] + p[1] + p[2] + p[3] - 1.0), abs(q[0] + q[1] + q[2] + q[3] - 1.0)), 1e-12)
+    from_tables = (p[0] - p[1] - p[2] + p[3]) + (q[0] - q[1] - q[2] + q[3])
     check("q_value operator route vs pair-table route", abs(sandwich - from_tables), 1e-12)
     return sandwich
 

@@ -1,5 +1,7 @@
 import importlib
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from bellcheck.chsh_operator import (
     sample_outcomes,
 )
 from bellcheck.errors import InternalCheckError
-from bellcheck.linalg import eig_hermitian, hermiticity_defect
+from bellcheck.linalg import _ROUNDS_4, _eig_lone, eig_hermitian, hermiticity_defect
 from bellcheck.polarization import AngleConfig, singlet_state
 
 chsh_mod = importlib.import_module("bellcheck.chsh_operator")
@@ -140,6 +142,7 @@ def test_sampling_makes_no_eigensolve(monkeypatch):
         raise AssertionError("sample_outcomes must not diagonalize")
 
     monkeypatch.setattr(chsh_mod, "eig_hermitian", refuse)
+    monkeypatch.setattr(chsh_mod, "_eig_lone", refuse)
     monkeypatch.setattr(chsh_mod, "chsh_spectrum", refuse)
     cfg = AngleConfig.from_degrees(0.0, 30.0, 15.0, 75.0)
     assert sample_outcomes(cfg, 1_000, seed=9).stderr > 0.0
@@ -200,9 +203,46 @@ def shift_expectations_at(monkeypatch, configs, shift=1e-6):
     monkeypatch.setattr(chsh_mod, "_closed_form_expectations", shifted)
 
 
+# Settings where sines and cosines are exact, tie or vanish, signed zero and
+# subnormals among them.
+SPECIAL_RADIANS = [
+    0.0, -0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2, math.pi,
+    math.radians(22.5), math.radians(67.5), -math.pi / 8, 1e-300, 5e-324,
+]
+
+
+def bit_identity_configs():
+    rng = random.Random("chsh rows")
+    drawn = ([rng.uniform(-4.0, 4.0) for _ in range(4)] for _ in range(20_000))
+    configs = []
+    for angles in itertools.chain(drawn, itertools.product(SPECIAL_RADIANS, repeat=4)):
+        try:
+            configs.append(AngleConfig(*angles))
+        except ValueError:
+            continue
+    return configs
+
+
+def test_python_float_operator_and_solve_equal_the_array_route_bitwise():
+    # chsh_spectrum and sample_outcomes build one configuration's operator as
+    # rows of Python floats and chsh_spectrum solves it with _eig_lone; the
+    # array builder and the stacked Jacobi sweep must give the same bits,
+    # signed zeros included (tobytes tells -0.0 from 0.0).
+    configs = bit_identity_configs()
+    assert len(configs) > 30_000
+    ops = _chsh_operators(*angle_columns(configs))
+    evals, evecs = eig_hermitian(ops)
+    rows = [chsh_mod._chsh_rows(cfg) for cfg in configs]
+    assert np.array(rows).tobytes() == ops.real.tobytes()
+    solved = [_eig_lone(r, 1e-10, _ROUNDS_4) for r in rows]
+    assert np.array([vals for vals, _ in solved]).tobytes() == evals.tobytes()
+    assert np.array([vecs for _, vecs in solved], dtype=np.complex128).tobytes() == evecs.tobytes()
+
+
 def test_stacked_spectra_equal_single_spectra_bitwise(monkeypatch):
-    # chsh_spectrum runs chsh_spectra's code on one configuration's floats;
-    # the stack must give the same bits, and fail the same check.
+    # chsh_spectrum builds and solves one configuration on Python floats, and
+    # chsh_spectra a stack on arrays; the two must give the same bits, and fail
+    # the same check.
     near_zero = [AngleConfig.from_degrees(0, 45, 0, 45.003), AngleConfig.from_degrees(0, 45, 0, 45.0000001)]
     configs = random_configs(41, 2000) + near_zero + [AngleConfig.from_degrees(*degrees) for degrees in PINNED_DEGREES]
     columns = angle_columns(configs)

@@ -234,9 +234,12 @@ def test_spectrum_rejects_w_plus_outside_the_unit_interval(stacked, w_plus):
 # builder makes to them.  Settings are checked once, by AngleConfig, angles
 # once, by one basis_matrix call, where they enter the Hilbert space, and
 # tables by the record a caller hands them to; what the library builds
-# from them is not checked again.  q_value's operator route converts its
-# three angles on its own: it is the route the table route is checked
-# against.
+# from them is not checked again.  chsh_spectrum and sample_outcomes build
+# one configuration's operator on Python floats, from the settings
+# AngleConfig has already checked, so they call none of the helpers.
+# q_value converts its three angles once, with the one z_operator call of
+# its operator route; its table route, which only checks that one, runs on
+# Python floats from the same angles.
 VALIDATING = ("as_operator", "basis_matrix", "_checked_table")
 CFG = AngleConfig(*FLOATS)
 FEASIBLE = AngleConfig.from_degrees(0.0, 45.0, 22.5, 112.5)
@@ -247,16 +250,16 @@ def _feasible_verdict():
 
 
 CALLS_PER_BUILDER = {
-    "chsh_spectrum": ((1, 1, 0), lambda: bellcheck.chsh_spectrum(CFG)),
+    "chsh_spectrum": ((0, 0, 0), lambda: bellcheck.chsh_spectrum(CFG)),
     "chsh_spectra": ((1, 1, 0), lambda: bellcheck.chsh_spectra(*FLOATS)),
-    "sample_outcomes": ((0, 1, 0), lambda: bellcheck.sample_outcomes(CFG, 10, 0)),
+    "sample_outcomes": ((0, 0, 0), lambda: bellcheck.sample_outcomes(CFG, 10, 0)),
     "run_experiments": ((0, 1, 0), lambda: bellcheck.run_experiments(CFG, 1, 0)),
     "quantum_pair_marginals": ((0, 1, 0), lambda: bellcheck.quantum_pair_marginals(CFG)),
     "tensor_joint_pmf": ((0, 1, 0), lambda: bellcheck.tensor_joint_pmf(CFG)),
     "f_jkl": ((0, 1, 1), lambda: bellcheck.f_jkl(*FLOATS[:3])),
     "f_jk": ((0, 1, 1), lambda: bellcheck.f_jk(*FLOATS[:2])),
     "find_negativity": ((0, 1, 0), lambda: bellcheck.find_negativity(math.radians(30.0))),
-    "q_value": ((0, 4, 0), lambda: bellcheck.q_value(*FLOATS[:3])),
+    "q_value": ((0, 1, 0), lambda: bellcheck.q_value(*FLOATS[:3])),
     "fine_feasibility": ((0, 1, 1), _feasible_verdict),
 }
 
@@ -290,6 +293,21 @@ def _count_validating_calls(monkeypatch, call):
 def test_each_builder_validates_once(monkeypatch, builder):
     expected, call = CALLS_PER_BUILDER[builder]
     assert _count_validating_calls(monkeypatch, call) == dict(zip(VALIDATING, expected))
+
+
+@pytest.mark.parametrize("builder", ["chsh_spectrum", "sample_outcomes"])
+def test_lone_chsh_routes_call_no_numpy_operator_or_solver(monkeypatch, builder):
+    # The one-configuration routes stay on Python floats: neither may fall
+    # back to the stacked operator builder or the array eigensolver.
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{builder} called a stacked route")
+
+    for module_name in ("bellcheck.chsh_operator", "bellcheck.linalg"):
+        module = importlib.import_module(module_name)
+        for name in ("_chsh_operators", "eig_hermitian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    CALLS_PER_BUILDER[builder][1]()
 
 
 def test_derived_record_properties():

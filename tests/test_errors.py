@@ -63,9 +63,12 @@ def test_tensor_joint_pmf_rejects_a_nan_route(monkeypatch):
         realworld.tensor_joint_pmf(OPTIMAL)
 
 
-# chsh_spectrum runs the spectrum kernel on one configuration's floats, and
-# chsh_spectra on a stack; each spectrum check must fire on both.  The stack holds
-# OPTIMAL, where the perturbations below show, among two other configs.
+# chsh_spectrum builds and solves one configuration's operator on Python floats
+# (_chsh_rows, _z_entries, _eig_lone), and chsh_spectra a stack on numpy arrays
+# (_chsh_operators, z_operator, eig_hermitian); each spectrum check must fire on
+# both.  A perturbation of a solver or a factor wraps both seams, of which each
+# route calls one.  The stack holds OPTIMAL, where the perturbations below show,
+# among two other configs.
 SPECTRUM_ROUTES = {
     "chsh_spectrum": lambda: chsh_mod.chsh_spectrum(OPTIMAL),
     "chsh_spectra": lambda: chsh_mod.chsh_spectra(
@@ -76,13 +79,8 @@ SPECTRUM_ROUTES = {
 
 @pytest.mark.parametrize("route", list(SPECTRUM_ROUTES))
 def test_chsh_spectrum_rejects_nan_eigenvectors(monkeypatch, route):
-    real = chsh_mod.eig_hermitian
-
-    def nan_vectors(a, tol):
-        vals, vecs = real(a, tol=tol)
-        return vals, np.full_like(vecs, np.nan)
-
-    monkeypatch.setattr(chsh_mod, "eig_hermitian", nan_vectors)
+    _wrap(monkeypatch, chsh_mod, "_eig_lone", lambda res: (res[0], [[math.nan] * 4] * 4))
+    _wrap(monkeypatch, chsh_mod, "eig_hermitian", lambda res: (res[0], np.full_like(res[1], np.nan)))
     with pytest.raises(InternalCheckError):
         SPECTRUM_ROUTES[route]()
 
@@ -94,7 +92,10 @@ def _wrap(monkeypatch, module, name, change):
 
 
 def _non_hermitian_factors(mp):
+    # The Python-float route is real and cannot take the anti-Hermitian i*I, so
+    # its factors get one off-diagonal entry raised by 1e-6 instead.
     _wrap(mp, chsh_mod, "z_operator", lambda z: z + 1j * np.eye(2))
+    _wrap(mp, chsh_mod, "_z_entries", lambda z: (z[0], z[1] + 1e-6, *z[2:]))
 
 
 def _shifted_t0(mp):
@@ -103,6 +104,7 @@ def _shifted_t0(mp):
 
 def _basis_eigenvectors(mp):
     _wrap(mp, chsh_mod, "eig_hermitian", lambda res: (res[0], np.broadcast_to(np.eye(4), res[1].shape)))
+    _wrap(mp, chsh_mod, "_eig_lone", lambda res: (res[0], np.eye(4).tolist()))
 
 
 def _expectation_above_t0(mp):
@@ -185,9 +187,16 @@ def _complex_overlaps(mp):
     return lambda: quasiprob.f_jkl(0.2, 0.9, 1.3)
 
 
+def _stretched_q_value_bases(mp):
+    # q_value's table route builds its bases on Python floats, not through _pair_probabilities.
+    _wrap(mp, quasiprob, "_basis_rows", lambda rows: tuple(tuple(1.001 * x for x in row) for row in rows))
+    return lambda: quasiprob.q_value(0.2, 0.9, 1.3)
+
+
 def _turned_bob_operator(mp):
-    real = quasiprob.y_operator
-    mp.setattr(quasiprob, "y_operator", lambda beta: real(beta + 0.1))
+    # The operator route builds its three Z's in one call, Bob's last.
+    real = quasiprob.z_operator
+    mp.setattr(quasiprob, "z_operator", lambda angles: real(angles + np.array([0.0, 0.0, 0.1])))
     return lambda: quasiprob.q_value(0.2, 0.9, 1.3)
 
 
@@ -210,6 +219,7 @@ SITES = {
     **{f"{name} ({route})": _on_route(perturb, call) for name, perturb in SPECTRUM_SITES.items() for route, call in SPECTRUM_ROUTES.items()},
     **{f"{name} (sample_outcomes)": _on_route(perturb, lambda: chsh_mod.sample_outcomes(OPTIMAL, 10, 0)) for name, perturb in SAMPLER_SITES.items()},
     "singlet pair table total": _scaled_pair_probabilities,
+    "singlet pair table total (q_value)": _stretched_q_value_bases,
     "full Born route vs factored route": _rolled_tensor_state,
     "q interval verdict vs CHSH criterion (feasible)": _chsh_variant_says_infeasible,
     "q interval verdict vs CHSH criterion (infeasible)": _chsh_variant_says_feasible,
