@@ -243,10 +243,10 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     """Draw n single-shot CHSH outcomes (+-t0) and estimate their mean.
 
     t0 and w_plus are the closed forms :func:`chsh_spectrum` reports, read
-    from the same helper, but no eigensolve runs: on the CHSH operator C's
-    rows of Python floats, Landau's identity (C^2 psi = t0^2 psi in the singlet psi) checks t0
-    and <psi|C|psi> checks E, both to 1e-12, as the spectrum's signed
-    spectral sum does, with |E| <= t0 as in the spectrum.
+    from the same helper, but no eigensolve runs: on the rows of Python
+    floats of the CHSH operator C, Landau's identity (C^2 psi = t0^2 psi
+    in the singlet psi) checks t0 and <psi|C|psi> checks E, both to 1e-12,
+    as the spectrum's signed spectral sum does, with |E| <= t0 as there.
 
     Draw u of stream 0 gives +t0 when u < w_plus and -t0 otherwise.  The
     stream has the counter-indexed layout of the experiment streams, and
