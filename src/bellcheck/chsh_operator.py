@@ -20,9 +20,10 @@ operator C with Alice's observables A1, A2 and Bob's B1, B2 (L. J.
 Landau, Phys. Lett. A 120, 54 (1987)), makes the singlet an eigenvector
 of C^2 with eigenvalue t0^2.  The outcome sampler checks t0 through it,
 with no eigensolve.  ``chsh_spectrum`` and ``chsh_spectra`` run one
-block of checks of t0, t1 and E against the Jacobi eigensystem.  One
-configuration is built and solved on Python floats, a stack on numpy
-arrays, with the same bits, which tests/test_chsh_operator.py checks.
+block of checks of t0, t1 and E against the Jacobi eigensystem.  Every
+CHSH operator is real: one configuration is built and solved on Python
+floats, a stack on float64 arrays with no complex step, with the same
+bits, which tests/test_chsh_operator.py checks.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .born import _SINGLET_FLOATS, SINGLET
+from .born import _SINGLET_FLOATS
 from .errors import check
-from .linalg import _ROUNDS_4, _eig_lone, _kron, eig_hermitian, hermiticity_defect
-from .polarization import AngleConfig, _basis_rows, same_setting, z_operator
+from .linalg import _ROUNDS_4, _eig_array, _eig_lone, hermiticity_defect
+from .polarization import AngleConfig, _basis_rows, same_setting
 from .realworld import _SAMPLER_STREAM, EstimatorResult, _check_draw_count, _two_point_estimate
 
 # Below this, t0 is treated as exactly zero: the sampler returns the outcome 0
@@ -64,16 +65,17 @@ class ChshSpectrum:
     eigenvalues: np.ndarray
 
     def __post_init__(self) -> None:
-        # Every comparison here is False for NaN, so a NaN field fails it.
+        # Every comparison here, and math.isfinite, is False for NaN, so a NaN field fails it.
         if isinstance(self.t0, float) and isinstance(self.t1, float) and isinstance(self.w_plus, float):
             in_range = -1e-12 <= self.w_plus <= 1.0 + 1e-12
-            finite = abs(self.t0) < math.inf and abs(self.t1) < math.inf
+            finite = all(map(math.isfinite, (self.t0, self.t1, *self.eigenvalues.ravel().tolist())))
         else:
             in_range = np.all((self.w_plus >= -1e-12) & (self.w_plus <= 1.0 + 1e-12))
             finite = np.all((np.abs(self.t0) < math.inf) & (np.abs(self.t1) < math.inf))
+            finite = finite and np.all(np.abs(self.eigenvalues) < math.inf)
         if not in_range:
             raise ValueError(f"outcome weight w_plus = {self.w_plus} must lie in [0, 1]")
-        if not (finite and np.all(np.abs(self.eigenvalues) < math.inf)):
+        if not finite:
             raise ValueError("t0, t1 and the eigenvalues must be finite")
 
     @property
@@ -81,46 +83,60 @@ class ChshSpectrum:
         return 1.0 - self.w_plus
 
 
-def _chsh_operators(alpha1, alpha2, beta1, beta2) -> np.ndarray:
-    """CHSH operators over four angles or angle arrays of one shape, shape (..., 4, 4).
-
-    Each product X(a) Y(b) equals the Kronecker product Z(a) (x) Z(b).
-    One z_operator call builds all four factors, whose entries are
-    finite by construction, and one broadcast _kron forms the four
-    products.  Each Z is real and exactly symmetric, so the hermiticity
-    check reads exactly 0: it guards code changes, not rounding.
-    """
-    z = z_operator(np.array((alpha1, alpha2, beta1, beta2)))
-    (p11, p12), (p21, p22) = _kron(z[:2, None], z[None, 2:])
-    op = p11 + p12 + p21 - p22
-    check("CHSH operator hermiticity", hermiticity_defect(op), 1e-13)
-    return op
-
-
-def _z_entries(phi: float) -> tuple:
-    """z_operator(phi)'s entries, row-major, as Python floats from the same products (math.cos and math.sin
-    must round as numpy's do, which tests/test_chsh_operator.py checks)."""
-    (c, s), (m, _) = _basis_rows(phi)
+def _z_entries(basis_rows) -> tuple:
+    """z_operator's entries, row-major, from the rows ((c, s), (m, c)) of its basis, m = -s: Python floats
+    or arrays alike (math.cos and math.sin must round as numpy's do, which tests/test_chsh_operator.py checks)."""
+    (c, s), (m, _) = basis_rows
     return c * c - m * m, c * s - m * c, s * c - c * m, s * s - c * c
 
 
+def _chsh_sum(u1, u2, v1, v2):
+    """An entry of X(a1) Y(b1) + X(a1) Y(b2) + X(a2) Y(b1) - X(a2) Y(b2) from entries u of Z(a1), Z(a2) and v
+    of Z(b1), Z(b2), each product Z(a) (x) Z(b), summed in this fixed order: Python floats or arrays alike."""
+    return ((u1 * v1 + u1 * v2) + u2 * v1) - u2 * v2
+
+
 def _chsh_rows(cfg: AngleConfig) -> list:
-    """The rows of chsh_operator(cfg) as Python floats, bit for bit, with its hermiticity check: entry
-    (2i + k, 2j + l) is ((p11 + p12) + p21) - p22, as the array builder sums it, at c[4(2i + j) + 2k + l]."""
-    za1, za2, zb1, zb2 = map(_z_entries, (cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
-    c = [((u1 * v1 + u1 * v2) + u2 * v1) - u2 * v2 for u1, u2 in zip(za1, za2) for v1, v2 in zip(zb1, zb2)]
+    """The rows of the CHSH operator at ``cfg`` as Python floats, with its hermiticity check: entry
+    (2i + k, 2j + l) is _chsh_sum of the Z entries (i, j) and (k, l), at c[4(2i + j) + 2k + l]."""
+    za1, za2, zb1, zb2 = (_z_entries(_basis_rows(phi)) for phi in (cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
+    c = [_chsh_sum(u1, u2, v1, v2) for u1, u2 in zip(za1, za2) for v1, v2 in zip(zb1, zb2)]
     rows = [c[0:2] + c[4:6], c[2:4] + c[6:8], c[8:10] + c[12:14], c[10:12] + c[14:16]]
     check("CHSH operator hermiticity", max(abs(rows[i][j] - rows[j][i]) for i in range(4) for j in range(i)), 1e-13)
     return rows
 
 
+def _chsh_planes(alpha1, alpha2, beta1, beta2) -> np.ndarray:
+    """The CHSH operators over four angles or angle arrays of one shape, real float64, shape (..., 4, 4).
+
+    :func:`_chsh_rows` on arrays, op for op, so every entry has the same
+    bits.  Each Z is real and exactly symmetric, so the hermiticity check
+    reads exactly 0: it guards code changes, not rounding.
+    """
+    angles = np.array((alpha1, alpha2, beta1, beta2))
+    c, s = np.cos(angles), np.sin(angles)
+    # Axes (angle, ..., i, j).  u holds Alice's entries (i, j) and v Bob's (k, l),
+    # so the products have axes (..., i, k, j, l): row 2i + k, column 2j + l.
+    z = np.stack(_z_entries(((c, s), (-s, c))), axis=-1).reshape(angles.shape + (2, 2))
+    u1, u2 = (z[a, ..., :, None, :, None] for a in (0, 1))
+    v1, v2 = (z[b, ..., None, :, None, :] for b in (2, 3))
+    op = _chsh_sum(u1, u2, v1, v2).reshape(angles.shape[1:] + (4, 4))
+    check("CHSH operator hermiticity", hermiticity_defect(op), 1e-13)
+    return op
+
+
 def _dot(x, y) -> float:
+    """x0*y0 + x1*y1 + x2*y2 + x3*y3, left to right: Python floats or arrays alike."""
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
 
 
 def chsh_operator(cfg: AngleConfig) -> np.ndarray:
-    """The 4x4 CHSH operator at the given angles."""
-    return _chsh_operators(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
+    """The 4x4 CHSH operator at the given angles, as complex128.
+
+    Every entry is real: this is :func:`_chsh_planes` at one
+    configuration, with every imaginary part +0.0.
+    """
+    return _chsh_planes(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2).astype(np.complex128)
 
 
 # t0, t1 = 2 sqrt(1 -+ sin x sin y), x = 2(a1 - a2) and y = 2(b1 - b2), written
@@ -202,22 +218,36 @@ def chsh_spectra(
     The four angles (radians) broadcast against each other, and every
     field of the result has their broadcast shape, plus a trailing axis
     of four for ``eigenvalues``.  Each configuration obeys the rules of
-    :class:`~bellcheck.polarization.AngleConfig`, which is checked here.
-    One Jacobi call diagonalizes every operator, and each configuration
-    runs :func:`_check_spectrum`; each result is bit for bit the one
-    :func:`chsh_spectrum` gives alone (numpy scalars on all-scalar input).
-    A failing stack reports its first failing configuration's gap.
+    :class:`~bellcheck.polarization.AngleConfig`, which is checked here,
+    once per input, before broadcasting; the inputs may be floats,
+    arrays or lists.  The operators are built as real float64 planes
+    (:func:`_chsh_planes`) and one call of the eigensolver's array route,
+    ``linalg._eig_array``, diagonalizes them all in real arithmetic (a
+    one-point stack on the lone route, as ``eig_hermitian`` would).
+    The singlet's weight on each eigenvector is summed in the order
+    :func:`chsh_spectrum` uses, and each configuration runs
+    :func:`_check_spectrum`, so each check reads the gap it reads alone,
+    and each result is bit for bit the one :func:`chsh_spectrum` gives
+    alone (numpy scalars on all-scalar input).  A failing stack reports
+    its first failing configuration's gap.
     """
-    a1, a2, b1, b2 = np.broadcast_arrays(alpha1, alpha2, beta1, beta2)
-    if np.any(same_setting(a1, a2)) or np.any(same_setting(b1, b2)):
+    # Each input is checked once, before broadcasting: a float on same_setting's
+    # float path, anything else (a list too) as an array.
+    inputs = [x if isinstance(x, float) else np.asarray(x) for x in (alpha1, alpha2, beta1, beta2)]
+    if same_setting(*inputs[:2]).any() or same_setting(*inputs[2:]).any():
         raise ValueError("the two settings on one side coincide mod pi")
-    evals, evecs = eig_hermitian(_chsh_operators(a1, a2, b1, b2), tol=1e-10)
+    angles = np.empty((4,) + np.broadcast(*inputs).shape)
+    for i, x in enumerate(inputs):
+        angles[i] = x
+    a1, a2, b1, b2 = angles
+    evals, evecs = _eig_array(_chsh_planes(a1, a2, b1, b2), 1e-10)
     t0s, expectations, w_plus = _outcome_atoms(a1, a2, b1, b2)
     t1s = _floats(_dark_magnitudes(a1, a2, b1, b2))
-    overlaps = (np.abs(evecs.conj().swapaxes(-1, -2) @ SINGLET) ** 2).reshape(-1, 4).tolist()
-    for c in zip(evals.reshape(-1, 4).tolist(), overlaps, t0s, expectations, t1s):
+    # The singlet's amplitude on each eigenvector, in _dot's order as chsh_spectrum takes it.
+    amplitudes = _dot(evecs.reshape(-1, 4, 4).transpose(1, 0, 2), _SINGLET_FLOATS)
+    for c in zip(evals.reshape(-1, 4).tolist(), (amplitudes * amplitudes).tolist(), t0s, expectations, t1s):
         _check_spectrum(*c)
-    return ChshSpectrum(*(np.reshape(f, a1.shape)[()] for f in (t0s, t1s, w_plus)), evals)
+    return ChshSpectrum(*np.array((t0s, t1s, w_plus)).reshape((3,) + a1.shape), evals)
 
 
 def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
@@ -228,14 +258,18 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     against 0, and E against its signed spectral sum (to 1e-12); any
     disagreement raises InternalCheckError.  AngleConfig has checked the
     settings.  The operator's rows, Python floats, go to the eigensolver's
-    lone route, ``linalg._eig_lone``, and the fields are bit for bit those of
-    :func:`chsh_spectra`; all but ``eigenvalues`` are floats.
+    lone route, ``linalg._eig_lone``; the singlet's weight on each
+    eigenvector is the square of a :func:`_dot` in fixed order, as on
+    :func:`chsh_spectra`'s real arrays, and the fields are bit for bit
+    those of :func:`chsh_spectra`; all but ``eigenvalues`` are floats,
+    and the record checks them as floats.
     """
     a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
     evals, evecs = _eig_lone(_chsh_rows(cfg), 1e-10, _ROUNDS_4)
     (t0,), (expectation,), (w_plus,) = _outcome_atoms(a1, a2, b1, b2)
     t1 = float(_dark_magnitudes(a1, a2, b1, b2))
-    _check_spectrum(evals, [_dot(v, _SINGLET_FLOATS) ** 2 for v in zip(*evecs)], t0, expectation, t1)
+    amplitudes = [_dot(v, _SINGLET_FLOATS) for v in zip(*evecs)]
+    _check_spectrum(evals, [x * x for x in amplitudes], t0, expectation, t1)
     return ChshSpectrum(t0, t1, w_plus, np.array(evals))
 
 

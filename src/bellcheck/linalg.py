@@ -1,6 +1,9 @@
-"""Dense complex linear algebra for small Hilbert spaces.
+"""Dense linear algebra for small Hilbert spaces.
 
-Everything here works on plain ``numpy`` arrays with dtype complex128.
+The public functions take plain ``numpy`` arrays and return complex128;
+inside, a real operator is worked on as float64, and ``_eig_array``, the
+eigensolver's array route, also takes and returns float64 for callers
+that build real operators (``chsh_spectra``).
 Vectors are 1-d arrays, operators are 2-d arrays, and a stack of
 operators is an array of shape ``(..., n, n)``; every function below
 accepts a stack and acts on its trailing two axes.  The operators that
@@ -22,7 +25,10 @@ arrays if real and on complex128 arrays if not, one set of calls per
 round.  A real matrix gets the same bits in all three forms.  The lone
 route, ``_eig_lone``, takes and returns lists of Python floats, so a
 caller holding one operator as floats (``chsh_spectrum``) solves it
-with no numpy call.  Builders
+with no numpy call.  The array route, ``_eig_array``, holds the route
+rule and the float64 and complex128 sweeps; a real stack runs with no
+imaginary term at all, so a caller holding its operators as real
+planes (``chsh_spectra``) solves them with no complex step.  Builders
 form Kronecker products with the private, unchecked ``_kron``: their
 factors come from angles already checked at the public entry.
 """
@@ -79,7 +85,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest entrywise deviation of the array ``a`` (every matrix of a stack) from its adjoint."""
-    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
 
 
 def _round_robin_rounds(n: int) -> list[tuple]:
@@ -110,6 +116,9 @@ def _round_robin_rounds(n: int) -> list[tuple]:
 
 
 _ROUNDS_4 = _round_robin_rounds(4)
+# The signs of the p and q halves of a round's row and column updates.
+_HALF_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
+_HALF_SIGNS.flags.writeable = False
 
 
 def _rotation(app: float, aqq: float, apq: float, skip: float) -> tuple[float, float]:
@@ -130,22 +139,26 @@ def _rotation(app: float, aqq: float, apq: float, skip: float) -> tuple[float, f
     return c, t * c * (apq / safe)
 
 
-def _rotations(g: np.ndarray, p: np.ndarray, q: np.ndarray, pq: np.ndarray, skip: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_rotation` for each pair (p[i], q[i]) and each matrix of the stack ``g``, as arrays (k, N).
+def _rotations(g: np.ndarray, p: np.ndarray, q: np.ndarray, pq: np.ndarray, skip: np.ndarray) -> tuple:
+    """:func:`_rotation` for each pair (p[i], q[i]) and each matrix of the stack ``g``, as arrays.
 
     ``g`` holds the stack on its last axis; ``pq`` is p and q concatenated.
-    A complex rotation has s*apq/|apq| = u + i*v in place of u.
+    Returns c, shape (k, N), and w = (u, -u), shape (2, k, N), the signs
+    of the p and q halves of :func:`_sweep_stacked`; -(s*r) is (-s)*r bit
+    for bit.  A complex rotation has s*apq/|apq| = u + i*v in place of u,
+    and v is returned too; a real stack skips every imaginary term, whose
+    exact zeros change no bit, and returns None.
     """
     apq = g[p, q]
-    re, im = apq.real, apq.imag
-    mag = np.sqrt(re * re + im * im)
+    re, im = (apq.real, apq.imag) if np.iscomplexobj(g) else (apq, None)
+    mag = np.sqrt(re * re if im is None else re * re + im * im)
     safe = np.maximum(mag, skip)
     diagonal = g[pq, pq].real
     theta = (diagonal[len(p) :] - diagonal[: len(p)]) / (2.0 * safe)
     t = np.copysign(mag >= skip, theta + 0.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
     c = 1.0 / np.sqrt(t * t + 1.0)
     s = t * c
-    return c, s * (re / safe), s * (im / safe)
+    return c, (s * _HALF_SIGNS) * (re / safe), None if im is None else s * (im / safe)
 
 
 def _sweep_lone(cols: list, rounds: list, skip: float) -> list:
@@ -184,8 +197,8 @@ def _sweep_stacked(g: np.ndarray, rounds: list, skip: np.ndarray) -> None:
     rows, n, size = g.shape
     for _, p, q, pq in rounds:
         k = len(p)
-        c, u, v = _rotations(g, p, q, pq, skip)
-        w, iv = np.stack((u, -u)), (v * 1j if np.iscomplexobj(g) else None)
+        c, w, v = _rotations(g, p, q, pq, skip)
+        iv = None if v is None else v * 1j
         # Rows: axes (half, pair, column, matrix); y swaps the halves.
         x = g[pq].reshape(2, k, n, size)
         y = x[::-1]
@@ -215,13 +228,14 @@ def _sum_sq_lone(cols: list, n: int, off: bool) -> float:
 def _sum_sq_stacked(g: np.ndarray, n: int, off: bool) -> np.ndarray:
     """:func:`_sum_sq_lone` of |a_ij|^2 for each matrix of the stack ``g`` (laid out as in :func:`_sweep_stacked`).
 
-    A cumulative sum adds left to right; a real stack adds zero imaginary parts.
+    A cumulative sum adds left to right; a real stack skips the imaginary
+    parts, whose squares are exact zeros.
     """
     a = g[:n]
-    sq = a.real * a.real + a.imag * a.imag
+    sq = (a.real * a.real + a.imag * a.imag if np.iscomplexobj(a) else a * a).reshape(n * n, -1)
     if off:
-        sq[range(n), range(n)] = 0.0
-    return np.cumsum(sq.reshape(n * n, -1), axis=0)[-1]
+        sq[:: n + 1] = 0.0  # the diagonal, in row-major order
+    return sq.cumsum(axis=0)[-1]
 
 
 def _eig_lone(rows: list, tol: float, rounds: list) -> tuple[list, list]:
@@ -285,9 +299,11 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
 
     Rounding model: rotations come from float64 operations, and the
     updates multiply each entry only by a real c or u or an imaginary
-    i*v, and add.  A lone real matrix up to n = 8 runs on Python floats
-    (:func:`_eig_lone`), any other input on float64 arrays if every
-    imaginary part is zero and on complex128 arrays if not
+    i*v, and add.  Input with every imaginary part zero drops them, and
+    the array route :func:`_eig_array`, which ``chsh_spectra`` also calls
+    on its real operators, runs a lone real matrix up to n = 8 on Python
+    floats (:func:`_eig_lone`), any other real input on float64 arrays
+    with no imaginary term, and the rest on complex128 arrays
     (:func:`_sweep_stacked`).  Each part of a complex product by a purely
     real or purely imaginary factor has one nonzero float product, the
     other an exact zero, so it is rounded once, fused or not, and a real
@@ -306,27 +322,36 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     some matrix has not converged after 100 sweeps.
     """
     a = as_operator(a)
-    n = a.shape[-1]
-    if n != a.shape[-2]:
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError(f"eig_hermitian needs a square matrix, got {a.shape}")
+    vals, vecs = _eig_array(a if a.imag.any() else a.real, tol)
+    return vals, vecs.astype(np.complex128, copy=False)
 
+
+def _eig_array(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eig_hermitian` of a finite float64 or complex128 square matrix or stack, results in its dtype.
+
+    It holds the route rule, the scaling, the admission check and the
+    convergence rule; a float64 stack makes no complex step.
+    """
+    n = a.shape[-1]
     rounds = _ROUNDS_4 if n == 4 else _round_robin_rounds(n)
-    real = not a.imag.any()
+    real = not np.iscomplexobj(a)
     # The stacked route below, step for step, on Python floats (n = 0 input too,
     # of size 0 = n * n); above n = 8 the stacked sweep is faster even alone.
     if real and a.size == n * n and n <= 8:
-        vals, vecs = _eig_lone(a.real.reshape(n, n).tolist(), tol, rounds)
-        return np.array(vals).reshape(a.shape[:-1]), np.array(vecs, dtype=np.complex128).reshape(a.shape)
+        vals, vecs = _eig_lone(a.reshape(n, n).tolist(), tol, rounds)
+        return np.array(vals).reshape(a.shape[:-1]), np.array(vecs).reshape(a.shape)
 
     # Each matrix is scaled by a power of two so that its largest real or
     # imaginary part lies in [1/2, 1).  That is exact (save for entries
     # below 2**-1022 of the largest), so no rotation changes, the
     # hermiticity check is relative, and the squared norm below can
     # neither underflow nor overflow; the eigenvalues are scaled back at
-    # the end.  An all-real stack drops its zero imaginary parts.
-    parts = np.ascontiguousarray(a.real if real else a).view(np.float64).reshape(-1, n, n if real else 2 * n)
+    # the end.
+    parts = np.ascontiguousarray(a).view(np.float64).reshape(-1, n, n if real else 2 * n)
     _, exponent = np.frexp(np.abs(parts).max(axis=(1, 2), initial=0.0))
-    stack = np.ldexp(parts, -exponent[:, None, None]).view(np.float64 if real else np.complex128)
+    stack = np.ldexp(parts, -exponent[:, None, None]).view(a.dtype)
     if not hermiticity_defect(stack) <= tol:
         raise ValueError(f"matrix is not Hermitian within tol={tol} relative to its largest entry")
     work = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
@@ -338,19 +363,22 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
     g[n:] = np.eye(n)[:, :, None]
     norm_sq = _sum_sq_stacked(g, n, off=False)
     target_sq, skip = _OFF_TOL**2 * norm_sq, _SKIP * np.sqrt(norm_sq)
-    active = np.flatnonzero(_sum_sq_stacked(g, n, off=True) > target_sq)
+    active = (_sum_sq_stacked(g, n, off=True) > target_sq).nonzero()[0]
     for _ in range(_MAX_SWEEPS):
         if active.size == 0:
             break
-        m = g[..., active]
+        # The matrices still active sweep on; when that is all of them, in place.
+        whole = active.size == len(work)
+        m = g if whole else g[..., active]
         _sweep_stacked(m, rounds, skip[active])
-        g[..., active] = m
+        if not whole:
+            g[..., active] = m
         active = active[_sum_sq_stacked(m, n, off=True) > target_sq[active]]
     if active.size:
         raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
 
-    order = np.argsort(-g[range(n), range(n)].real.T, axis=1, kind="stable")
+    order = np.argsort(-g[:n].reshape(n * n, -1)[:: n + 1].real.T, axis=1, kind="stable")
     stack_index = np.arange(len(work))[:, None]
     vals = np.ldexp(g[order, order, stack_index].real, exponent[:, None]) + 0.0
     vecs = g[n:, order, stack_index].transpose(1, 0, 2) + 0.0
-    return vals.reshape(a.shape[:-1]), vecs.reshape(a.shape).astype(np.complex128, copy=False)
+    return vals.reshape(a.shape[:-1]), vecs.reshape(a.shape)

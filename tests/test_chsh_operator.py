@@ -8,7 +8,7 @@ import pytest
 
 from bellcheck.born import chsh_expectation, chsh_expectations
 from bellcheck.chsh_operator import (
-    _chsh_operators,
+    _chsh_planes,
     atom_magnitude,
     chsh_operator,
     chsh_spectra,
@@ -17,8 +17,8 @@ from bellcheck.chsh_operator import (
     sample_outcomes,
 )
 from bellcheck.errors import InternalCheckError
-from bellcheck.linalg import _ROUNDS_4, _eig_lone, eig_hermitian, hermiticity_defect
-from bellcheck.polarization import AngleConfig, singlet_state
+from bellcheck.linalg import _ROUNDS_4, _eig_array, _eig_lone, eig_hermitian, hermiticity_defect
+from bellcheck.polarization import AngleConfig, singlet_state, x_operator, y_operator
 
 chsh_mod = importlib.import_module("bellcheck.chsh_operator")
 OPTIMAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5)
@@ -141,7 +141,7 @@ def test_sampling_makes_no_eigensolve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sample_outcomes must not diagonalize")
 
-    monkeypatch.setattr(chsh_mod, "eig_hermitian", refuse)
+    monkeypatch.setattr(chsh_mod, "_eig_array", refuse)
     monkeypatch.setattr(chsh_mod, "_eig_lone", refuse)
     monkeypatch.setattr(chsh_mod, "chsh_spectrum", refuse)
     cfg = AngleConfig.from_degrees(0.0, 30.0, 15.0, 75.0)
@@ -225,27 +225,37 @@ def bit_identity_configs():
 
 def test_python_float_operator_and_solve_equal_the_array_route_bitwise():
     # chsh_spectrum and sample_outcomes build one configuration's operator as
-    # rows of Python floats and chsh_spectrum solves it with _eig_lone; the
-    # array builder and the stacked Jacobi sweep must give the same bits,
-    # signed zeros included (tobytes tells -0.0 from 0.0).
+    # rows of Python floats and chsh_spectrum solves it with _eig_lone;
+    # chsh_spectra builds real planes and solves them on the shared array
+    # route.  Both must give the same bits, signed zeros included (tobytes
+    # tells -0.0 from 0.0), and equal the operator summed from the products
+    # X(a) Y(b) of the public observables.
     configs = bit_identity_configs()
     assert len(configs) > 30_000
-    ops = _chsh_operators(*angle_columns(configs))
-    evals, evecs = eig_hermitian(ops)
+    a1, a2, b1, b2 = angle_columns(configs)
+    planes = _chsh_planes(a1, a2, b1, b2)
     rows = [chsh_mod._chsh_rows(cfg) for cfg in configs]
-    assert np.array(rows).tobytes() == ops.real.tobytes()
+    assert planes.dtype == np.float64 and np.array(rows).tobytes() == planes.tobytes()
+    x1, x2, y1, y2 = x_operator(a1), x_operator(a2), y_operator(b1), y_operator(b2)
+    reference = ((x1 @ y1 + x1 @ y2) + x2 @ y1) - x2 @ y2
+    assert not reference.imag.any() and reference.real.tobytes() == planes.tobytes()
+    evals, evecs = _eig_array(planes, 1e-10)
     solved = [_eig_lone(r, 1e-10, _ROUNDS_4) for r in rows]
     assert np.array([vals for vals, _ in solved]).tobytes() == evals.tobytes()
-    assert np.array([vecs for _, vecs in solved], dtype=np.complex128).tobytes() == evecs.tobytes()
+    assert np.array([vecs for _, vecs in solved]).tobytes() == evecs.tobytes()
 
 
 def test_stacked_spectra_equal_single_spectra_bitwise(monkeypatch):
     # chsh_spectrum builds and solves one configuration on Python floats, and
-    # chsh_spectra a stack on arrays; the two must give the same bits, and fail
-    # the same check.
+    # chsh_spectra a stack on real arrays; the two must give the same bits, hand
+    # _check_spectrum the same eigenvalues and singlet weights (summed in _dot's
+    # order), so every check reads the same gap, and fail the same check.
     near_zero = [AngleConfig.from_degrees(0, 45, 0, 45.003), AngleConfig.from_degrees(0, 45, 0, 45.0000001)]
     configs = random_configs(41, 2000) + near_zero + [AngleConfig.from_degrees(*degrees) for degrees in PINNED_DEGREES]
     columns = angle_columns(configs)
+    checked = []
+    check_spectrum = chsh_mod._check_spectrum
+    monkeypatch.setattr(chsh_mod, "_check_spectrum", lambda *args: checked.append(args[:2]) or check_spectrum(*args))
     stacked = chsh_spectra(*columns)
     expectations = chsh_expectations(*columns)
     for i, cfg in enumerate(configs):
@@ -256,6 +266,8 @@ def test_stacked_spectra_equal_single_spectra_bitwise(monkeypatch):
         assert np.array_equal(stacked.eigenvalues[i], single.eigenvalues)
         assert expectations[i] == chsh_expectation(cfg)
     assert stacked.w_plus[-3:].tolist() == [1.0, 0.0, 0.5]
+    assert len(checked) == 2 * len(configs)
+    assert np.array(checked[: len(configs)]).tobytes() == np.array(checked[len(configs) :]).tobytes()
 
     # A closed-form E shifted by 1e-6: both routes fail on the same check,
     # with the same gap to the last bit.
@@ -289,9 +301,9 @@ def test_failing_stack_reports_its_first_failing_configuration(monkeypatch):
 
 def test_stacked_operators_equal_single_operators():
     configs = random_configs(43, 10)
-    stack = _chsh_operators(*angle_columns(configs))
+    stack = _chsh_planes(*angle_columns(configs))
     for op, cfg in zip(stack, configs):
-        assert np.array_equal(op, chsh_operator(cfg))
+        assert chsh_operator(cfg).tobytes() == op.astype(np.complex128).tobytes()
 
 
 def test_spectra_validate_every_point():

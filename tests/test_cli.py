@@ -463,7 +463,7 @@ def test_no_eigensolver_bit_reaches_stdout(capsys, monkeypatch):
         ("chsh", "10", "55", "20", "0", "--sweep", "5"),
     ]
     want = [run_cli(capsys, *argv) for argv in argvs]
-    solve, calls = chsh_module.eig_hermitian, []
+    solve, calls = chsh_module._eig_array, []  # the shared route of every stack, one-point stacks included
 
     def nudged(*args, **kwargs):
         # Every eigenvalue 1e-12 away from zero, well inside each 1e-9 spectrum check.
@@ -471,7 +471,7 @@ def test_no_eigensolver_bit_reaches_stdout(capsys, monkeypatch):
         calls.append(evals.shape)
         return evals + np.copysign(1e-12, evals), evecs
 
-    monkeypatch.setattr(chsh_module, "eig_hermitian", nudged)
+    monkeypatch.setattr(chsh_module, "_eig_array", nudged)
     assert [run_cli(capsys, *argv) for argv in argvs] == want
     assert len(calls) == len(argvs)
 

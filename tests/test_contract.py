@@ -237,6 +237,9 @@ def test_spectrum_rejects_w_plus_outside_the_unit_interval(stacked, w_plus):
 # from them is not checked again.  chsh_spectrum and sample_outcomes build
 # one configuration's operator on Python floats, from the settings
 # AngleConfig has already checked, so they call none of the helpers.
+# chsh_spectra checks its four angle inputs once, with same_setting, before
+# broadcasting them, and builds and solves its stack as real arrays
+# (_chsh_planes, linalg._eig_array), so it calls none of them either.
 # q_value converts its three angles once, with the one z_operator call of
 # its operator route; its table route, which only checks that one, runs on
 # Python floats from the same angles.
@@ -251,7 +254,7 @@ def _feasible_verdict():
 
 CALLS_PER_BUILDER = {
     "chsh_spectrum": ((0, 0, 0), lambda: bellcheck.chsh_spectrum(CFG)),
-    "chsh_spectra": ((1, 1, 0), lambda: bellcheck.chsh_spectra(*FLOATS)),
+    "chsh_spectra": ((0, 0, 0), lambda: bellcheck.chsh_spectra(*FLOATS)),
     "sample_outcomes": ((0, 0, 0), lambda: bellcheck.sample_outcomes(CFG, 10, 0)),
     "run_experiments": ((0, 1, 0), lambda: bellcheck.run_experiments(CFG, 1, 0)),
     "quantum_pair_marginals": ((0, 1, 0), lambda: bellcheck.quantum_pair_marginals(CFG)),
@@ -304,10 +307,27 @@ def test_lone_chsh_routes_call_no_numpy_operator_or_solver(monkeypatch, builder)
 
     for module_name in ("bellcheck.chsh_operator", "bellcheck.linalg"):
         module = importlib.import_module(module_name)
-        for name in ("_chsh_operators", "eig_hermitian"):
+        for name in ("_chsh_planes", "_eig_array", "eig_hermitian"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     CALLS_PER_BUILDER[builder][1]()
+
+
+@pytest.mark.parametrize("points", [1, 3])
+def test_stacked_chsh_route_makes_no_complex_call(monkeypatch, points):
+    # chsh_spectra builds and solves its operators as real float64 arrays:
+    # no complex operator, no complex Kronecker product, no coercion to
+    # complex128 and no complex eigensolve, for a one-point stack or a sweep.
+    def refuse(*args, **kwargs):
+        raise AssertionError("chsh_spectra called a complex route")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("bellcheck."):
+            for name in ("as_operator", "z_operator", "_kron", "eig_hermitian"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    spectra = bellcheck.chsh_spectra(*FLOATS[:3], np.linspace(-0.5, -0.2, points))
+    assert spectra.eigenvalues.shape == (points, 4)
 
 
 def test_derived_record_properties():
@@ -341,5 +361,5 @@ def test_module_level_arrays_are_read_only():
         for name, value in vars(module).items()
     }
     found = {name: flags for name, flags in found.items() if flags}
-    assert "bellcheck.born.SINGLET" in found and "bellcheck.linalg._ROUNDS_4" in found
+    assert {"bellcheck.born.SINGLET", "bellcheck.linalg._ROUNDS_4", "bellcheck.linalg._HALF_SIGNS"} <= set(found)
     assert [name for name, flags in found.items() if any(flags)] == []

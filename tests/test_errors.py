@@ -64,11 +64,11 @@ def test_tensor_joint_pmf_rejects_a_nan_route(monkeypatch):
 
 
 # chsh_spectrum builds and solves one configuration's operator on Python floats
-# (_chsh_rows, _z_entries, _eig_lone), and chsh_spectra a stack on numpy arrays
-# (_chsh_operators, z_operator, eig_hermitian); each spectrum check must fire on
-# both.  A perturbation of a solver or a factor wraps both seams, of which each
-# route calls one.  The stack holds OPTIMAL, where the perturbations below show,
-# among two other configs.
+# (_chsh_rows, _eig_lone), and chsh_spectra a stack on real arrays (_chsh_planes,
+# the shared array route _eig_array); both take Z's entries from _z_entries.
+# Each spectrum check must fire on both.  A perturbation of a solver wraps both
+# seams, of which each route calls one.  The stack holds OPTIMAL, where the
+# perturbations below show, among two other configs.
 SPECTRUM_ROUTES = {
     "chsh_spectrum": lambda: chsh_mod.chsh_spectrum(OPTIMAL),
     "chsh_spectra": lambda: chsh_mod.chsh_spectra(
@@ -80,7 +80,7 @@ SPECTRUM_ROUTES = {
 @pytest.mark.parametrize("route", list(SPECTRUM_ROUTES))
 def test_chsh_spectrum_rejects_nan_eigenvectors(monkeypatch, route):
     _wrap(monkeypatch, chsh_mod, "_eig_lone", lambda res: (res[0], [[math.nan] * 4] * 4))
-    _wrap(monkeypatch, chsh_mod, "eig_hermitian", lambda res: (res[0], np.full_like(res[1], np.nan)))
+    _wrap(monkeypatch, chsh_mod, "_eig_array", lambda res: (res[0], np.full_like(res[1], np.nan)))
     with pytest.raises(InternalCheckError):
         SPECTRUM_ROUTES[route]()
 
@@ -92,9 +92,8 @@ def _wrap(monkeypatch, module, name, change):
 
 
 def _non_hermitian_factors(mp):
-    # The Python-float route is real and cannot take the anti-Hermitian i*I, so
-    # its factors get one off-diagonal entry raised by 1e-6 instead.
-    _wrap(mp, chsh_mod, "z_operator", lambda z: z + 1j * np.eye(2))
+    # Both routes are real and cannot take the anti-Hermitian i*I, so their
+    # factors get one off-diagonal entry raised by 1e-6 instead.
     _wrap(mp, chsh_mod, "_z_entries", lambda z: (z[0], z[1] + 1e-6, *z[2:]))
 
 
@@ -103,7 +102,7 @@ def _shifted_t0(mp):
 
 
 def _basis_eigenvectors(mp):
-    _wrap(mp, chsh_mod, "eig_hermitian", lambda res: (res[0], np.broadcast_to(np.eye(4), res[1].shape)))
+    _wrap(mp, chsh_mod, "_eig_array", lambda res: (res[0], np.broadcast_to(np.eye(4), res[1].shape)))
     _wrap(mp, chsh_mod, "_eig_lone", lambda res: (res[0], np.eye(4).tolist()))
 
 
@@ -242,7 +241,8 @@ def test_each_cross_check_fires_and_names_itself(monkeypatch, site):
 # The smallest fault "projector weight vs closed form" is meant to catch: a
 # closed-form E off by 3e-12, three times the tolerance.  It fires at the
 # optimum, at two settings near t0 = 0 and at a generic one, on both
-# spectrum routes.
+# spectrum routes; the stack holds the configuration twice, since a
+# one-point stack is solved on the lone route.
 EDGE_DEGREES = [(0.0, 45.0, 22.5, -22.5), (0.0, 45.0, 0.0, 45.0000001), (0.0, 45.0, 20.0, 30.0), (0.0, 45.0, 22.5, 67.5000001)]
 
 
@@ -253,7 +253,7 @@ def test_projector_check_fires_on_an_expectation_off_by_3e_12(monkeypatch, degre
     _wrap(monkeypatch, chsh_mod, "_closed_form_expectations", lambda e: e + 3e-12)
     angles = (cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
     with pytest.raises(InternalCheckError, match="^projector weight vs closed form: gap "):
-        chsh_mod.chsh_spectrum(cfg) if route == "chsh_spectrum" else chsh_mod.chsh_spectra(*([angle] for angle in angles))
+        chsh_mod.chsh_spectrum(cfg) if route == "chsh_spectrum" else chsh_mod.chsh_spectra(*([angle] * 2 for angle in angles))
 
 
 # The CLI compares each printed Born number with its closed form; a Born
