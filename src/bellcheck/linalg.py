@@ -39,11 +39,12 @@ import math
 
 import numpy as np
 
-# Jacobi stops once the off-diagonal Frobenius norm is at most
-# _OFF_TOL * ||A||_F.  Relative, so it is reachable at every scale (the
-# rounding floor is a few eps * ||A||_F).  The CHSH operators have norm
-# 4, so for them the target is 1e-13, the value their pinned outputs
-# (tests/test_golden.py) were computed with.
+from .errors import check
+
+# Jacobi stops once the off-diagonal Frobenius norm is at most _OFF_TOL *
+# ||A||_F.  Relative, so it is reachable at every scale (the rounding floor
+# is a few eps * ||A||_F).  The CHSH operators have norm 4, so for them the
+# target is 1e-13, the value their pinned outputs were computed with.
 _OFF_TOL = 2.5e-14
 # Off-diagonal entries below _SKIP * ||A||_F are left alone: they are far
 # below the stop target.  Matrices are scaled so that 1/2 <= ||A||_F <=
@@ -255,9 +256,9 @@ def _eig_lone(rows: list, tol: float, rounds: list) -> tuple[list, list]:
     norm_sq = _sum_sq_lone(cols, n, off=False)
     target_sq, skip = _OFF_TOL**2 * norm_sq, _SKIP * math.sqrt(norm_sq)
     sweeps = 0
-    while _sum_sq_lone(cols, n, off=True) > target_sq:
+    while (off_sq := _sum_sq_lone(cols, n, off=True)) > target_sq:
         if sweeps == _MAX_SWEEPS:
-            raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
+            check(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps", off_sq - target_sq, 0.0)
         cols = _sweep_lone(cols, rounds, skip)
         sweeps += 1
     # A stable sort, as argsort's on the stacked route.
@@ -318,8 +319,8 @@ def eig_hermitian(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.nda
 
     Raises
     ------
-    ValueError for non-square or non-Hermitian input, RuntimeError if
-    some matrix has not converged after 100 sweeps.
+    ValueError for non-square or non-Hermitian input; InternalCheckError,
+    a RuntimeError, if some matrix has not converged after 100 sweeps.
     """
     a = as_operator(a)
     if a.shape[-1] != a.shape[-2]:
@@ -375,7 +376,8 @@ def _eig_array(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
             g[..., active] = m
         active = active[_sum_sq_stacked(m, n, off=True) > target_sq[active]]
     if active.size:
-        raise RuntimeError(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps")
+        excess = _sum_sq_stacked(g[..., active], n, off=True) - target_sq[active]
+        check(f"Jacobi iteration did not converge within {_MAX_SWEEPS} sweeps", excess, 0.0)
 
     order = np.argsort(-g[:n].reshape(n * n, -1)[:: n + 1].real.T, axis=1, kind="stable")
     stack_index = np.arange(len(work))[:, None]

@@ -221,6 +221,15 @@ def test_internal_check_failures_exit_3(capsys, monkeypatch):
     assert main(["fine", "0", "45", "22.5", "-22.5"]) == 3
 
 
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "30"]], ids=["lone", "stacked"])
+def test_a_solve_that_does_not_converge_exits_3(capsys, monkeypatch, sweep):
+    # The lone and the stacked eigensolve, each stopped before its first sweep.
+    monkeypatch.setattr("bellcheck.linalg._MAX_SWEEPS", 0)
+    assert main(["chsh", "0", "45", "22.5", "-22.5", *sweep]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("internal check failed: Jacobi iteration did not converge within 0 sweeps: gap ")
+
+
 def test_simulate_near_degenerate_settings(capsys):
     # beta1 sits 0.001 deg from alpha1; the configuration is still valid
     from bellcheck.chsh_operator import closed_form_expectation

@@ -1,13 +1,15 @@
-"""Byte-identity corpora, recorded by package version.
+"""Byte-identity corpora, pinned by digest in the registry under ``tests/pins/``.
 
 All inputs are drawn with ``random.Random``, whose stream, unlike that of
 numpy's ``Generator``, does not depend on the numpy version.
 
 The spectrum block: about 1,600 configurations follow a first block of
 corners: t0 = t1, settings 1e-9 rad apart, the optimal angles and t0
-near 0.  For each block of 200 the test hashes the ``chsh_spectrum``
-fields of every configuration, the ``chsh_spectra`` fields of the whole
-block as one stack and a seeded ``sample_outcomes`` draw at n = 100.
+near 0.  For each block of 200, pinned as ``spectrum/<i>``, the test
+hashes the ``chsh_spectrum`` fields of every configuration, the
+``chsh_spectra`` fields of the whole block as one stack and a seeded
+``sample_outcomes`` draw at n = 100.  The other blocks are pinned as
+``kernel/<block>``.
 
 The eigensolver block hashes the eigenvalues and eigenvectors of
 ``eig_hermitian`` on real and complex Hermitian matrices of order 1 to
@@ -38,11 +40,8 @@ the package makes no call to it, and samplers, Fine witnesses and a
 ``fine`` stdout give the same bits with builtin ``sum`` replaced by an
 emulation of 3.12's.  The test inputs add their floats left to right.
 
-``CORPUS_DIGESTS`` and ``BLOCK_DIGESTS`` keep the digests under the
-version they were recorded at, as ``PIN_DIGESTS`` in ``test_golden.py``
-does, so a change that moves a byte here must bump ``__version__`` and
-record the new digests; a failure says which blocks, or how many of
-the spectrum blocks, moved.
+A failure names each block that moved; ``pinning`` says how the
+registry is versioned and recorded.
 """
 
 import ast
@@ -78,8 +77,10 @@ from bellcheck.cli import main
 from bellcheck.counterfactual import PairMarginals, fine_feasibility, quantum_pair_marginals
 from bellcheck.linalg import eig_hermitian
 from bellcheck.realworld import BLOCK_SIZE
+import pinning
 
 BLOCK = 200
+SPECTRUM_CONFIGS = 1600
 
 CORNERS = [
     AngleConfig.from_degrees(0, 90, 22.5, -22.5),  # t0 = t1
@@ -93,31 +94,7 @@ CORNERS = [
     AngleConfig.from_degrees(0, 45, 0, 45.000000001),
 ]
 
-CORPUS_DIGESTS = {
-    "0.3.0": (
-        "05a34e2f518ac2a25ae918289309dc0db591b636e62f2e8e1167d6d6e92af406",
-        "709e1678c4c976a85870363cdd9e1a6795531c9a16325935fec4b06b5c7e69e5",
-        "aaa5f09d2cb3827824e7288e19987cad51ce8a808cf077fb523ea23f3760f5c8",
-        "61429cac839de8bd48bb48051f378f278ab18c254c2d300ea7e376707771b8d3",
-        "fede4d6f4c0c89e4767757edc4cef088807e2b5792520bb85b0c1f542096fe9f",
-        "9913b0024823f9fef342efe5ee588edf3d3bb31a90631336966e619fe614bb68",
-        "819ffddffbb0a2ca175b8fff9da4511c69176f089ca409c89b2301d4940885d4",
-        "d7a8ede2b3688541b36942a29db23b99b09092d800977a306b2eabb74972a2dd",
-    ),
-    "0.4.0": (
-        "1fe0e397661c65615d611dd47b0f08f1cbcde2ac8f80d09d9636c2c7f74c7567",
-        "cc64685f4223dc6784dd6084a40f605708d0a9f55f2ee6520a500e9d77e46ea7",
-        "e152a4b9b57c4f82c36d47664ef8b03c85c2bdaa3e9b31342a4e65b8564050e3",
-        "eb71a34b211c5adfe1511a1e20292eeec5899b8a6a562870e4826380cb3a49b4",
-        "8ee62532c53ac7fdd5b5bd80743d7939ddbbd52376aea9e2e8329c903615b1f5",
-        "81f2dac2fa17f78052c4a340929332619034640ed0d605bd9d810a87e13b8f4c",
-        "53230538dde3d2ab885b5072f565a8c4db44755b239378e9b403959e0c3553fe",
-        "6aca7993e36e0568c602b9176bf3a274eb03e30512dedd44b1bb6074a96c00c9",
-    ),
-}
-
-
-def block_digest(configs: list, first_seed: int) -> str:
+def block_digest(configs: list, first_seed: int):
     h = hashlib.sha256()
     for seed, cfg in enumerate(configs, first_seed):
         single = chsh_spectrum(cfg)
@@ -129,40 +106,17 @@ def block_digest(configs: list, first_seed: int) -> str:
     stack = chsh_spectra(*(np.array([getattr(c, name) for c in configs]) for name in ("alpha1", "alpha2", "beta1", "beta2")))
     for field in (stack.t0, stack.t1, stack.w_plus, stack.w_minus, stack.eigenvalues):
         h.update(field.tobytes())
-    return h.hexdigest()
+    return h
 
 
-def test_spectrum_path_bytes_belong_to_the_package_version():
+def spectrum_digests() -> dict:
     rng = random.Random(20260)
-    configs = CORNERS + [AngleConfig(*(rng.uniform(-4.0, 4.0) for _ in range(4))) for _ in range(1600 - len(CORNERS))]
-    digests = tuple(block_digest(configs[i : i + BLOCK], i) for i in range(0, len(configs), BLOCK))
-    version = bellcheck.__version__
-    assert version in CORPUS_DIGESTS, f"record the digests of {version}: {digests}"
-    recorded = CORPUS_DIGESTS[version]
-    moved = sum(a != b for a, b in zip(digests, recorded)) + abs(len(digests) - len(recorded))
-    assert moved == 0, f"{moved} of {len(recorded)} blocks moved: bump __version__ and record {digests}"
+    configs = CORNERS + [AngleConfig(*(rng.uniform(-4.0, 4.0) for _ in range(4))) for _ in range(SPECTRUM_CONFIGS - len(CORNERS))]
+    return {f"spectrum/{i // BLOCK}": block_digest(configs[i : i + BLOCK], i) for i in range(0, len(configs), BLOCK)}
 
 
-BLOCK_DIGESTS = {
-    "0.3.0": {
-        "eig_hermitian": "00cc152d7b4e58bf3ca5dbd9c29cd166fd21bc4423dde0e97de9b44350399620",
-        "fine_feasibility": "df85116f168d9f1a5b0580bdb2efde7b21168f03ddf2473b47eea33a7e953c2b",
-        "run_experiments": "c7c7ea556c02e38748725b166e3b4ecac9be473db1c803cb1300cd90c98d4d4a",
-        "correlation": "3bc90269e2aa91df8c65b4763ebe137c9f87db4058dbddeebecdbe6122a20a43",
-        "quasiprob": "b0764d7e6f6fc5270539a8d9195979211db8c1970ea012b296800bfade5d2e75",
-        "find_negativity": "336eb1d848e4580d5cce84530d37c3710b8f165643536f64639cf42654545b37",
-        "cli_stdout": "b80201e31ba0f6640aa102b6832d575fc17711ca39bb91864c42df5350b2a34a",
-    },
-    "0.4.0": {
-        "eig_hermitian": "00cc152d7b4e58bf3ca5dbd9c29cd166fd21bc4423dde0e97de9b44350399620",
-        "fine_feasibility": "df85116f168d9f1a5b0580bdb2efde7b21168f03ddf2473b47eea33a7e953c2b",
-        "run_experiments": "c7c7ea556c02e38748725b166e3b4ecac9be473db1c803cb1300cd90c98d4d4a",
-        "correlation": "3bc90269e2aa91df8c65b4763ebe137c9f87db4058dbddeebecdbe6122a20a43",
-        "quasiprob": "b0764d7e6f6fc5270539a8d9195979211db8c1970ea012b296800bfade5d2e75",
-        "find_negativity": "336eb1d848e4580d5cce84530d37c3710b8f165643536f64639cf42654545b37",
-        "cli_stdout": "bf34f0f1881e7067c7e4b1dc8fa979166ece114a7bb8385fea7e0cf8e9d1e149",
-    },
-}
+def test_spectrum_path_bytes_match_their_pins():
+    pinning.check(PINS, "spectrum")
 
 
 def _hermitian(rng: random.Random, n: int, is_complex: bool) -> np.ndarray:
@@ -173,7 +127,7 @@ def _hermitian(rng: random.Random, n: int, is_complex: bool) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def eig_hermitian_digest() -> str:
+def eig_hermitian_digest():
     rng = random.Random(2701)
     h = hashlib.sha256()
     for scale in (2.0**-1000, 1.0, 2.0**1000):
@@ -184,7 +138,7 @@ def eig_hermitian_digest() -> str:
                     values, vectors = eig_hermitian(a)
                     h.update(values.tobytes())
                     h.update(vectors.tobytes())
-    return h.hexdigest()
+    return h
 
 
 def _sum(values) -> float:
@@ -219,7 +173,7 @@ def _boundary_boxes(rng: random.Random, target: float) -> list:
             return _boxes([scale * ci for ci in c])
 
 
-def fine_feasibility_digest() -> str:
+def fine_feasibility_digest():
     rng = random.Random(2702)
     inputs = [_pushforward(rng) for _ in range(700)]
     inputs += [_boxes([rng.uniform(-1.0, 1.0) for _ in range(4)]) for _ in range(700)]
@@ -231,14 +185,14 @@ def fine_feasibility_digest() -> str:
         h.update(f"{result.feasible},{result.chsh_value.hex()},{residual};".encode("ascii"))
         if result.witness is not None:
             h.update(result.witness.probabilities.tobytes())
-    return h.hexdigest()
+    return h
 
 
 def _angles(rng: random.Random, count: int) -> list:
     return [rng.uniform(-4.0, 4.0) for _ in range(count)]
 
 
-def run_experiments_digest() -> str:
+def run_experiments_digest():
     rng = random.Random(2703)
     cases = [(cfg, rng.getrandbits(64)) for cfg in CORNERS + [AngleConfig(0.4, 1.0, 0.4, 1.3)]]
     cases += [(AngleConfig(*_angles(rng, 4)), rng.getrandbits(64)) for _ in range(400 - len(cases))]
@@ -249,10 +203,10 @@ def run_experiments_digest() -> str:
         per_experiment, combined = run_experiments(cfg, n, seed)
         for e in (*per_experiment, combined):
             h.update(f"{e.mean.hex()},{e.stderr.hex()},{e.n};".encode("ascii"))
-    return h.hexdigest()
+    return h
 
 
-def correlation_digest() -> str:
+def correlation_digest():
     rng = random.Random(2704)
     corners = [(0.0, 0.0), (0.3, 0.3 + 1e-9), (0.0, math.pi / 4), (0.0, math.pi / 2), (-0.0, math.pi), (1.0, -1.0)]
     pairs = corners + [tuple(_angles(rng, 2)) for _ in range(1000)]
@@ -262,25 +216,25 @@ def correlation_digest() -> str:
     alpha, beta = (np.array(column) for column in zip(*pairs))
     h.update(correlation(alpha, beta).tobytes())
     h.update(correlation(alpha[:40, None], beta[None, :50]).tobytes())
-    return h.hexdigest()
+    return h
 
 
-def quasiprob_digest() -> str:
+def quasiprob_digest():
     rng = random.Random(2705)
     corners = [(0.3, 0.3, 1.0), (0.3, 0.3 + math.pi / 2, 0.0)]  # f_jk cells that are 0 in exact arithmetic
     h = hashlib.sha256()
     for alpha, alpha_prime, beta in corners + [_angles(rng, 3) for _ in range(300)]:
         h.update(f_jkl(alpha, alpha_prime, beta).values.tobytes())
         h.update(f_jk(alpha, alpha_prime).values.tobytes())
-    return h.hexdigest()
+    return h
 
 
-def find_negativity_digest() -> str:
+def find_negativity_digest():
     records = find_negativity(math.radians(30.0))
     h = hashlib.sha256(repr(records.dtype.descr).encode("ascii"))
     for name in records.dtype.names:
         h.update(records[name].tobytes())
-    return h.hexdigest()
+    return h
 
 
 def _cli_argvs() -> list:
@@ -319,33 +273,32 @@ def _cli_argvs() -> list:
     return argvs
 
 
-def cli_stdout_digest() -> str:
+def cli_stdout_digest():
     h = hashlib.sha256()
     for argv in _cli_argvs():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0, argv
         h.update(f"{' '.join(argv)}\n{out.getvalue()}".encode("utf-8"))
-    return h.hexdigest()
+    return h
 
 
-BLOCKS = {
-    "eig_hermitian": eig_hermitian_digest,
-    "fine_feasibility": fine_feasibility_digest,
-    "run_experiments": run_experiments_digest,
-    "correlation": correlation_digest,
-    "quasiprob": quasiprob_digest,
-    "find_negativity": find_negativity_digest,
-    "cli_stdout": cli_stdout_digest,
+# Every pin of this module: name -> producer.
+PINS = {
+    **pinning.split([f"spectrum/{i}" for i in range(SPECTRUM_CONFIGS // BLOCK)], spectrum_digests),
+    "kernel/eig_hermitian": eig_hermitian_digest,
+    "kernel/fine_feasibility": fine_feasibility_digest,
+    "kernel/run_experiments": run_experiments_digest,
+    "kernel/correlation": correlation_digest,
+    "kernel/quasiprob": quasiprob_digest,
+    "kernel/find_negativity": find_negativity_digest,
+    "kernel/cli_stdout": cli_stdout_digest,
 }
 
 
-@pytest.mark.parametrize("block", list(BLOCKS))
-def test_kernel_bytes_belong_to_the_package_version(block):
-    got = BLOCKS[block]()
-    version = bellcheck.__version__
-    assert version in BLOCK_DIGESTS, f"record the {block} digest of {version}: {got}"
-    assert got == BLOCK_DIGESTS[version][block], f"the {block} block moved: bump __version__ and record {got}"
+@pytest.mark.parametrize("block", [name.split("/")[1] for name in PINS if name.startswith("kernel/")])
+def test_kernel_bytes_match_their_pin(block):
+    pinning.check(PINS, f"kernel/{block}")
 
 
 # ROADMAP item 13's kernel split.  OpenBLAS's Sandybridge kernel has no fused
@@ -354,8 +307,8 @@ def test_kernel_bytes_belong_to_the_package_version(block):
 # each.  The correlation, quasiprob, find_negativity and CLI blocks wait for
 # ROADMAP items 9 and 17.
 KERNEL_SPLIT = [
-    "test_spectrum_path_bytes_belong_to_the_package_version",
-    *(f"test_kernel_bytes_belong_to_the_package_version[{block}]" for block in ("eig_hermitian", "fine_feasibility", "run_experiments")),
+    "test_spectrum_path_bytes_match_their_pins",
+    *(f"test_kernel_bytes_match_their_pin[{block}]" for block in ("eig_hermitian", "fine_feasibility", "run_experiments")),
 ]
 
 

@@ -257,17 +257,19 @@ def test_projector_check_fires_on_an_expectation_off_by_3e_12(monkeypatch, degre
 
 
 # The CLI compares each printed Born number with its closed form; a Born
-# route scaled by 1.001 makes the check fire, and main exits 3 naming it.
+# route scaled by 1 + 1e-6 makes the check fire, and main exits 3 naming it.
+# correlate's route is the pmf table it prints, whose signed sum is the
+# printed correlation, so a scaled cell fires the check too.
 CLI_SITES = {
-    "correlation vs closed form": ("correlation", ["correlate", "0", "22.5"]),
-    "e_qm vs closed form": ("chsh_expectations", ["chsh", "0", "45", "22.5", "-22.5", "--sweep", "30"]),
+    "correlation vs closed form": (born, "_clamp_probabilities", ["correlate", "0", "22.5"]),
+    "e_qm vs closed form": (cli, "chsh_expectations", ["chsh", "0", "45", "22.5", "-22.5", "--sweep", "30"]),
 }
 
 
 @pytest.mark.parametrize("site", list(CLI_SITES))
 def test_each_cli_cross_check_fires_and_names_itself(monkeypatch, capsys, site):
-    route, argv = CLI_SITES[site]
-    _wrap(monkeypatch, cli, route, lambda value: value * 1.001)
+    module, route, argv = CLI_SITES[site]
+    _wrap(monkeypatch, module, route, lambda value: value * (1.0 + 1e-6))
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"internal check failed: {site}: gap ")
