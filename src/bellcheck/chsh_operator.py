@@ -9,11 +9,13 @@ not jointly measurable.  Its spectrum is {+t0, -t0, +t1, -t1} with
 
     t0 = 2 sqrt(1 - sin 2(a1 - a2) * sin 2(b1 - b2)),
 
-and t1 = 2 sqrt(1 + sin 2(a1 - a2) * sin 2(b1 - b2)), both computed as a
-sum of two squares, which does not cancel near 0.  In the singlet all
+and t1 = 2 sqrt(1 + sin 2(a1 - a2) * sin 2(b1 - b2)).  In the singlet all
 outcome weight sits on the +-t0 atoms: the value is +t0 with probability
 (1 + E/t0)/2 and -t0 otherwise, where E is the CHSH expectation.  At the
-optimal angles t0 = 2 sqrt(2) and the outcome is deterministic.
+optimal angles t0 = 2 sqrt(2) and the outcome is deterministic.  This
+module writes none of these formulas: t0, t1, E and the outcome weight
+are read from :mod:`bellcheck.closed_form`, and the operator built here
+checks them.
 
 Landau's identity, C^2 = 4 I - [A1, A2] (x) [B1, B2] for the CHSH
 operator C with Alice's observables A1, A2 and Bob's B1, B2 (L. J.
@@ -33,15 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import closed_form
 from .born import _SINGLET_FLOATS
 from .errors import check
 from .linalg import _ROUNDS_4, _eig_array, _eig_lone, hermiticity_defect
 from .polarization import AngleConfig, _basis_rows, same_setting
 from .realworld import _SAMPLER_STREAM, EstimatorResult, _check_draw_count, _two_point_estimate
-
-# Below this, t0 is treated as exactly zero: the sampler returns the outcome 0
-# without drawing, and w_plus is 0.5 by convention.  No check reads it.
-_T0_FLOOR = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,43 +138,6 @@ def chsh_operator(cfg: AngleConfig) -> np.ndarray:
     return _chsh_planes(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2).astype(np.complex128)
 
 
-# t0, t1 = 2 sqrt(1 -+ sin x sin y), x = 2(a1 - a2) and y = 2(b1 - b2), written
-# as 2 sqrt(sin^2((x -+ y)/2) + cos^2((x +- y)/2)), which does not cancel.
-def _atom_magnitudes(alpha1, alpha2, beta1, beta2) -> np.ndarray:
-    half_x, half_y = alpha1 - alpha2, beta1 - beta2
-    return 2.0 * np.hypot(np.sin(half_x - half_y), np.cos(half_x + half_y))
-
-
-def _dark_magnitudes(alpha1, alpha2, beta1, beta2) -> np.ndarray:
-    half_x, half_y = alpha1 - alpha2, beta1 - beta2
-    return 2.0 * np.hypot(np.cos(half_x - half_y), np.sin(half_x + half_y))
-
-
-def _closed_form_expectations(alpha1, alpha2, beta1, beta2) -> np.ndarray:
-    return (
-        -np.cos(2.0 * (alpha1 - beta1))
-        - np.cos(2.0 * (alpha1 - beta2))
-        - np.cos(2.0 * (alpha2 - beta1))
-        + np.cos(2.0 * (alpha2 - beta2))
-    )
-
-
-def _floats(x) -> list:
-    """A closed form's value or values as a list of Python floats; a scalar converts with ``float``."""
-    return [float(x)] if isinstance(x, float) else np.ravel(x).tolist()
-
-
-def _outcome_atoms(alpha1, alpha2, beta1, beta2) -> tuple[list, list, list]:
-    """Closed-form t0, E and w_plus = (1 + E/t0)/2 (clipped; 0.5 below the t0 floor), as lists of floats.
-
-    Every spectrum and every draw reads them here, so they see the same bits.
-    """
-    t0s = _floats(_atom_magnitudes(alpha1, alpha2, beta1, beta2))
-    expectations = _floats(_closed_form_expectations(alpha1, alpha2, beta1, beta2))
-    w_plus = [min(max((1.0 + e / t) / 2.0, 0.0), 1.0) if t >= _T0_FLOOR else 0.5 for t, e in zip(t0s, expectations)]
-    return t0s, expectations, w_plus
-
-
 def _check_spectrum(ev: list, overlaps: list, t0: float, expectation: float, dark: float) -> None:
     """The five spectrum checks of one configuration, on four eigenvalues ``ev`` and the singlet's weight on each eigenvector.
 
@@ -202,12 +164,12 @@ def _check_spectrum(ev: list, overlaps: list, t0: float, expectation: float, dar
 
 def atom_magnitude(cfg: AngleConfig) -> float:
     """Closed form t0 = 2 sqrt(1 - sin 2(a1-a2) sin 2(b1-b2))."""
-    return float(_atom_magnitudes(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
+    return float(closed_form.atom_magnitudes(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
 
 
 def closed_form_expectation(cfg: AngleConfig) -> float:
-    """Four-cosine closed form of the CHSH expectation in the singlet."""
-    return float(_closed_form_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
+    """Closed form of the CHSH expectation in the singlet, a signed sum of four pair correlations."""
+    return float(closed_form.expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2))
 
 
 def chsh_spectra(
@@ -241,8 +203,8 @@ def chsh_spectra(
         angles[i] = x
     a1, a2, b1, b2 = angles
     evals, evecs = _eig_array(_chsh_planes(a1, a2, b1, b2), 1e-10)
-    t0s, expectations, w_plus = _outcome_atoms(a1, a2, b1, b2)
-    t1s = _floats(_dark_magnitudes(a1, a2, b1, b2))
+    t0s, expectations, w_plus = closed_form.outcome_atoms(a1, a2, b1, b2)
+    t1s = closed_form.floats(closed_form.dark_magnitudes(a1, a2, b1, b2))
     # The singlet's amplitude on each eigenvector, in _dot's order as chsh_spectrum takes it.
     amplitudes = _dot(evecs.reshape(-1, 4, 4).transpose(1, 0, 2), _SINGLET_FLOATS)
     for c in zip(evals.reshape(-1, 4).tolist(), (amplitudes * amplitudes).tolist(), t0s, expectations, t1s):
@@ -266,8 +228,8 @@ def chsh_spectrum(cfg: AngleConfig) -> ChshSpectrum:
     """
     a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
     evals, evecs = _eig_lone(_chsh_rows(cfg), 1e-10, _ROUNDS_4)
-    (t0,), (expectation,), (w_plus,) = _outcome_atoms(a1, a2, b1, b2)
-    t1 = float(_dark_magnitudes(a1, a2, b1, b2))
+    (t0,), (expectation,), (w_plus,) = closed_form.outcome_atoms(a1, a2, b1, b2)
+    t1 = float(closed_form.dark_magnitudes(a1, a2, b1, b2))
     amplitudes = [_dot(v, _SINGLET_FLOATS) for v in zip(*evecs)]
     _check_spectrum(evals, [x * x for x in amplitudes], t0, expectation, t1)
     return ChshSpectrum(t0, t1, w_plus, np.array(evals))
@@ -292,12 +254,12 @@ def sample_outcomes(cfg: AngleConfig, n: int, seed: int) -> EstimatorResult:
     """
     _check_draw_count(n)
     rows = _chsh_rows(cfg)
-    (t0,), (expectation,), (w_plus,) = _outcome_atoms(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
+    (t0,), (expectation,), (w_plus,) = closed_form.outcome_atoms(cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
     c_psi = [_dot(row, _SINGLET_FLOATS) for row in rows]
     check("C^2 psi vs t0^2 psi", max(abs(_dot(row, c_psi) - t0 * t0 * p) for row, p in zip(rows, _SINGLET_FLOATS)), 1e-12)
     check("<psi|C|psi> vs closed form", abs(_dot(_SINGLET_FLOATS, c_psi) - expectation), 1e-12)
     check("|E| above t0", abs(expectation) - t0, 1e-9)
-    if t0 < _T0_FLOOR:
+    if t0 < closed_form.T0_FLOOR:
         return EstimatorResult(0.0, 0.0, n)
     # -t0 on the band w_plus <= u < 1, which holds every draw u >= w_plus.
     return _two_point_estimate(t0, w_plus, 1.0, seed, _SAMPLER_STREAM, n)

@@ -46,9 +46,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, closed_form
 from .born import SINGLET, chsh_expectations, joint_pmf
-from .chsh_operator import _closed_form_expectations, chsh_spectra
+from .chsh_operator import chsh_spectra
 from .counterfactual import fine_feasibility, outcome_statistic, outcome_values, quantum_pair_marginals, sample_space
 from .errors import InternalCheckError, check
 from .polarization import AngleConfig, _setting_grid, _setting_radians, same_setting
@@ -196,7 +196,8 @@ def cmd_correlate(args: argparse.Namespace) -> str:
     alpha, beta = _setting_radians(args.alpha_deg), _setting_radians(args.beta_deg)
     table = joint_pmf(SINGLET, alpha, beta)
     corr = float(table.p[0, 0] - table.p[0, 1] - table.p[1, 0] + table.p[1, 1])  # so the check covers the table
-    check("correlation vs closed form", abs(corr + math.cos(2.0 * (alpha - beta))), 1e-12)
+    check("correlation vs closed form", abs(corr - closed_form.correlations(alpha, beta)), 1e-12)
+    check("pmf vs closed form", np.abs(table.p - closed_form.pair_tables(alpha, beta)), 1e-12)
     if (args.format or "json") == "json":
         return canonical_json({**_echo(args), "correlation": corr, "pmf": table.p})
     header = ["alpha_deg", "beta_deg", "correlation", "p_pp", "p_pm", "p_mp", "p_mm"]
@@ -207,8 +208,8 @@ def _spectrum_table(args: argparse.Namespace, cfg: AngleConfig, beta2_deg: np.nd
     """One row per beta2, in degrees to echo and radians to compute (replacing cfg's): echoed angles, e_qm, spectrum."""
     echoed = [np.full(beta2.shape, angle) for angle in (args.alpha1_deg, args.alpha2_deg, args.beta1_deg)]
     e_qm = chsh_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
-    closed_form = _closed_form_expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
-    check("e_qm vs closed form", np.abs(e_qm - closed_form), 1e-12)
+    closed = closed_form.expectations(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
+    check("e_qm vs closed form", np.abs(e_qm - closed), 1e-12)
     spectra = chsh_spectra(cfg.alpha1, cfg.alpha2, cfg.beta1, beta2)
     return Table(
         ["alpha1", "alpha2", "beta1", "beta2", "e_qm", "t0", "t1", "w_plus", "w_minus"],
@@ -265,7 +266,13 @@ def cmd_enumerate(args: argparse.Namespace) -> str:
 
 def cmd_fine(args: argparse.Namespace) -> str:
     cfg = _config_from_args(args)
-    result = fine_feasibility(quantum_pair_marginals(cfg))
+    a1, a2, b1, b2 = cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2
+    marginals = quantum_pair_marginals(cfg)
+    # The closed-form tables in PairMarginals order: (A1B1), (A1B2), (A2B1), (A2B2).
+    closed = closed_form.pair_tables(np.array([a1, a1, a2, a2]), np.array([b1, b2, b1, b2]))
+    check("pair tables vs closed form", np.abs(np.array([t.p for t in marginals.tables()]) - closed), 1e-12)
+    result = fine_feasibility(marginals)
+    check("chsh_variants vs closed form", abs(result.chsh_value - closed_form.chsh_variants(a1, a2, b1, b2)), 1e-12)
     payload = {
         **_echo(args),
         "chsh_variants": result.chsh_value,

@@ -21,6 +21,7 @@ from bellcheck.linalg import _ROUNDS_4, _eig_array, _eig_lone, eig_hermitian, he
 from bellcheck.polarization import AngleConfig, singlet_state, x_operator, y_operator
 
 chsh_mod = importlib.import_module("bellcheck.chsh_operator")
+closed_form = importlib.import_module("bellcheck.closed_form")
 OPTIMAL = AngleConfig.from_degrees(0.0, 45.0, 22.5, -22.5)
 
 
@@ -191,7 +192,7 @@ PINNED_DEGREES = [
 
 def shift_expectations_at(monkeypatch, configs, shift=1e-6):
     """Shift the closed-form E of each of ``configs``, alone or in a stack, by ``shift``."""
-    real = chsh_mod._closed_form_expectations
+    real = closed_form.expectations
 
     def shifted(alpha1, alpha2, beta1, beta2):
         e = real(alpha1, alpha2, beta1, beta2)
@@ -200,7 +201,7 @@ def shift_expectations_at(monkeypatch, configs, shift=1e-6):
             e = e + shift * at
         return e
 
-    monkeypatch.setattr(chsh_mod, "_closed_form_expectations", shifted)
+    monkeypatch.setattr(closed_form, "expectations", shifted)
 
 
 # Settings where sines and cosines are exact, tie or vanish, signed zero and
@@ -221,6 +222,26 @@ def bit_identity_configs():
         except ValueError:
             continue
     return configs
+
+
+def test_closed_form_expectation_equals_the_four_cosine_form_bitwise():
+    # closed_form.expectations sums four closed-form correlations; it must give
+    # the bits of the four-cosine form it replaced, signed zeros included, on
+    # arrays and on Python floats.
+    def four_cosines(alpha1, alpha2, beta1, beta2):
+        return (
+            -np.cos(2.0 * (alpha1 - beta1))
+            - np.cos(2.0 * (alpha1 - beta2))
+            - np.cos(2.0 * (alpha2 - beta1))
+            + np.cos(2.0 * (alpha2 - beta2))
+        )
+
+    configs = bit_identity_configs()
+    columns = angle_columns(configs)
+    assert closed_form.expectations(*columns).tobytes() == four_cosines(*columns).tobytes()
+    for cfg in configs:
+        angles = (cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
+        assert closed_form.expectations(*angles).tobytes() == four_cosines(*angles).tobytes()
 
 
 def test_python_float_operator_and_solve_equal_the_array_route_bitwise():

@@ -20,6 +20,7 @@ from bellcheck.polarization import AngleConfig, basis_matrix
 born = importlib.import_module("bellcheck.born")
 chsh_mod = importlib.import_module("bellcheck.chsh_operator")
 cli = importlib.import_module("bellcheck.cli")
+closed_form = importlib.import_module("bellcheck.closed_form")
 counterfactual = importlib.import_module("bellcheck.counterfactual")
 quasiprob = importlib.import_module("bellcheck.quasiprob")
 realworld = importlib.import_module("bellcheck.realworld")
@@ -98,7 +99,7 @@ def _non_hermitian_factors(mp):
 
 
 def _shifted_t0(mp):
-    _wrap(mp, chsh_mod, "_atom_magnitudes", lambda t0: t0 * (1.0 + 1e-6))
+    _wrap(mp, closed_form, "atom_magnitudes", lambda t0: t0 * (1.0 + 1e-6))
 
 
 def _basis_eigenvectors(mp):
@@ -107,16 +108,16 @@ def _basis_eigenvectors(mp):
 
 
 def _expectation_above_t0(mp):
-    _wrap(mp, chsh_mod, "_closed_form_expectations", lambda e: e * 1.001)
+    _wrap(mp, closed_form, "expectations", lambda e: e * 1.001)
 
 
 def _expectation_below_t0(mp):
-    _wrap(mp, chsh_mod, "_closed_form_expectations", lambda e: e * 0.999)
+    _wrap(mp, closed_form, "expectations", lambda e: e * 0.999)
 
 
 def _shifted_t1(mp):
     # Additive: t1 = 0 at OPTIMAL.
-    _wrap(mp, chsh_mod, "_dark_magnitudes", lambda t1: t1 + 1e-6)
+    _wrap(mp, closed_form, "dark_magnitudes", lambda t1: t1 + 1e-6)
 
 
 SPECTRUM_SITES = {
@@ -250,7 +251,7 @@ EDGE_DEGREES = [(0.0, 45.0, 22.5, -22.5), (0.0, 45.0, 0.0, 45.0000001), (0.0, 45
 @pytest.mark.parametrize("degrees", EDGE_DEGREES)
 def test_projector_check_fires_on_an_expectation_off_by_3e_12(monkeypatch, degrees, route):
     cfg = AngleConfig.from_degrees(*degrees)
-    _wrap(monkeypatch, chsh_mod, "_closed_form_expectations", lambda e: e + 3e-12)
+    _wrap(monkeypatch, closed_form, "expectations", lambda e: e + 3e-12)
     angles = (cfg.alpha1, cfg.alpha2, cfg.beta1, cfg.beta2)
     with pytest.raises(InternalCheckError, match="^projector weight vs closed form: gap "):
         chsh_mod.chsh_spectrum(cfg) if route == "chsh_spectrum" else chsh_mod.chsh_spectra(*([angle] * 2 for angle in angles))
@@ -259,10 +260,16 @@ def test_projector_check_fires_on_an_expectation_off_by_3e_12(monkeypatch, degre
 # The CLI compares each printed Born number with its closed form; a Born
 # route scaled by 1 + 1e-6 makes the check fire, and main exits 3 naming it.
 # correlate's route is the pmf table it prints, whose signed sum is the
-# printed correlation, so a scaled cell fires the check too.
+# printed correlation, so a scaled cell fires the correlation check first;
+# at 0 45 that sum is about 0, and only the cells' own check fires.  fine
+# checks its four pair tables before Fine's verdict reads them, and the
+# largest CHSH variant it prints after.
 CLI_SITES = {
     "correlation vs closed form": (born, "_clamp_probabilities", ["correlate", "0", "22.5"]),
+    "pmf vs closed form": (born, "_clamp_probabilities", ["correlate", "0", "45"]),
     "e_qm vs closed form": (cli, "chsh_expectations", ["chsh", "0", "45", "22.5", "-22.5", "--sweep", "30"]),
+    "pair tables vs closed form": (counterfactual, "_singlet_tables", ["fine", "0", "45", "22.5", "112.5"]),
+    "chsh_variants vs closed form": (counterfactual, "chsh_all_variants", ["fine", "0", "45", "22.5", "-22.5"]),
 }
 
 
@@ -287,6 +294,17 @@ def test_spectrum_checks_are_written_once():
         "numeric t1 vs closed form",
     ):
         assert len(re.findall(r'\bcheck\(\s*"' + re.escape(name) + '"', source)) == 1, name
+
+
+def test_each_closed_form_is_written_once():
+    # closed_form.py writes t0, t1, the correlation and the t0 floor; every
+    # other module reads them there.
+    package = Path(bellcheck.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "closed_form.py":
+            source = path.read_text(encoding="utf-8")
+            for formula in ("np.hypot(", "cos(2.0 * (", "T0_FLOOR ="):
+                assert formula not in source, f"{path.name} writes {formula}"
 
 
 def test_cross_checks_raise_only_through_check():
