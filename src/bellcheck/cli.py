@@ -22,8 +22,9 @@ comma-separated with a header row and LF line endings.  Every
 header-and-rows output -- the ``correlate`` CSV row, single and swept
 ``chsh``/``t-spectrum`` rows, both ``enumerate`` targets, and the
 negative cells and scan witnesses of ``quasiprob`` -- is one columnar
-:class:`Table`, written by one row template: comma-joined for CSV, an
-object with sorted keys for JSON.  ``--format`` (``json`` or ``csv``)
+:class:`Table`, written by one writer that formats each distinct cell
+value once and builds each row with one ``str.join``: comma-joined for
+CSV, an object with sorted keys for JSON.  ``--format`` (``json`` or ``csv``)
 exists only where a table prints: ``correlate``, ``chsh``/``t-spectrum``
 and ``enumerate``; ``simulate``, ``fine`` and ``quasiprob`` print JSON.
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -74,27 +76,72 @@ _FLOAT_CELL = "%.9g"
 
 @dataclass(frozen=True)
 class Table:
-    """Named columns of equal length, written one row per line; a column is integer or float."""
+    """Named 1-D columns of equal length, written one row per line.
+
+    An integer column prints with ``_INT_CELL``; any other (float or bool) with ``_FLOAT_CELL``.
+    """
 
     header: list[str]
     columns: list
 
 
+def _distinct_texts(values: np.ndarray, cell: str) -> list[str]:
+    """``cell % v`` for each v of ``values``, formatting each distinct value once.
+
+    Sorting puts equal values side by side; NaN equals nothing, so each NaN is formatted on its own.
+    Each array is dropped once used, which lowers the peak memory of a large scan.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    del values
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    texts = np.array([cell % v for v in ordered[first].tolist()], dtype=object)
+    del ordered
+    first[:1] = False  # so that the running count of firsts is each value's index into texts
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = first.cumsum()
+    return texts[inverse].tolist()
+
+
+def _column_texts(columns: list) -> list[list[str]]:
+    """Each column's cells as text, from one :func:`_distinct_texts` call per group of columns.
+
+    Float and bool columns form one group, formatted after + 0.0; integer columns are grouped by
+    dtype, since int64 and uint64 concatenate to float64, which would print large integers wrong.
+    """
+    arrays = [np.asarray(column) for column in columns]
+    groups: dict = {}
+    for index, array in enumerate(arrays):
+        groups.setdefault(array.dtype if array.dtype.kind in "iu" else None, []).append(index)
+    texts: list = [None] * len(arrays)
+    for dtype, members in groups.items():
+        values = np.concatenate([arrays[index] for index in members])
+        flat = _distinct_texts(values + 0.0, _FLOAT_CELL) if dtype is None else _distinct_texts(values, _INT_CELL)
+        start = 0
+        for index in members:
+            stop = start + len(arrays[index])
+            texts[index], start = flat[start:stop], stop
+    return texts
+
+
 def _rows(table: Table, keyed: bool) -> list[str]:
-    """The rows of ``table`` as CSV lines, or (keyed) as JSON objects with sorted keys."""
-    fields = []
-    for name, column in zip(table.header, table.columns):
-        column = np.asarray(column)
-        if column.dtype.kind in "iu":
-            fields.append((name, _INT_CELL, column.tolist()))
-        else:
-            fields.append((name, _FLOAT_CELL, (column + 0.0).tolist()))
-    if keyed:
-        fields.sort(key=lambda field: field[0])
-        template = "{" + ", ".join(f"{json.dumps(name)}: {cell}" for name, cell, _ in fields) + "}"
-    else:
-        template = ",".join(cell for _, cell, _ in fields)
-    return [template % row for row in zip(*(values for _, _, values in fields))]
+    """The rows of ``table`` as CSV lines, or (keyed) as JSON objects with sorted keys.
+
+    Cells are formatted once per distinct value (:func:`_column_texts`), and each row is one
+    ``str.join`` over the zipped columns: comma-joined for CSV; for JSON with each column's
+    ``"key": `` prefix interleaved, opened by ``{`` and closed by ``}``.
+    """
+    texts = _column_texts(table.columns)
+    if not keyed:
+        return list(map(",".join, zip(*texts)))
+    count = min(map(len, texts), default=0)
+    parts = []
+    for position, (name, column) in enumerate(sorted(zip(table.header, texts), key=lambda field: field[0])):
+        parts += [itertools.repeat(("{" if position == 0 else ", ") + json.dumps(name) + ": ", count), column]
+    parts.append(itertools.repeat("}", count))
+    return list(map("".join, zip(*parts)))
 
 
 def _json_fragment(value, exact: bool = False) -> str:

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bellcheck
-from bellcheck.cli import _parser, canonical_json, main, replay
+from bellcheck.cli import Table, _parser, _rows, canonical_json, main, replay
 
 # The directory that holds the package under test, and an environment that puts it on a subprocess's path.
 SRC = str(pathlib.Path(bellcheck.__file__).parents[1])
@@ -606,3 +606,83 @@ def test_importing_the_cli_does_not_load_numpy_random():
     probe = "import sys, bellcheck.cli; print('numpy.random' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=SRC_ENV, check=True)
     assert result.stdout == "False\n"
+
+
+def _reference_rows(table, keyed):
+    """The writer as it was before cells were formatted once per distinct value: one %-template per row."""
+    fields = []
+    for name, column in zip(table.header, table.columns):
+        column = np.asarray(column)
+        if column.dtype.kind in "iu":
+            fields.append((name, "%d", column.tolist()))
+        else:
+            fields.append((name, "%.9g", (column + 0.0).tolist()))
+    if keyed:
+        fields.sort(key=lambda field: field[0])
+        template = "{" + ", ".join(f"{json.dumps(name)}: {cell}" for name, cell, _ in fields) + "}"
+    else:
+        template = ",".join(cell for _, cell, _ in fields)
+    return [template % row for row in zip(*(values for _, _, values in fields))]
+
+
+def _assert_rows_match_reference(table):
+    for keyed in (False, True):
+        assert _rows(table, keyed) == _reference_rows(table, keyed)
+
+
+_TINY = 2.2250738585072014e-308  # the smallest normal float64
+WRITER_TABLES = {
+    # Without + 0.0 first, a run of equal zeros prints as whichever zero sorts first, which may be -0.0.
+    "signed zeros": Table(["x", "y"], [np.array([-0.0, 0.0, -0.0, 1.0]), np.array([0.0, -0.0, -0.0, -1.0])]),
+    "non-finite": Table(["v", "w"], [np.array([math.nan, -math.nan, math.inf, -math.inf, 1.0]),
+                                     np.array([-math.inf, math.nan, 0.0, -math.nan, math.inf])]),
+    "subnormals": Table(["s"], [np.array([5e-324, -5e-324, _TINY / 3, -_TINY / 3, _TINY, 5e-324])]),
+    # int64 and uint64 concatenate to float64, which would print 2**63 - 1 as 9223372036854775808.
+    "int64 and uint64 extremes": Table(
+        ["i", "u"],
+        [np.array([2**63 - 1, -2**63, 2**63 - 2, 1], dtype=np.int64),
+         np.array([2**64 - 1, 2**63, 2**64 - 2, 1], dtype=np.uint64)],
+    ),
+    "bool column": Table(["flag", "n"], [np.array([True, False, True]), np.array([3, 2, 3])]),
+    "no rows": Table(["j", "value"], [np.array([], dtype=np.int64), np.array([])]),
+    "one row": Table(["j", "value"], [np.array([7]), np.array([-0.0])]),
+    "no columns": Table([], []),
+    "list columns": Table(["a", "b", "c"], [[1.5, 2.5, 1.5], [3, 4, 3], [0.1, -0.0, 0.1]]),
+    # correlate passes typed angles as one-element lists and the pmf as (1,)-shaped rows.
+    "correlate's columns": Table(
+        ["alpha_deg", "beta_deg", "correlation", "p_pp", "p_pm", "p_mp", "p_mm"],
+        [[10.0], [40.0], [-0.5], *np.array([[0.125, 0.375], [0.375, 0.125]]).reshape(4, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_TABLES))
+def test_writer_matches_the_per_row_template(name):
+    _assert_rows_match_reference(WRITER_TABLES[name])
+
+
+_WRITER_CELLS = {
+    "float64": st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 5e-324, -math.nan]),
+    "float32": st.floats(width=32),
+    "int64": st.integers(-2**63, 2**63 - 1) | st.sampled_from([2**63 - 1, -2**63, 2**53 + 1]),
+    "uint64": st.integers(0, 2**64 - 1) | st.sampled_from([2**64 - 1, 2**63 + 1]),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def writer_tables(draw):
+    """Tables of up to 6 columns and 12 rows whose cells repeat within and across columns."""
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(_WRITER_CELLS)), max_size=6))
+    pools = {kind: draw(st.lists(_WRITER_CELLS[kind], min_size=1, max_size=5)) for kind in sorted(set(kinds))}
+    columns = [np.array(draw(st.lists(st.sampled_from(pools[kind]), min_size=rows, max_size=rows)), dtype=kind)
+               for kind in kinds]
+    header = draw(st.lists(st.text("abxyz_", min_size=1, max_size=3), min_size=len(kinds), max_size=len(kinds)))
+    return Table(header, columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(writer_tables())
+def test_writer_matches_the_per_row_template_on_random_tables(table):
+    _assert_rows_match_reference(table)
